@@ -27,6 +27,14 @@ def _lam(theory: str) -> Fraction:
     return Fraction(0) if theory == "eckart" else Fraction(1)
 
 
+def _fraction(text: str, param_hint: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        raise click.BadParameter(f"not a rational number: {text!r}",
+                                 param_hint=param_hint)
+
+
 def _params_from_file(path: str | None, theory: str | None = None) -> fluid.FluidParams:
     values = {}
     if path:
@@ -39,19 +47,22 @@ def _params_from_file(path: str | None, theory: str | None = None) -> fluid.Flui
             key, val = (s.strip() for s in line.split("=", 1))
             values[key] = val
     kw = {}
-    if "k" in values:
-        kw["k"] = Fraction(values["k"])
-    if "kappa" in values:
-        kw["kappa"] = Fraction(values["kappa"])
-    if "lambda" in values:
-        kw["lam"] = Fraction(values["lambda"])
-    if "N0" in values:
-        kw["N0"] = float(values["N0"])
-    if "E0" in values:
-        kw["E0"] = float(values["E0"])
+    for key, name in (("k", "k"), ("kappa", "kappa"), ("lambda", "lam")):
+        if key in values:
+            kw[name] = _fraction(values[key], f"--params ({key})")
+    for key in ("N0", "E0"):
+        if key in values:
+            try:
+                kw[key] = float(values[key])
+            except ValueError:
+                raise click.BadParameter(f"not a number: {values[key]!r}",
+                                         param_hint=f"--params ({key})")
     if theory is not None:
         kw["lam"] = _lam(theory)
-    return fluid.FluidParams(**kw)
+    try:
+        return fluid.FluidParams(**kw)
+    except ValueError as err:
+        raise click.BadParameter(str(err), param_hint="--params")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "FLUIDSYM"})
@@ -118,7 +129,12 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
     """Commutator/adjoint tables and element normalization."""
     alg = la.table_algebra(theory)
     if normalize_coeffs is not None:
-        coeffs = [float(v) for v in normalize_coeffs.split(",")]
+        try:
+            coeffs = [float(v) for v in normalize_coeffs.split(",")]
+        except ValueError:
+            raise click.BadParameter(
+                f"expected comma-separated numbers, got {normalize_coeffs!r}",
+                param_hint="--normalize")
         if len(coeffs) != alg.dim:
             raise click.UsageError(
                 f"expected {alg.dim} coefficients for {theory}, got {len(coeffs)}")
@@ -145,7 +161,7 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
                    "expression text format.")
 def reduce(case_no, theory, check, a_value, dump_expr):
     """Print a reduced system (and optionally its symbolic verification)."""
-    a_fr = Fraction(a_value) if a_value is not None else None
+    a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
         rs = rd.reduced_system(case_no, theory, a_value=a_fr)
     except rd.UnsupportedReductionError as err:
@@ -196,7 +212,8 @@ _STATE_COLUMNS = {
               help="Initial heat-flux-like state.")
 @click.option("--t-end", type=float, default=10.0, show_default=True,
               help="Span of the independent variable (physical units).")
-@click.option("--rtol", type=float, default=1e-8, show_default=True)
+@click.option("--rtol", type=click.FloatRange(min=0, min_open=True),
+              default=1e-8, show_default=True)
 @click.option("--direction", type=click.Choice(["+", "-"]), default=None,
               help="Integration orientation (default: catalog orientation).")
 @click.option("--blowup-delta", type=float, default=1e-6, show_default=True,
@@ -208,7 +225,7 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
           blowup_delta, params_file, out, a_value):
     """Integrate a reduced system and write a trajectory CSV."""
     params = _params_from_file(params_file, theory)
-    a_fr = Fraction(a_value) if a_value is not None else None
+    a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
         rs = rd.reduced_system(case_no, theory, a_value=a_fr)
     except rd.UnsupportedReductionError as err:

@@ -1,26 +1,32 @@
 """Exact symbolic expression kernel.
 
-Expressions are kept in a canonical normalized form at all times: a ratio of
-two Laurent polynomials with rational coefficients over a set of atoms.  An
-atom is either a named symbol or a ``ln(...)`` application; ``exp(...)``
-factors are carried separately inside each monomial so that products of
-exponentials merge by adding their arguments.  Hyperbolic functions never
-survive normalization: ``sinh u``, ``cosh u`` and ``tanh u`` are rewritten in
-terms of ``exp(u)`` on construction, which turns every hyperbolic identity
-into Laurent-polynomial arithmetic and makes zero-testing decidable.
+An expression is a ratio of two Laurent polynomials with rational
+coefficients over a set of atoms.  An atom is either a named symbol or a
+``ln(...)`` application; ``exp(...)`` factors are carried separately inside
+each monomial so that products of exponentials merge by adding their
+arguments.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
+``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
+every hyperbolic identity into Laurent-polynomial arithmetic.
 
-Zero testing is exact: an expression is zero iff its numerator polynomial is
-empty.  Equality of two expressions is decided by cross-multiplication, so no
-polynomial gcd machinery is needed.
+The form is normalized but not canonical: no polynomial gcd is taken, so
+numerator and denominator may share a factor and one rational function can
+have several representations.  ``==`` and ``key()`` compare structure.  The exact tests are ``is_zero()`` (the
+numerator polynomial is empty) and ``equivalent()`` (cross-multiplication).
+
+``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
+common denominator ``D``.  It assumes the target expression has degree at
+most ``d`` in those jets and a jet-free denominator, and returns the result
+multiplied through by ``D**d``, so the denominators never multiply.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 __all__ = [
+    "ClearedSubstitution",
     "DomainError",
     "Expr",
     "JetSpace",
@@ -578,37 +584,57 @@ def _subs_table(e: Expr, table: Mapping[str, Expr]) -> Expr:
     return num / den
 
 
-def subs_poly(e: Expr, bindings: Mapping) -> Expr:
-    """Substitution fast path for symbols occurring only polynomially.
+class ClearedSubstitution:
+    """Exact substitution of a jet map over one common denominator.
 
-    Requires the substituted symbols to appear with non-negative exponents in
-    the numerator and nowhere in the denominator or inside ln/exp arguments;
-    falls back to the generic route otherwise.
+    The map ``{jet: N_j/D_j}`` is brought to one denominator ``D``: when all
+    ``D_j`` are structurally equal that ``D`` is reused as is, otherwise
+    ``D`` is the product of the distinct ``D_j`` and each ``N_j`` is
+    multiplied by the others.  Calling the instance on an expression of
+    degree at most ``d`` in the jets, with a jet-free denominator, returns
+    the substituted expression multiplied through by ``D**d``; it has no
+    jets left and no new denominator.  Any other expression raises
+    NonPolynomialError.  Products of numerators are cached per instance.
     """
-    table = {}
-    for k, v in bindings.items():
-        name = k if isinstance(k, str) else _symbol_name(k)
-        table[name] = _coerce(v)
-    names = set(table)
-    try:
-        parts = collect(e, names)
-    except NonPolynomialError:
-        return _subs_table(e, table)
-    # precompute powers of each replacement
-    out = ZERO
-    pow_cache: dict = {}
-    for key, coeff in parts.items():
-        factor = ONE
-        for name, k in key:
-            if k < 0:
-                return _subs_table(e, table)
-            pk = pow_cache.get((name, k))
-            if pk is None:
-                pk = table[name] ** k
-                pow_cache[(name, k)] = pk
-            factor = factor * pk
-        out = out + coeff * factor
-    return out
+
+    def __init__(self, jet_map: Mapping[str, Expr]):
+        self.numerators = {jet: numerator(v) for jet, v in jet_map.items()}
+        dens = {jet: denominator(v) for jet, v in jet_map.items()}
+        distinct: dict = {}
+        for d in dens.values():
+            distinct.setdefault(d.key(), d)
+        if len(distinct) == 1:
+            (self.denominator,) = distinct.values()
+        else:
+            self.denominator = ONE
+            for d in distinct.values():
+                self.denominator = self.denominator * d
+            for jet, num in self.numerators.items():
+                for k, d in distinct.items():
+                    if k != dens[jet].key():
+                        num = num * d
+                self.numerators[jet] = num
+        self._factors: dict = {}
+
+    def __call__(self, e: Expr, degree: int) -> Expr:
+        parts = collect(e, list(self.numerators))
+        out = ZERO
+        for key, coeff in parts.items():
+            deg = sum(k for _, k in key)
+            if deg > degree or any(k < 0 for _, k in key):
+                raise NonPolynomialError(
+                    f"jet monomial {key} is not of degree <= {degree}")
+            factor = self._factors.get((key, degree))
+            if factor is None:
+                factor = ONE
+                for name, k in key:
+                    for _ in range(k):
+                        factor = factor * self.numerators[name]
+                for _ in range(degree - deg):
+                    factor = factor * self.denominator
+                self._factors[(key, degree)] = factor
+            out = out + coeff * factor
+        return out
 
 
 # -- numeric evaluation -------------------------------------------------------
@@ -784,7 +810,7 @@ def collect(e: Expr, basis: Iterable[str]) -> dict:
     return out
 
 
-def collect_resum(parts: Mapping, basis_pow: Callable[[tuple], Expr] = None) -> Expr:
+def collect_resum(parts: Mapping) -> Expr:
     """Reassemble a collect() result; inverse of collect up to normalization."""
     total = ZERO
     for key, coeff in parts.items():

@@ -1,9 +1,10 @@
 """Adaptive explicit Runge-Kutta integration of the reduced systems.
 
-The integrator is the Dormand-Prince 5(4) embedded pair with the standard
-quartic dense-output interpolant, step-size control on the embedded error
-estimate, event localisation by bisection on the dense output, and
-deterministic float arithmetic (identical inputs give identical samples).
+The integrator is the Dormand-Prince 5(4) embedded pair with a cubic
+Hermite dense-output interpolant (from the derivatives at both step ends),
+step-size control on the embedded error estimate, event localisation by
+bisection on the dense output, and deterministic float arithmetic
+(identical inputs give identical samples).
 
 Critical-velocity searches bisect the initial velocity between a decaying
 and a blowing-up trajectory of a reduced system.

@@ -259,63 +259,17 @@ def on_shell_map(sys: PDESystem) -> dict:
     return {tj: qf[tj] for tj in TIME_JETS}
 
 
-def _cleared_on_shell(on_shell: dict):
-    """Split the time-jet map into cleared numerators over a common denominator."""
-    dens = {tj: ex.denominator(on_shell[tj]) for tj in on_shell}
-    keys = {d.key() for d in dens.values()}
-    if len(keys) != 1:
-        # bring to a common denominator the slow way
-        common = ex.ONE
-        seen = set()
-        for d in dens.values():
-            if d.key() not in seen:
-                seen.add(d.key())
-                common = common * d
-        nums = {tj: ex.numerator(on_shell[tj] * common) for tj in on_shell}
-        return nums, common
-    common = next(iter(dens.values()))
-    nums = {tj: ex.numerator(on_shell[tj]) for tj in on_shell}
-    return nums, common
-
-
-def _substitute_cleared(act: Expr, nums: dict, common: Expr,
-                        cache: dict) -> Expr:
-    """act with time jets replaced, multiplied through by common**2.
-
-    act must be a Laurent polynomial (denominator one) of degree <= 2 in the
-    time jets; the result is again denominator-free, so no rational-function
-    arithmetic happens while rows accumulate.
-    """
-    parts = ex.collect(act, list(nums))
-    out = ex.ZERO
-    for key, coeff in parts.items():
-        deg = sum(k for _, k in key)
-        if deg > 2:
-            raise ValueError("unexpected cubic time-jet term")
-        factor = cache.get(key)
-        if factor is None:
-            factor = ex.ONE
-            for name, k in key:
-                for _ in range(k):
-                    factor = factor * nums[name]
-            for _ in range(2 - deg):
-                factor = factor * common
-            cache[key] = factor
-        out = out + coeff * factor
-    return out
-
-
 def determining_equations(sys: PDESystem, ansatz: Ansatz,
                           on_shell: dict | None = None) -> list:
     """Linear forms (dicts unknown -> Fraction) whose common nullspace is
     the symmetry algebra within the ansatz class."""
     if on_shell is None:
         on_shell = on_shell_map(sys)
-    nums, common = _cleared_on_shell(on_shell)
+    # the prolonged action is quadratic in the time jets
+    cleared_on_shell = ex.ClearedSubstitution(on_shell)
     unknown_names = ansatz.unknowns()
     fields = ansatz.elementary_fields()
     totals = [ex.ZERO] * len(sys.residuals)
-    cache: dict = {}
     res_clear = []
     for res in sys.residuals:
         # clear monomial denominators (1/rho, 1/n) into Laurent numerators
@@ -329,7 +283,7 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz,
                 continue
             if not ex.denominator(act).equivalent(ex.ONE):
                 act = act * ex.denominator(act)
-            cleared = _substitute_cleared(act, nums, common, cache)
+            cleared = cleared_on_shell(act, 2)
             if not cleared.is_zero():
                 totals[k] = totals[k] + cu * cleared
     rows = []
@@ -416,8 +370,7 @@ def verify_symmetry(V: VectorField, sys: PDESystem,
     """
     if on_shell is None:
         on_shell = on_shell_map(sys)
-    nums, common = _cleared_on_shell(on_shell)
-    cache: dict = {}
+    cleared_on_shell = ex.ClearedSubstitution(on_shell)
     pr = prolong1(V)
     out = []
     for res in sys.residuals:
@@ -425,7 +378,7 @@ def verify_symmetry(V: VectorField, sys: PDESystem,
         if not act.is_zero():
             if not ex.denominator(act).equivalent(ex.ONE):
                 act = act * ex.denominator(act)
-            act = _substitute_cleared(act, nums, common, cache)
+            act = cleared_on_shell(act, 2)
         out.append(act)
     return out
 

@@ -40,6 +40,35 @@ def test_usage_error_bad_velocity(runner):
     assert res.exit_code == 2
 
 
+def test_usage_error_bad_normalize_coefficient(runner):
+    res = runner.invoke(main, ["algebra", "--theory", "eckart",
+                               "--normalize", "1,x,1,0"])
+    assert res.exit_code == 2
+    assert "--normalize" in res.output
+
+
+def test_usage_error_bad_params_value(runner, tmp_path):
+    p = tmp_path / "params.txt"
+    p.write_text("k = abc\n")
+    res = runner.invoke(main, ["solve", "--case", "1", "--theory", "eckart",
+                               "--v0", "0.5", "--params", str(p)])
+    assert res.exit_code == 2
+    assert "not a rational number: 'abc'" in res.output
+
+
+def test_usage_error_nonpositive_rtol(runner):
+    res = runner.invoke(main, ["solve", "--case", "1", "--theory", "eckart",
+                               "--v0", "0.5", "--rtol", "-1"])
+    assert res.exit_code == 2
+    assert "--rtol" in res.output
+
+
+def test_usage_error_bad_group_parameter(runner):
+    res = runner.invoke(main, ["reduce", "--case", "4", "--theory", "eckart",
+                               "-a", "abc"])
+    assert res.exit_code == 2
+
+
 def test_algebra_tables_text_and_csv(runner):
     res = runner.invoke(main, ["algebra", "--theory", "eckart"])
     assert res.exit_code == 0

@@ -88,6 +88,81 @@ def test_collect_then_resum_roundtrip():
         assert ex.collect_resum(parts).equivalent(e)
 
 
+def test_cleared_substitution_reuses_shared_denominator():
+    p, r = ex.syms("p r")
+    den = 1 + p * r
+    cs = ex.ClearedSubstitution({"u_x": p / den, "v_x": (r - 1) / den})
+    assert cs.denominator == den
+    assert cs.numerators == {"u_x": p, "v_x": r - 1}
+    e = r * ex.sym("u_x") + ex.sym("v_x") + p
+    assert cs(e, 1) == r * p + (r - 1) + p * den
+
+
+def test_cleared_substitution_multiplies_distinct_denominators():
+    p, r = ex.syms("p r")
+    cs = ex.ClearedSubstitution({"u_x": 1 / (1 + p), "v_x": 1 / (1 + r)})
+    assert cs.denominator.equivalent((1 + p) * (1 + r))
+    e = ex.sym("u_x") * ex.sym("v_x")
+    assert cs(e, 2).equivalent((1 + p) * (1 + r))
+
+
+def test_cleared_substitution_rejects_what_it_cannot_clear():
+    u = ex.sym("u_x")
+    cs = ex.ClearedSubstitution({"u_x": 1 / (1 + ex.sym("p"))})
+    with pytest.raises(ex.NonPolynomialError):
+        cs(u ** 3, 2)  # degree above d
+    with pytest.raises(ex.NonPolynomialError):
+        cs(1 / u, 2)  # negative power of a jet
+    with pytest.raises(ex.NonPolynomialError):
+        cs(ex.ONE / (1 + u), 2)  # jet in the denominator
+
+
+def test_cleared_substitution_matches_subs():
+    """Differential test: the cleared result over D**d equals ex.subs."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    p, r = ex.syms("p r")
+    dens = [ex.ONE, p, 1 + p, p * r + 2, r ** 2 + p + 1, ex.exp(p) + 1]
+    coeff = st.lists(st.tuples(st.integers(-3, 3), st.integers(0, 2),
+                               st.integers(0, 1)), max_size=3).map(
+        lambda terms: sum((c * p ** i * r ** j for c, i, j in terms), ex.ZERO))
+
+    # exponent vectors of the jet monomials of degree <= 2
+    monos = [(i, j, k) for i in range(3) for j in range(3) for k in range(3)
+             if i + j + k <= 2]
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(
+        n_jets=st.integers(2, 3),
+        values=st.lists(st.tuples(coeff, st.sampled_from(dens)),
+                        min_size=3, max_size=3),
+        shared=st.booleans(),
+        terms=st.lists(st.tuples(st.sampled_from(monos), coeff), max_size=5),
+        e_den=st.sampled_from(dens),
+        degree=st.integers(2, 3),
+    )
+    def check(n_jets, values, shared, terms, e_den, degree):
+        jets = ["u_x", "v_x", "w_x"][:n_jets]
+        jet_map = {j: num / (values[0][1] if shared else den)
+                   for j, (num, den) in zip(jets, values)}
+        e = ex.ZERO
+        for powers, c in terms:
+            mono = c
+            for j, k in zip(jets, powers):
+                mono = mono * ex.sym(j) ** k
+            e = e + mono
+        e = e / e_den
+        cs = ex.ClearedSubstitution(jet_map)
+        den_keys = {ex.denominator(v).key() for v in jet_map.values()}
+        if len(den_keys) == 1:
+            assert cs.denominator.key() in den_keys
+        got = cs(e, degree)
+        assert got.atoms().isdisjoint(jets)
+        assert (got / cs.denominator ** degree).equivalent(ex.subs(e, jet_map))
+
+    check()
+
+
 def test_nullspace_single_constraint():
     rows = [{"c1": Fraction(1), "c2": Fraction(1)}]
     basis = ex.nullspace(rows, ["c1", "c2"])

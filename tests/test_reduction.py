@@ -1,6 +1,7 @@
 """Invariants, reduced systems, and the symbolic verification of every
 catalogued reduction."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -79,6 +80,19 @@ def test_supported_case_lists():
 def test_symbolic_check_all_supported_reductions(theory, case_no):
     rep = rd.symbolic_check_reduction(case_no, theory)
     assert rep["ok"], [ex.to_text(r) for r in rep["residuals"] if not r.is_zero()]
+
+
+@pytest.mark.parametrize("perturb", [
+    lambda e: 2 * e,  # keeps the shared denominator
+    lambda e: e + 1 / (1 + ex.sym("y")),  # gives this state its own denominator
+], ids=["scaled", "shifted"])
+def test_symbolic_check_detects_a_perturbed_right_hand_side(monkeypatch, perturb):
+    rs = rd.reduced_system(5, "eckart")
+    bad = dataclasses.replace(rs, rhs={**rs.rhs, "w": perturb(rs.rhs["w"])})
+    monkeypatch.setattr(rd, "reduced_system", lambda *args, **kwargs: bad)
+    rep = rd.symbolic_check_reduction(5, "eckart")
+    assert not rep["ok"]
+    assert any(not r.is_zero() for r in rep["residuals"])
 
 
 def test_first_integrals_are_exact():
