@@ -6,7 +6,6 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
-import random
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -36,27 +35,26 @@ def _fraction(text: str, param_hint: str) -> Fraction:
 
 
 def _params_from_file(path: str | None, theory: str | None = None) -> fluid.FluidParams:
-    values = {}
-    if path:
-        for line in Path(path).read_text().splitlines():
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise click.UsageError(f"bad parameter line: {line!r}")
-            key, val = (s.strip() for s in line.split("=", 1))
-            values[key] = val
     kw = {}
-    for key, name in (("k", "k"), ("kappa", "kappa"), ("lambda", "lam")):
-        if key in values:
-            kw[name] = _fraction(values[key], f"--params ({key})")
-    for key in ("N0", "E0"):
-        if key in values:
+    for line in Path(path).read_text().splitlines() if path else ():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise click.UsageError(f"bad parameter line: {line!r}")
+        key, val = (s.strip() for s in line.split("=", 1))
+        if key in ("k", "kappa", "lambda"):
+            kw["lam" if key == "lambda" else key] = _fraction(val, f"--params ({key})")
+        elif key == "N0":
             try:
-                kw[key] = float(values[key])
+                kw["N0"] = float(val)
             except ValueError:
-                raise click.BadParameter(f"not a number: {values[key]!r}",
-                                         param_hint=f"--params ({key})")
+                raise click.BadParameter(f"not a number: {val!r}",
+                                         param_hint="--params (N0)")
+        else:
+            raise click.BadParameter(
+                f"unknown key {key!r} (expected k, kappa, lambda or N0)",
+                param_hint="--params")
     if theory is not None:
         kw["lam"] = _lam(theory)
     try:
@@ -210,7 +208,8 @@ _STATE_COLUMNS = {
 @click.option("--rho0", type=float, default=1.0, show_default=True)
 @click.option("--q0", type=float, default=0.0, show_default=True,
               help="Initial heat-flux-like state.")
-@click.option("--t-end", type=float, default=10.0, show_default=True,
+@click.option("--t-end", type=click.FloatRange(min=0, min_open=True),
+              default=10.0, show_default=True,
               help="Span of the independent variable (physical units).")
 @click.option("--rtol", type=click.FloatRange(min=0, min_open=True),
               default=1e-8, show_default=True)
@@ -402,7 +401,7 @@ def _check_tables(goldens: Path, report):
     return ok
 
 
-def run_verify_battery(goldens_dir=None, report=print, quick=False) -> bool:
+def run_verify_battery(goldens_dir=None, report=print) -> bool:
     """The one-shot verification battery; returns overall success."""
     goldens = _goldens_dir(goldens_dir)
     all_ok = True
@@ -475,13 +474,11 @@ def run_verify_battery(goldens_dir=None, report=print, quick=False) -> bool:
 
 
 @main.command()
-@click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--goldens-dir", type=click.Path(exists=True), default=None,
               help="Override the golden fixtures directory.")
-def verify(seed, goldens_dir):
+def verify(goldens_dir):
     """Run the one-shot verification battery (exit 0 only if everything,
     including the documented reference discrepancies, checks out)."""
-    random.seed(seed)
     lines = []
     ok = run_verify_battery(goldens_dir=goldens_dir, report=lines.append)
     for ln in sorted(lines, key=lambda s: s[4:]):

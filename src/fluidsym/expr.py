@@ -35,6 +35,7 @@ __all__ = [
     "collect",
     "nullspace",
     "parse",
+    "rref",
 ]
 
 
@@ -824,6 +825,49 @@ def collect_resum(parts: Mapping) -> Expr:
 # -- exact linear algebra -------------------------------------------------------
 
 
+def rref(matrix: Iterable[Sequence[Fraction]], ncols: int) -> tuple:
+    """Exact reduced row echelon form, pivoting on the first ``ncols`` columns.
+
+    Entries must be ``Fraction``; any columns past ``ncols`` are carried along
+    as an augmented part.  Rows are reduced one at a time against the pivot
+    rows found so far, so dependent rows are dropped as they arrive.  Returns
+    ``(rows, pivots)``: ``rows[i]`` for ``i < len(pivots)`` is the pivot row
+    of column ``pivots[i]`` (increasing), followed by the nonzero rows that
+    vanish on the first ``ncols`` columns.  The pivot rows are unique for the
+    fixed column order whenever those trailing rows are absent.
+    """
+    pivots: dict = {}  # pivot column -> (row, its nonzero (column, value) pairs)
+    rest = []
+    for row in matrix:
+        row = list(row)
+        # pivot rows are zero on every other pivot column, so eliminating
+        # them in any order leaves the row zero on all pivot columns
+        for c, (_, support) in pivots.items():
+            f = row[c]
+            if f:
+                for j, b in support:
+                    row[j] -= f * b
+        lead = next((c for c in range(ncols) if row[c]), None)
+        if lead is None:
+            if any(row):
+                rest.append(row)
+            continue
+        pv = row[lead]
+        row = [v / pv for v in row]
+        for c in list(pivots):
+            prow = pivots[c][0]
+            f = prow[lead]
+            if f:
+                pivots[c] = _with_support([a - f * b for a, b in zip(prow, row)])
+        pivots[lead] = _with_support(row)
+    order = sorted(pivots)
+    return [pivots[c][0] for c in order] + rest, order
+
+
+def _with_support(row: list) -> tuple:
+    return row, [(j, v) for j, v in enumerate(row) if v]
+
+
 def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str]) -> list:
     """Exact rational basis of the solution space of homogeneous linear forms.
 
@@ -836,45 +880,18 @@ def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str]) -
     mat = []
     for row in rows:
         vec = [Fraction(0)] * len(cols)
-        nonzero = False
         for name, c in row.items():
             if name not in index:
                 raise KeyError(f"row references unknown '{name}'")
-            c = Fraction(c)
-            if c:
-                vec[index[name]] = c
-                nonzero = True
-        if nonzero:
-            mat.append(vec)
-    # reduced row echelon form
-    pivot_cols = []
-    r = 0
-    for c in range(len(cols)):
-        pivot = None
-        for i in range(r, len(mat)):
-            if mat[i][c]:
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        pv = mat[r][c]
-        mat[r] = [v / pv for v in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c]:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    free_cols = [c for c in range(len(cols)) if c not in pivot_cols]
+            vec[index[name]] = Fraction(c)
+        mat.append(vec)
+    reduced, pivots = rref(mat, len(cols))
     basis = []
-    for fc in free_cols:
+    for fc in sorted(set(range(len(cols))) - set(pivots)):
         vec = [Fraction(0)] * len(cols)
         vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivot_cols):
-            vec[pc] = -mat[i][fc]
+        for prow, pc in zip(reduced, pivots):
+            vec[pc] = -prow[fc]
         basis.append({cols[j]: vec[j] for j in range(len(cols)) if vec[j]})
     return basis
 

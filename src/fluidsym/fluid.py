@@ -55,7 +55,6 @@ class FluidParams:
     kappa: Fraction | None = Fraction(1)
     lam: Fraction = Fraction(0)
     N0: float = 1.0
-    E0: float = 1.0
 
     def __post_init__(self):
         if self.k is not None and self.k <= 0:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
@@ -35,44 +36,6 @@ def commutator(V: VectorField, W: VectorField) -> VectorField:
         cw = W.coefficients()[var]
         coeffs.append(V.apply(cw) - W.apply(cv))
     return VectorField(*coeffs)
-
-
-def _expand_in_basis(V: VectorField, basis: Sequence[VectorField]) -> list | None:
-    """Exact coordinates of V in the given basis, or None if outside the span."""
-    ansatz = sm.Ansatz(degree=2)
-    vecs = [sm._field_to_vector(b, ansatz) for b in basis]
-    target = sm._field_to_vector(V, ansatz)
-    coords = sorted({k for v in vecs for k in v} | set(target))
-    mat = [[vecs[j].get(c, Fraction(0)) for j in range(len(basis))] + [target.get(c, Fraction(0))]
-           for c in coords]
-    ncols = len(basis)
-    # gaussian elimination with exact back-substitution
-    rank = 0
-    piv = []
-    for c in range(ncols):
-        sel = None
-        for r in range(rank, len(mat)):
-            if mat[r][c]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        mat[rank], mat[sel] = mat[sel], mat[rank]
-        pv = mat[rank][c]
-        mat[rank] = [v / pv for v in mat[rank]]
-        for r in range(len(mat)):
-            if r != rank and mat[r][c]:
-                f = mat[r][c]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        piv.append(c)
-        rank += 1
-    out = [Fraction(0)] * ncols
-    for i, c in enumerate(piv):
-        out[c] = mat[i][ncols]
-    for r in range(rank, len(mat)):
-        if mat[r][ncols]:
-            return None
-    return out
 
 
 @dataclass(frozen=True)
@@ -120,6 +83,16 @@ class LieAlgebra:
                 mat[k][j] = self.c(i, j, k)
         return mat
 
+    @cached_property
+    def named_indices(self) -> tuple:
+        """Basis positions of the time and space translations and the
+        dilatation, None for any the basis lacks; resolved once per algebra."""
+        ansatz = sm.Ansatz(degree=1)
+        vecs = [sm._field_to_vector(b, ansatz) for b in self.basis]
+        named = (sm._field_to_vector(g, ansatz)
+                 for g in (sm.v_time(), sm.v_space(), sm.v_dilation()))
+        return tuple(vecs.index(v) if v in vecs else None for v in named)
+
     def field_of(self, w) -> VectorField:
         coeffs = w.coefficients if isinstance(w, AlgebraElement) else w
         out = None
@@ -139,7 +112,7 @@ def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
             com = commutator(basis[i], basis[j])
             if com.is_zero():
                 continue
-            coords = _expand_in_basis(com, basis)
+            coords = sm.coordinates(com, basis, sm.Ansatz(degree=2))
             if coords is None:
                 raise ValueError(
                     f"basis not closed under commutator at pair ({i + 1}, {j + 1})")
@@ -169,26 +142,8 @@ def jacobi_defect(alg: LieAlgebra) -> Fraction:
 def derived_series(alg: LieAlgebra) -> list:
     """Dimensions of the derived series, computed on coordinates."""
     def span_close(vectors):
-        # row reduce a list of coordinate vectors
-        rows = [list(v) for v in vectors]
-        rank = 0
-        for c in range(alg.dim):
-            sel = None
-            for r in range(rank, len(rows)):
-                if rows[r][c]:
-                    sel = r
-                    break
-            if sel is None:
-                continue
-            rows[rank], rows[sel] = rows[sel], rows[rank]
-            pv = rows[rank][c]
-            rows[rank] = [v / pv for v in rows[rank]]
-            for r in range(len(rows)):
-                if r != rank and rows[r][c]:
-                    f = rows[r][c]
-                    rows[r] = [a - f * b for a, b in zip(rows[r], rows[rank])]
-            rank += 1
-        return rows[:rank]
+        rows, pivots = ex.rref(vectors, alg.dim)
+        return rows[:len(pivots)]
 
     current = span_close([[Fraction(1) if i == j else Fraction(0)
                            for j in range(alg.dim)] for i in range(alg.dim)])
@@ -247,37 +202,30 @@ def _unit(n, i):
     return v
 
 
-def _rank_frac(rows) -> int:
-    m = [list(r) for r in rows if any(r)]
-    if not m:
-        return 0
-    rank = 0
-    for c in range(len(m[0])):
-        sel = None
-        for r in range(rank, len(m)):
-            if m[r][c]:
-                sel = r
-                break
-        if sel is None:
-            continue
-        m[rank], m[sel] = m[sel], m[rank]
-        pv = m[rank][c]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
-
-
-def _is_nilpotent(mat, dim) -> bool:
-    m = [row[:] for row in mat]
+def _closed_form(mat) -> str | None:
+    """"diagonal" or "nilpotent" when exp(-eps*ad) has a closed form, else None."""
+    dim = len(mat)
+    if all(mat[r][c] == 0 for r in range(dim) for c in range(dim) if r != c):
+        return "diagonal"
+    power = mat
     for _ in range(dim):
-        m = _mat_mul(m, mat)
-        if all(not v for row in m for v in row):
-            return True
-    return False
+        power = _mat_mul(power, mat)
+        if all(not v for row in power for v in row):
+            return "nilpotent"
+    return None
+
+
+def _series(mat, vec, e):
+    """Yield (p, (-e*ad)^p vec / p!) for p = 1, 2, ... of the finite series
+    exp(-e*ad) vec of a nilpotent ad; the last term yielded is zero."""
+    term = list(vec)
+    fact = 1
+    for p in range(1, len(mat) + 1):
+        term = [-e * x for x in _mat_apply(mat, term)]
+        fact *= p
+        yield p, [t / fact for t in term]
+        if all(not v for v in term):
+            return
 
 
 def _mat_mul(a, b):
@@ -289,37 +237,23 @@ def _mat_mul(a, b):
 def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
     """Ad(exp(eps*V_i)) w = exp(-eps*ad_{V_i}) w.
 
-    Exact (rational/closed-form) when ad_{V_i} is nilpotent or diagonal;
-    otherwise a scaled-and-squared numeric matrix exponential is used.
+    Closed form when ad_{V_i} is diagonal or nilpotent; the nilpotent series
+    is exact when eps and w are rational.  Otherwise a scaled-and-squared
+    numeric matrix exponential is used.
     """
     coords = list(w.coefficients if isinstance(w, AlgebraElement) else w)
     mat = alg.ad_matrix(i)
-    dim = alg.dim
-    diag = all(mat[r][c] == 0 for r in range(dim) for c in range(dim) if r != c)
-    if diag:
-        out = []
-        for k in range(dim):
-            lam = mat[k][k]
-            factor = math.exp(-float(eps) * float(lam)) if lam else 1.0
-            if lam == 0:
-                out.append(coords[k])
-            else:
-                out.append(factor * float(coords[k]))
-        return AlgebraElement(tuple(out))
-    if _is_nilpotent(mat, dim):
-        # finite series with exact rational arithmetic when eps is rational
+    kind = _closed_form(mat)
+    if kind == "diagonal":
+        return AlgebraElement(tuple(
+            math.exp(-float(eps) * float(mat[k][k])) * float(c) if mat[k][k] else c
+            for k, c in enumerate(coords)))
+    if kind == "nilpotent":
         exact = isinstance(eps, (int, Fraction)) and \
             all(isinstance(c, (int, Fraction)) for c in coords)
-        e = Fraction(eps) if exact else float(eps)
         acc = list(coords)
-        term = list(coords)
-        fact = 1
-        for p in range(1, dim + 1):
-            term = [-e * x for x in _mat_apply(mat, term)]
-            fact *= p
-            acc = [a + t / fact for a, t in zip(acc, term)]
-            if all(not v for v in term):
-                break
+        for _, term in _series(mat, coords, Fraction(eps) if exact else float(eps)):
+            acc = [a + t for a, t in zip(acc, term)]
         return AlgebraElement(tuple(acc))
     from scipy.linalg import expm
     m = np.array([[float(v) for v in row] for row in mat])
@@ -334,40 +268,23 @@ def _mat_apply(mat, vec):
 
 def adjoint_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
     """Symbolic text of Ad(exp(eps*V_i)) V_j for table emission."""
-    dim = alg.dim
     mat = alg.ad_matrix(i)
-    # column j of exp(-eps*ad): exact for the nilpotent/diagonal cases
-    col = [Fraction(1) if k == j else Fraction(0) for k in range(dim)]
-    diag = all(mat[r][c] == 0 for r in range(dim) for c in range(dim) if r != c)
-    if diag:
+    kind = _closed_form(mat)
+    if kind == "diagonal":
         lam = mat[j][j]
         if lam == 0:
             return f"V{j + 1}"
         coeff = "exp(eps)" if lam == -1 else (
             "exp(-eps)" if lam == 1 else f"exp({-lam}*eps)")
         return f"{coeff}*V{j + 1}"
-    if _is_nilpotent(mat, dim):
-        # exp(-eps*ad) V_j = V_j - eps*[V_i, V_j] + ... (finite)
-        terms = {j: "1"}
-        vec = {j: Fraction(1)}
+    if kind == "nilpotent":
         out = [f"V{j + 1}"]
-        current = [Fraction(1) if k == j else Fraction(0) for k in range(dim)]
-        sign = Fraction(-1)
-        fact = 1
-        epspow = "eps"
-        for p in range(1, dim + 1):
-            current = _mat_apply(mat, current)
-            if not any(current):
-                break
-            fact *= p
-            for k, c in enumerate(current):
-                c = sign * c / fact
+        for p, term in _series(mat, _unit(alg.dim, j), Fraction(1)):
+            epspow = "eps" if p == 1 else f"eps^{p}"
+            for k, c in enumerate(term):
                 if c:
                     mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                    s = " - " if c < 0 else " + "
-                    out.append(f"{s}{mag}{epspow}*V{k + 1}")
-            sign = -sign
-            epspow = f"eps^{p + 1}"
+                    out.append(f"{' - ' if c < 0 else ' + '}{mag}{epspow}*V{k + 1}")
         return "".join(out)
     raise ValueError("no closed-form adjoint entry for this generator")
 
@@ -404,10 +321,7 @@ def normalize_element(alg: LieAlgebra, w) -> tuple:
     if not any(abs(c) > 0 for c in coords):
         raise ValueError("zero element has no one-dimensional subalgebra")
     word = []
-    dim = alg.dim
-    idx_dil = _index_of(alg, sm.v_dilation())
-    idx_t = _index_of(alg, sm.v_time())
-    idx_x = _index_of(alg, sm.v_space())
+    idx_t, idx_x, idx_dil = alg.named_indices
     if idx_dil is not None and abs(coords[idx_dil]) > 1e-14:
         # Ad(exp(eps V1)) shifts a1 by -eps*a3; kill both translations
         for idx in (idx_t, idx_x):
@@ -438,14 +352,6 @@ def normalize_element(alg: LieAlgebra, w) -> tuple:
         word.append(("scale", 1.0 / lead))
     coords = [0.0 if abs(c) < 1e-12 else c for c in coords]
     return AlgebraElement(tuple(coords)), word
-
-
-def _index_of(alg: LieAlgebra, field: VectorField):
-    target = sm._field_to_vector(field, sm.Ansatz(degree=1))
-    for i, b in enumerate(alg.basis):
-        if sm._field_to_vector(b, sm.Ansatz(degree=1)) == target:
-            return i
-    return None
 
 
 def table_algebra(theory: str) -> LieAlgebra:

@@ -125,13 +125,7 @@ def invariants_of(V: VectorField, a_value: Fraction | None = None) -> InvariantS
     fields)."""
     a = ex.sym("a") if a_value is None else ex.number(a_value)
     t, x, psi, n, rho, q = ex.syms("t x psi n rho q")
-    candidates = []
-    for case in (1, 2, 3, 4, 5, 6):
-        try:
-            a_frac = None if a_value is None else Fraction(a_value)
-        except TypeError:
-            a_frac = a_value
-        candidates.append((case, _case_invariants(case, a)))
+    candidates = [(case, _case_invariants(case, a)) for case in (1, 2, 3, 4, 5, 6)]
     try:
         target = sm._field_to_vector(V, sm.Ansatz(degree=1))
     except ValueError:

@@ -140,21 +140,6 @@ def prolong1(V: VectorField) -> ProlongedField:
     return ProlongedField(base=V, jets=jets)
 
 
-def prolonged_action(V: VectorField, residual: Expr) -> Expr:
-    """pr(1)V applied to a quasilinear residual (off-shell)."""
-    pr = prolong1(V)
-    out = ex.ZERO
-    for var, coeff in V.coefficients().items():
-        if not coeff.is_zero():
-            out = out + coeff * ex.diff(residual, var)
-    for jet, coeff in pr.jets.items():
-        if not coeff.is_zero():
-            d = ex.diff(residual, jet)
-            if not d.is_zero():
-                out = out + coeff * d
-    return out
-
-
 @dataclass(frozen=True)
 class Ansatz:
     """Polynomial coefficient ansatz: one unknown constant per
@@ -181,20 +166,6 @@ class Ansatz:
     def unknowns(self) -> list:
         count = len(self.monomials()) * len(_SLOTS)
         return [f"c{i}" for i in range(count)]
-
-    def field(self) -> VectorField:
-        """Generator with all unknowns symbolic."""
-        monos = self.monomials()
-        coeffs = {}
-        i = 0
-        for slot in _SLOTS:
-            total = ex.ZERO
-            for m in monos:
-                total = total + ex.sym(f"c{i}") * m
-                i += 1
-            coeffs[slot] = total
-        return VectorField(coeffs["tau"], coeffs["xi"], coeffs["phi"],
-                           coeffs["sigma"], coeffs["gamma"], coeffs["omega"])
 
     def elementary_fields(self) -> list:
         """One generator per unknown, with that coefficient set to 1."""
@@ -383,29 +354,30 @@ def verify_symmetry(V: VectorField, sys: PDESystem,
     return out
 
 
+def coordinates(V: VectorField, basis: Sequence[VectorField],
+                ansatz: Ansatz = None) -> list | None:
+    """Exact coordinates of V in the rational span of a basis, or None if V
+    lies outside it.  Fields must lie in the ansatz class (affine by default).
+    """
+    if ansatz is None:
+        ansatz = Ansatz(degree=1)
+    vecs = [_field_to_vector(f, ansatz) for f in list(basis) + [V]]
+    # one row per ansatz coordinate: sum_i a_i basis_i = V, augmented by V
+    coords = sorted({k for v in vecs for k in v})
+    rows, pivots = ex.rref([[v.get(c, Fraction(0)) for v in vecs] for c in coords],
+                           len(basis))
+    if len(rows) > len(pivots):
+        return None
+    out = [Fraction(0)] * len(basis)
+    for row, c in zip(rows, pivots):
+        out[c] = row[-1]
+    return out
+
+
 def in_span(V: VectorField, basis: Sequence[VectorField],
             ansatz: Ansatz = None) -> bool:
     """Exact membership of V in the rational span of a basis (affine fields)."""
-    if ansatz is None:
-        ansatz = Ansatz(degree=1)
-    vecs = []
-    for f in list(basis) + [V]:
-        vecs.append(_field_to_vector(f, ansatz))
-    unknowns = [f"a{i}" for i in range(len(basis))]
-    rows = []
-    # solve sum a_i basis_i = V coordinate-wise; solvable iff V in span
-    coords = sorted({k for v in vecs for k in v})
-    mat = []
-    for c in coords:
-        row = {unknowns[i]: vecs[i].get(c, Fraction(0)) for i in range(len(basis))}
-        row["rhs"] = vecs[-1].get(c, Fraction(0))
-        mat.append(row)
-    # gaussian elimination on the small dense system
-    m = [[r[u] for u in unknowns] + [r["rhs"]] for r in mat]
-    ncols = len(unknowns)
-    rank_a = _rank([row[:ncols] for row in m])
-    rank_aug = _rank(m)
-    return rank_a == rank_aug
+    return coordinates(V, basis, ansatz) is not None
 
 
 def span_equal(basis1: Sequence[VectorField], basis2: Sequence[VectorField]) -> bool:
@@ -440,29 +412,6 @@ def _mono_key_of(m: Expr):
     if len(parts) != 1:
         raise ValueError("not a monomial")
     return next(iter(parts))
-
-
-def _rank(rows) -> int:
-    m = [list(map(Fraction, r)) for r in rows if any(r)]
-    rank = 0
-    ncols = len(m[0]) if m else 0
-    for c in range(ncols):
-        piv = None
-        for r in range(rank, len(m)):
-            if m[r][c]:
-                piv = r
-                break
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        pv = m[rank][c]
-        m[rank] = [v / pv for v in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][c]:
-                f = m[r][c]
-                m[r] = [a - f * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-    return rank
 
 
 def canonical_presentation(basis: Sequence[VectorField]) -> list:

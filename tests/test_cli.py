@@ -63,6 +63,22 @@ def test_usage_error_nonpositive_rtol(runner):
     assert "--rtol" in res.output
 
 
+def test_usage_error_nonpositive_t_end(runner):
+    res = runner.invoke(main, ["solve", "--case", "1", "--theory", "eckart",
+                               "--v0", "0.5", "--t-end", "-5"])
+    assert res.exit_code == 2
+    assert "--t-end" in res.output
+
+
+def test_usage_error_unknown_params_key(runner, tmp_path):
+    p = tmp_path / "params.txt"
+    p.write_text("k = 2\nkapa = 3\n")
+    res = runner.invoke(main, ["solve", "--case", "1", "--theory", "eckart",
+                               "--v0", "0.5", "--params", str(p)])
+    assert res.exit_code == 2
+    assert "unknown key 'kapa'" in res.output
+
+
 def test_usage_error_bad_group_parameter(runner):
     res = runner.invoke(main, ["reduce", "--case", "4", "--theory", "eckart",
                                "-a", "abc"])

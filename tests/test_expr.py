@@ -1,5 +1,5 @@
 """Exact expression kernel: differentiation, normalization, substitution,
-collection, nullspace, parsing."""
+collection, row reduction and nullspace, parsing."""
 
 import math
 import random
@@ -182,6 +182,56 @@ def test_nullspace_deterministic_order():
     b1 = ex.nullspace(rows, ["c1", "c2", "c3"])
     b2 = ex.nullspace(rows, ["c1", "c2", "c3"])
     assert b1 == b2
+
+
+def test_rref_matches_sympy():
+    """Differential test against sympy: pivots and reduced rows, including
+    zero rows, rank-deficient and wide matrices, and an augmented part."""
+    hypothesis = pytest.importorskip("hypothesis")
+    sympy = pytest.importorskip("sympy")
+    st = hypothesis.strategies
+    entry = st.one_of(st.just(Fraction(0)),
+                      st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)))
+
+    def as_fraction(x):
+        return Fraction(int(x.p), int(x.q))
+
+    def sympy_rref(rows):
+        reduced, pivots = sympy.Matrix(rows).rref()
+        out = [[as_fraction(v) for v in reduced.row(i)] for i in range(len(pivots))]
+        return out, list(pivots)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        width=st.integers(1, 7),
+        base=st.lists(st.lists(entry, min_size=7, max_size=7), min_size=1, max_size=4),
+        combos=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
+                        max_size=3),
+        split=st.integers(0, 7),
+    )
+    def check(width, base, combos, split):
+        base = [row[:width] for row in base]
+        # dependent rows (all-zero ones when a combination vanishes)
+        extra = [[sum((c * row[j] for c, row in zip(cs, base)), Fraction(0))
+                  for j in range(width)] for cs in combos]
+        matrix = base + extra
+        rows, pivots = ex.rref(matrix, width)
+        assert (rows, pivots) == sympy_rref(matrix)
+        # pivoting on a left block carries the rest along as an augmented part
+        ncols = min(split, width)
+        rows, pivots = ex.rref(matrix, ncols)
+        left, left_pivots = sympy_rref([row[:ncols] for row in matrix]) if ncols \
+            else ([], [])
+        assert pivots == left_pivots
+        assert [row[:ncols] for row in rows[:len(pivots)]] == left
+        trailing = rows[len(pivots):]
+        assert all(not any(row[:ncols]) and any(row) for row in trailing)
+        full, full_pivots = sympy_rref(matrix)
+        assert bool(trailing) == (len(full_pivots) > len(pivots))
+        if not trailing:
+            assert rows == full
+
+    check()
 
 
 def _random_poly(rng, depth=0):

@@ -148,6 +148,38 @@ def test_adjoint_table_entries(alg_e):
     assert la.adjoint_table_entry(alg_e, 1, 2) == "V3 - eps*V2"
 
 
+def _filiform_algebra():
+    # [e1,e2] = e3, [e1,e3] = e4: ad_{e1} is nilpotent of index 3, so the
+    # series has an eps^2 term
+    basis = (sm.v_time(), sm.v_space(), sm.v_scaling(),
+             sm.v_rapidity_shift())  # placeholders
+    constants = {}
+    for (i, j, k) in ((0, 1, 2), (0, 2, 3)):
+        constants[(i, j, k)] = Fraction(1)
+        constants[(j, i, k)] = Fraction(-1)
+    return la.LieAlgebra(basis=basis, constants=constants)
+
+
+@pytest.mark.parametrize("alg", [la.table_algebra("eckart"), la.full_algebra(),
+                                 _filiform_algebra()],
+                         ids=["eckart", "full", "filiform"])
+def test_adjoint_table_entry_evaluates_to_adjoint_action(alg):
+    """The printed series and the evaluated series agree at a rational eps."""
+    eps = Fraction(-2, 3)
+    closed = [i for i in range(alg.dim) if la._closed_form(alg.ad_matrix(i))]
+    assert closed
+    for i in closed:
+        for j in range(alg.dim):
+            entry = ex.parse(la.adjoint_table_entry(alg, i, j))
+            got = la.adjoint_action(alg, eps, i, la._unit(alg.dim, j)).coefficients
+            for k, c in enumerate(got):
+                coeff = ex.subs(ex.diff(entry, f"V{k + 1}"), {"eps": eps})
+                if isinstance(c, Fraction):
+                    assert coeff.is_rational() and coeff.as_fraction() == c
+                else:
+                    assert ex.evalf(coeff, {}) == pytest.approx(c, rel=1e-15)
+
+
 def test_commutator_table_entries(alg_e):
     assert la.commutator_table_entry(alg_e, 0, 2) == "V1"
     assert la.commutator_table_entry(alg_e, 2, 0) == "-V1"
