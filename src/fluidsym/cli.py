@@ -20,6 +20,8 @@ from . import reduction as rd
 from . import symmetry as sm
 
 THEORIES = ("eckart", "israel-stewart")
+_POSITIVE = click.FloatRange(min=0, min_open=True)
+_VELOCITY = click.FloatRange(min=-1, max=1, min_open=True, max_open=True)
 
 
 def _lam(theory: str) -> Fraction:
@@ -75,7 +77,8 @@ def main():
 
 @main.command()
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
-@click.option("--ansatz-degree", type=int, default=1, show_default=True)
+@click.option("--ansatz-degree", type=click.IntRange(min=0), default=1,
+              show_default=True)
 @click.option("--dump-determining", type=click.Path(), default=None,
               help="Write the determining linear forms to a file.")
 def symmetries(theory, ansatz_degree, dump_determining):
@@ -136,6 +139,9 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
         if len(coeffs) != alg.dim:
             raise click.UsageError(
                 f"expected {alg.dim} coefficients for {theory}, got {len(coeffs)}")
+        if not any(coeffs):
+            raise click.BadParameter("the zero element spans no subalgebra",
+                                     param_hint="--normalize")
         el, word = la.normalize_element(alg, coeffs)
         click.echo("canonical representative: "
                    + ", ".join(f"{c:.12g}" for c in el.coefficients))
@@ -161,7 +167,11 @@ def reduce(case_no, theory, check, a_value, dump_expr):
     """Print a reduced system (and optionally its symbolic verification)."""
     a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
-        rs = rd.reduced_system(case_no, theory, a_value=a_fr)
+        if check:
+            rep = rd.symbolic_check_reduction(case_no, theory, a_value=a_fr)
+            rs = rep["system"]
+        else:
+            rs = rd.reduced_system(case_no, theory, a_value=a_fr)
     except rd.UnsupportedReductionError as err:
         raise click.UsageError(str(err))
     if dump_expr:
@@ -181,7 +191,6 @@ def reduce(case_no, theory, check, a_value, dump_expr):
     for e in rs.singular:
         click.echo(f"  {ex.to_text(e)}")
     if check:
-        rep = rd.symbolic_check_reduction(case_no, theory, a_value=a_fr)
         for i, r in enumerate(rep["residuals"], start=1):
             click.echo(f"residual {i}: {'0' if r.is_zero() else ex.to_text(r)}")
         click.echo(f"symbolic check: {'PASS' if rep['ok'] else 'FAIL'}")
@@ -202,16 +211,16 @@ _STATE_COLUMNS = {
 @main.command()
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
-@click.option("--v0", type=float, required=True)
+@click.option("--v0", type=_VELOCITY, required=True)
 @click.option("--n0", type=float, default=1.0, show_default=True,
               help="Initial density-like state.")
 @click.option("--rho0", type=float, default=1.0, show_default=True)
 @click.option("--q0", type=float, default=0.0, show_default=True,
               help="Initial heat-flux-like state.")
-@click.option("--t-end", type=click.FloatRange(min=0, min_open=True),
+@click.option("--t-end", type=_POSITIVE,
               default=10.0, show_default=True,
               help="Span of the independent variable (physical units).")
-@click.option("--rtol", type=click.FloatRange(min=0, min_open=True),
+@click.option("--rtol", type=_POSITIVE,
               default=1e-8, show_default=True)
 @click.option("--direction", type=click.Choice(["+", "-"]), default=None,
               help="Integration orientation (default: catalog orientation).")
@@ -229,8 +238,6 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
         rs = rd.reduced_system(case_no, theory, a_value=a_fr)
     except rd.UnsupportedReductionError as err:
         raise click.UsageError(str(err))
-    if abs(v0) >= 1:
-        raise click.UsageError("|v0| must be below 1")
     psi0 = math.atanh(v0)
     u0 = _initial_state(case_no, psi0, n0, rho0, q0)
     rhs = od.compile_rhs(rs, params)
@@ -305,16 +312,18 @@ def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta,
 @main.command()
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
-@click.option("--lo", type=float, default=0.5, show_default=True)
-@click.option("--hi", type=float, default=0.9, show_default=True)
-@click.option("--tol", type=float, default=1e-3, show_default=True)
+@click.option("--lo", type=_VELOCITY, default=0.5, show_default=True)
+@click.option("--hi", type=_VELOCITY, default=0.9, show_default=True)
+@click.option("--tol", type=_POSITIVE, default=1e-3, show_default=True)
 @click.option("--q0", type=float, default=None,
               help="Heat-flux seed (default: per-case study value).")
-@click.option("--horizon", type=float, default=None,
+@click.option("--horizon", type=_POSITIVE, default=None,
               help="Classification horizon in scaled time.")
 @click.option("--params", "params_file", type=click.Path(exists=True), default=None)
 def critical(case_no, theory, lo, hi, tol, q0, horizon, params_file):
     """Bisect the critical initial velocity of a reduced family."""
+    if lo >= hi:
+        raise click.UsageError(f"--lo ({lo}) must be below --hi ({hi})")
     params = _params_from_file(params_file, theory)
     defaults = CRITICAL_DEFAULTS.get(case_no)
     if defaults is None:

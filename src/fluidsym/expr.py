@@ -736,9 +736,6 @@ class JetSpace:
         suffix = "".join(sorted(dirs))
         return f"{u}_{suffix}"
 
-    def first_jets(self) -> list:
-        return [self.jet(u, d) for u in self.dependents for d in self.independents]
-
     def split_jet(self, name: str):
         if "_" not in name:
             return None

@@ -33,6 +33,8 @@ __all__ = [
     "JETS",
     "build_system",
     "quasilinear_time_form",
+    "quasilinear_space_form",
+    "solve_for_jets",
     "heat_flux_constraint",
     "residual_at",
 ]
@@ -71,14 +73,6 @@ class FluidParams:
     @property
     def kappa_expr(self) -> Expr:
         return ex.sym("kappa") if self.kappa is None else ex.number(self.kappa)
-
-
-def eckart_params(**kw) -> FluidParams:
-    return FluidParams(lam=Fraction(0), **kw)
-
-
-def israel_stewart_params(**kw) -> FluidParams:
-    return FluidParams(lam=Fraction(1), **kw)
 
 
 @dataclass(frozen=True)
@@ -176,22 +170,25 @@ def _det(matrix):
     return total
 
 
-def _solve_linear_system(rows, cols):
-    """Exact solve by Cramer's rule after clearing denominators row-wise.
+def solve_for_jets(residuals, jets) -> tuple:
+    """Solve residuals affine in the given jets for those jets.
 
-    rows: list of (coefficient list per col, rhs Expr).  Returns (solution
-    list per col, determinant Expr of the cleared coefficient matrix).
+    Each residual gives the row (d r/d jet, -r at zero jets); the rows are
+    cleared of denominators and solved exactly by Cramer's rule.  Returns
+    ({jet: Expr}, determinant Expr of the cleared coefficient matrix).
     """
-    cleared = [_clear_row(cs, rhs) for cs, rhs in rows]
+    zero = {j: ex.ZERO for j in jets}
+    cleared = [_clear_row([ex.diff(r, j) for j in jets], -ex.subs(r, zero))
+               for r in residuals]
     mat = [cs for cs, _ in cleared]
     rhs = [r for _, r in cleared]
     det = _det(mat)
     if det.is_zero():
         raise ValueError("characteristic degeneracy: singular coefficient matrix")
-    sol = []
-    for j in range(len(cols)):
+    sol = {}
+    for j, jet in enumerate(jets):
         mod = [row[:j] + [rhs[i]] + row[j + 1:] for i, row in enumerate(mat)]
-        sol.append(_det(mod) / det)
+        sol[jet] = _det(mod) / det
     return sol, det
 
 
@@ -201,32 +198,14 @@ def quasilinear_time_form(sys: PDESystem) -> dict:
     Returns a dict with keys 'psi_t', 'n_t', 'rho_t', 'q_t' (Exprs affine in
     the x-derivative jets) plus '_det' carrying the coefficient determinant.
     """
-    rows = []
-    zero_times = {name: ex.ZERO for name in TIME_JETS}
-    for res in sys.residuals:
-        coeffs = [ex.diff(res, tj) for tj in TIME_JETS]
-        rhs = -ex.subs(res, zero_times)
-        rows.append((coeffs, rhs))
-    sol, det = _solve_linear_system(rows, TIME_JETS)
-    if det.is_zero():
-        raise ValueError("characteristic degeneracy: zero determinant")
-    out = {tj: s for tj, s in zip(TIME_JETS, sol)}
+    out, det = solve_for_jets(sys.residuals, TIME_JETS)
     out["_det"] = det
     return out
 
 
 def quasilinear_space_form(sys: PDESystem) -> dict:
     """Solve the residuals for the four x derivatives (stationary problems)."""
-    rows = []
-    zero_space = {name: ex.ZERO for name in SPACE_JETS}
-    for res in sys.residuals:
-        coeffs = [ex.diff(res, sj) for sj in SPACE_JETS]
-        rhs = -ex.subs(res, zero_space)
-        rows.append((coeffs, rhs))
-    sol, det = _solve_linear_system(rows, SPACE_JETS)
-    if det.is_zero():
-        raise ValueError("characteristic degeneracy: zero determinant")
-    out = {sj: s for sj, s in zip(SPACE_JETS, sol)}
+    out, det = solve_for_jets(sys.residuals, SPACE_JETS)
     out["_det"] = det
     return out
 
@@ -238,7 +217,6 @@ def heat_flux_constraint(sys: PDESystem) -> Expr:
     algebraically in terms of the remaining first derivatives.
     """
     d4 = sys.residuals[3]
-    q = ex.sym("q")
     a = ex.diff(d4, "q")
     if a.is_zero():
         raise ValueError("residual does not determine q")

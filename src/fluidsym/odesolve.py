@@ -280,17 +280,19 @@ def fixed_step_integrate(rhs: Callable, u0: Sequence[float], t0: float,
     return u
 
 
+def _bind_params(e: ex.Expr, params: fluid.FluidParams) -> ex.Expr:
+    """Substitute the numeric k and kappa of params into e."""
+    bind = {name: ex.number(v) for name, v in
+            (("k", params.k), ("kappa", params.kappa)) if v is not None}
+    return ex.subs(e, bind) if bind else e
+
+
 def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
     """Compile a reduced system's right-hand sides to a float function.
 
     Returns rhs(t, u) over the state vector in rs.states order.
     """
-    bind = {}
-    if params.k is not None:
-        bind["k"] = ex.number(params.k)
-    if params.kappa is not None:
-        bind["kappa"] = ex.number(params.kappa)
-    exprs = [ex.subs(rs.rhs[s], bind) if bind else rs.rhs[s] for s in rs.states]
+    exprs = [_bind_params(rs.rhs[s], params) for s in rs.states]
     args = [rs.independent] + list(rs.states)
     fn = ex.compile_exprs(exprs, args)
 
@@ -302,17 +304,11 @@ def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
 
 def compile_guard_exprs(rs: ReducedSystem, params: fluid.FluidParams):
     """Singular-locus guards |denominator| - tiny, for event monitoring."""
-    bind = {}
-    if params.k is not None:
-        bind["k"] = ex.number(params.k)
-    if params.kappa is not None:
-        bind["kappa"] = ex.number(params.kappa)
     guards = []
     names = []
     args = [rs.independent] + list(rs.states)
     for i, den in enumerate(rs.singular):
-        e = ex.subs(den, bind) if bind else den
-        fn = ex.compile_exprs([e], args)
+        fn = ex.compile_exprs([_bind_params(den, params)], args)
 
         def g(t, u, fn=fn):
             try:

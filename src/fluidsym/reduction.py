@@ -281,6 +281,14 @@ _FIRST_INTEGRALS = {
 }
 
 
+def _group_parameter(case: int, a_value: Fraction | None) -> Fraction:
+    """The group parameter a: a_value, by default -1 for the traveling-wave
+    cases 4 and 6 and 1 otherwise."""
+    if a_value is not None:
+        return a_value
+    return Fraction(-1) if case in (4, 6) else Fraction(1)
+
+
 def reduced_system(case: int, theory: str,
                    a_value: Fraction | None = None) -> ReducedSystem:
     """Mechanically derived explicit first-order reduction for one case."""
@@ -308,22 +316,15 @@ def reduced_system(case: int, theory: str,
         det = ex.subs(qf["_det"], zero)
         return _finish(case, theory, "x", fluid.FIELD_NAMES, rhs, det, None, lam,
                        direction=-1)
-    if a_value is None:
-        a_value = Fraction(-1) if case in (4, 6) else Fraction(1)
+    a_value = _group_parameter(case, a_value)
     a = ex.number(a_value)
     inst = Fraction(0) if case == 6 else Fraction(1)
     if case == 4:
         inst = None  # t drops out without instantiation
     res, states = _substituted_residuals(sys, case, a, inst)
     space = JetSpace(("y",), states)
-    jets = [space.jet(s, "y") for s in states]
-    rows = []
-    for r in res:
-        coeffs = [ex.diff(r, j) for j in jets]
-        rhs0 = -ex.subs(r, {j: ex.ZERO for j in jets})
-        rows.append((coeffs, rhs0))
-    sol, det = fluid._solve_linear_system(rows, jets)
-    rhs = {s: sol[i] for i, s in enumerate(states)}
+    sol, det = fluid.solve_for_jets(res, [space.jet(s, "y") for s in states])
+    rhs = {s: sol[space.jet(s, "y")] for s in states}
     inv = _case_invariants(case, a)
     return _finish(case, theory, "y", states, rhs, det, inv, lam, a_value=a_value)
 
@@ -373,8 +374,9 @@ def symbolic_check_reduction(case: int, theory: str,
                              a_value: Fraction | None = None) -> dict:
     """Substitute the inverse invariant map into the full residuals,
     eliminate state derivatives with the catalog right-hand sides, and
-    normalize.  Returns {'residuals': [Expr]*4, 'ok': bool}.  Nonzero
-    residuals are reported, not raised."""
+    normalize.  Returns {'residuals': [Expr]*4, 'ok': bool, 'system':
+    ReducedSystem}, the system being the one checked.  Nonzero residuals are
+    reported, not raised."""
     rs = reduced_system(case, theory, a_value=a_value)
     lam = rs.lam
     sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
@@ -387,9 +389,8 @@ def symbolic_check_reduction(case: int, theory: str,
                for r in sys.residuals]
         jet_map = {f"{u}_x": rs.rhs[u] for u in fluid.FIELD_NAMES}
     else:
-        if a_value is None:
-            a_value = Fraction(-1) if case in (4, 6) else Fraction(1)
-        res, states = _substituted_residuals(sys, case, ex.number(a_value), None)
+        a = ex.number(_group_parameter(case, a_value))
+        res, _ = _substituted_residuals(sys, case, a, None)
         space = JetSpace(("y",), rs.states)
         jet_map = {space.jet(s, "y"): rs.rhs[s] for s in rs.states}
     # the residuals are affine in the state jets: substitute r0*D + sum
@@ -397,7 +398,7 @@ def symbolic_check_reduction(case: int, theory: str,
     # divide by D once
     cleared = ex.ClearedSubstitution(jet_map)
     out = [cleared(r, 1) / cleared.denominator for r in res]
-    return {"residuals": out, "ok": all(r.is_zero() for r in out)}
+    return {"residuals": out, "ok": all(r.is_zero() for r in out), "system": rs}
 
 
 def closed_form_case4(params: FluidParams, C1: float, C2: float, y: float,

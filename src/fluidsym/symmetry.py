@@ -1,13 +1,17 @@
 """Point-symmetry machinery: prolongation, determining equations, solving.
 
 A candidate generator is written with polynomial coefficient functions of
-the base variables (t, x, psi, n, rho, q); demanding that its first
-prolongation annihilate the fluid residuals on the solution manifold yields
-a homogeneous linear system for the polynomial coefficients.  The solution
-manifold is parameterized by eliminating the four time-derivative jets with
-the quasilinear solved form, after which the residual of the symmetry
-condition must vanish identically in the remaining coordinates; equating
-every monomial coefficient to zero gives the determining equations.
+the base variables (t, x, psi, n, rho, q), one unknown constant per
+(coefficient slot, monomial) pair.  The symmetry condition is written once,
+in ``_condition``: the first prolongation acts on the fluid residuals and
+the four time-derivative jets are eliminated with the quasilinear solved
+form; the condition must then vanish identically in the remaining
+coordinates.  ``verify_symmetry`` returns the condition of one generator.
+The condition is linear in the generator, so ``determining_equations``
+evaluates it once per elementary field (one unknown set to one) and reads
+the rows off its numerator: the row of (residual k, monomial m) holds, for
+each unknown, the coefficient of m in residual k's condition of that
+unknown's field.
 """
 
 from __future__ import annotations
@@ -32,8 +36,6 @@ __all__ = [
 
 BASE_VARS = ("t", "x") + FIELD_NAMES
 _SLOTS = ("tau", "xi", "phi", "sigma", "gamma", "omega")
-_SLOT_VAR = {"tau": "t", "xi": "x", "phi": "psi",
-             "sigma": "n", "gamma": "rho", "omega": "q"}
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,6 @@ class VectorField:
 def field_from_text(text: str) -> VectorField:
     """Parse the d_var component notation emitted by VectorField.text()."""
     coeffs = {v: ex.ZERO for v in BASE_VARS}
-    basis = {"d_t": "t", "d_x": "x", "d_psi": "psi",
-             "d_n": "n", "d_rho": "rho", "d_q": "q"}
     expr = ex.parse(text.replace("d_psi", "D_PSI").replace("d_rho", "D_RHO")
                     .replace("d_t", "D_T").replace("d_x", "D_X")
                     .replace("d_n", "D_N").replace("d_q", "D_Q"))
@@ -230,80 +230,62 @@ def on_shell_map(sys: PDESystem) -> dict:
     return {tj: qf[tj] for tj in TIME_JETS}
 
 
-def determining_equations(sys: PDESystem, ansatz: Ansatz,
-                          on_shell: dict | None = None) -> list:
-    """Linear forms (dicts unknown -> Fraction) whose common nullspace is
-    the symmetry algebra within the ansatz class."""
-    if on_shell is None:
-        on_shell = on_shell_map(sys)
-    # the prolonged action is quadratic in the time jets
-    cleared_on_shell = ex.ClearedSubstitution(on_shell)
-    unknown_names = ansatz.unknowns()
-    fields = ansatz.elementary_fields()
-    totals = [ex.ZERO] * len(sys.residuals)
-    res_clear = []
+def _condition(V: VectorField, sys: PDESystem,
+               cleared: ex.ClearedSubstitution) -> list:
+    """The on-shell symmetry condition of V, one Expr per residual.
+
+    The first prolongation of V acts on each residual cleared of its
+    monomial denominators (1/rho, 1/n); the action is cleared in turn and
+    its time jets are substituted over their shared denominator.  The
+    action is quadratic in the time jets.
+    """
+    coeffs = {**V.coefficients(), **prolong1(V).jets}
+    out = []
     for res in sys.residuals:
-        # clear monomial denominators (1/rho, 1/n) into Laurent numerators
-        res_clear.append(res * ex.denominator(res))
-    for name, Vu in zip(unknown_names, fields):
-        cu = ex.sym(name)
-        pr = prolong1(Vu)
-        for k, res in enumerate(res_clear):
-            act = _action_with_prolongation(Vu, pr, res)
-            if act.is_zero():
-                continue
+        res = res * ex.denominator(res)
+        act = ex.ZERO
+        for var, coeff in coeffs.items():
+            if not coeff.is_zero():
+                d = ex.diff(res, var)
+                if not d.is_zero():
+                    act = act + coeff * d
+        if not act.is_zero():
             if not ex.denominator(act).equivalent(ex.ONE):
                 act = act * ex.denominator(act)
-            cleared = cleared_on_shell(act, 2)
-            if not cleared.is_zero():
-                totals[k] = totals[k] + cu * cleared
+            act = cleared(act, 2)
+        out.append(act)
+    return out
+
+
+def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
+    """Linear forms (dicts unknown -> Fraction) whose common nullspace is
+    the symmetry algebra within the ansatz class.
+
+    Rows are listed per residual, sorted by monomial, with exact duplicates
+    dropped.  A condition with a denominator raises ValueError.
+    """
+    cleared = ex.ClearedSubstitution(on_shell_map(sys))
+    conditions = []
+    for name, V in zip(ansatz.unknowns(), ansatz.elementary_fields()):
+        cond = _condition(V, sys, cleared)
+        if any(ex.denominator(c) != ex.ONE for c in cond):
+            raise ValueError(f"symmetry condition of {name} has a denominator")
+        conditions.append((name, cond))
     rows = []
     seen = set()
-    unknown_set = set(unknown_names)
-    for total in totals:
-        if total.is_zero():
-            continue
+    for k in range(len(sys.residuals)):
         groups: dict = {}
-        for (atoms, exparg), c in total.num.items():
-            cname = None
-            rest = []
-            for a, e in atoms:
-                if a[0] == "s" and a[1] in unknown_set:
-                    if cname is not None or e != 1:
-                        raise ValueError("ansatz produced nonlinear unknown terms")
-                    cname = a[1]
-                else:
-                    rest.append((a, e))
-            if cname is None:
-                raise ValueError("ansatz produced unknown-free residual terms")
-            key = (tuple(rest), exparg.key() if exparg is not None else None)
-            groups.setdefault(key, {})
-            groups[key][cname] = groups[key].get(cname, Fraction(0)) + c
+        for name, cond in conditions:
+            for (atoms, exparg), c in cond[k].num.items():
+                key = (atoms, exparg.key() if exparg is not None else None)
+                groups.setdefault(key, {})[name] = c
         for key in sorted(groups, key=str):
-            row = {k: v for k, v in groups[key].items() if v}
-            if not row:
-                continue
-            sig = tuple(sorted((k, str(v)) for k, v in row.items()))
+            row = groups[key]
+            sig = tuple(sorted((u, str(v)) for u, v in row.items()))
             if sig not in seen:
                 seen.add(sig)
                 rows.append(row)
     return rows
-
-
-def _action_with_prolongation(V: VectorField, pr: "ProlongedField",
-                              residual: Expr) -> Expr:
-    out = ex.ZERO
-    for var, coeff in V.coefficients().items():
-        if not coeff.is_zero():
-            d = ex.diff(residual, var)
-            if not d.is_zero():
-                out = out + coeff * d
-    for jet, coeff in pr.jets.items():
-        if not coeff.is_zero():
-            d = ex.diff(residual, jet)
-            if not d.is_zero():
-                out = out + coeff * d
-    return out
 
 
 # Two generic positive rational parameter points; solving at both and
@@ -331,27 +313,14 @@ def solve_determining(sys_or_lam, ansatz: Ansatz = None) -> list:
     return [f for f in fields if not f.is_zero()]
 
 
-def verify_symmetry(V: VectorField, sys: PDESystem,
-                    on_shell: dict | None = None) -> list:
+def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     """On-shell residual of the symmetry condition, one Expr per equation.
 
     All residuals structurally zero iff V generates a point symmetry.  The
     residuals are returned cleared of the (nonzero) characteristic
     determinant, which does not affect the zero test.
     """
-    if on_shell is None:
-        on_shell = on_shell_map(sys)
-    cleared_on_shell = ex.ClearedSubstitution(on_shell)
-    pr = prolong1(V)
-    out = []
-    for res in sys.residuals:
-        act = _action_with_prolongation(V, pr, res * ex.denominator(res))
-        if not act.is_zero():
-            if not ex.denominator(act).equivalent(ex.ONE):
-                act = act * ex.denominator(act)
-            act = cleared_on_shell(act, 2)
-        out.append(act)
-    return out
+    return _condition(V, sys, ex.ClearedSubstitution(on_shell_map(sys)))
 
 
 def coordinates(V: VectorField, basis: Sequence[VectorField],

@@ -85,6 +85,27 @@ def test_usage_error_bad_group_parameter(runner):
     assert res.exit_code == 2
 
 
+_IS_CRITICAL = ["critical", "--case", "1", "--theory", "israel-stewart"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (_IS_CRITICAL + ["--hi", "1.5"], "--hi"),
+    (_IS_CRITICAL + ["--lo", "-2"], "--lo"),
+    (_IS_CRITICAL + ["--lo", "0.9", "--hi", "0.5"], "--lo"),
+    (_IS_CRITICAL + ["--horizon", "-5"], "--horizon"),
+    (_IS_CRITICAL + ["--tol", "0"], "--tol"),
+    (["algebra", "--theory", "eckart", "--normalize", "0,0,0,0"], "--normalize"),
+    (["symmetries", "--theory", "eckart", "--ansatz-degree", "-1"],
+     "--ansatz-degree"),
+], ids=["critical-hi-above-1", "critical-lo-below-minus-1",
+        "critical-reversed-bracket", "critical-negative-horizon",
+        "critical-zero-tol", "normalize-zero-element", "negative-ansatz-degree"])
+def test_usage_error_out_of_range(runner, args, option):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert option in res.output
+
+
 def test_algebra_tables_text_and_csv(runner):
     res = runner.invoke(main, ["algebra", "--theory", "eckart"])
     assert res.exit_code == 0
@@ -102,11 +123,22 @@ def test_algebra_normalize(runner):
     assert "canonical representative: 0, 0, 1, 0" in res.output
 
 
-def test_reduce_check_fast_case(runner):
+def test_reduce_check_fast_case(runner, monkeypatch):
+    from fluidsym import reduction as rd
+    calls = []
+    build = rd.reduced_system
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "reduced_system", counted)
     res = runner.invoke(main, ["reduce", "--case", "4", "--theory", "eckart",
                                "--check"])
     assert res.exit_code == 0
     assert "symbolic check: PASS" in res.output
+    # the printed system is the one the check built
+    assert len(calls) == 1
 
 
 def test_solve_writes_csv_schema(runner, tmp_path):

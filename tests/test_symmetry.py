@@ -1,7 +1,10 @@
 """Prolongation, determining equations, and symmetry verification."""
 
+import hashlib
 import random
 from fractions import Fraction
+
+import pytest
 
 from fluidsym import expr as ex, fluid, symmetry as sm
 from fluidsym.fluid import JET_SPACE
@@ -123,7 +126,22 @@ def test_determining_rows_are_linear_and_reproducible(eckart_system):
     assert rows1 == rows2
     assert all(all(isinstance(c, Fraction) for c in row.values())
                for row in rows1)
-    assert len(rows1) > 42  # overdetermined
+    assert len(rows1) == 4517  # overdetermined: 42 unknowns
+    # the rows, in order, as `symmetries --dump-determining` writes them
+    text = "".join(" + ".join(f"{c}*{u}" for u, c in sorted(row.items()))
+                   + " = 0\n" for row in rows1)
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "c8b2a5865d6129e1a875968c67bc1b8403fdb692ee488ff735886b41964b56fe"
+
+
+def test_determining_rows_reject_a_condition_with_a_denominator(
+        eckart_system, monkeypatch):
+    def condition(V, sys, cleared):
+        return [ex.ONE / (ex.ONE + ex.sym("t"))] * len(sys.residuals)
+
+    monkeypatch.setattr(sm, "_condition", condition)
+    with pytest.raises(ValueError, match="denominator"):
+        sm.determining_equations(eckart_system, sm.Ansatz(degree=0))
 
 
 def test_basis_closed_under_commutator(eckart_basis):
