@@ -20,8 +20,30 @@ from . import reduction as rd
 from . import symmetry as sm
 
 THEORIES = ("eckart", "israel-stewart")
-_POSITIVE = click.FloatRange(min=0, min_open=True)
-_VELOCITY = click.FloatRange(min=-1, max=1, min_open=True, max_open=True)
+
+
+class _Finite(click.FloatRange):
+    """A float that must be finite, and within the range if one is given
+    (nan passes every range comparison, so the range alone admits it)."""
+
+    name = "float"
+
+    def _describe_range(self):
+        if self.min is None and self.max is None:
+            return "finite"
+        return super()._describe_range()
+
+    def convert(self, value, param, ctx):
+        rv = super().convert(value, param, ctx)
+        if not math.isfinite(rv):
+            self.fail(f"{value!r} is not a finite number.", param, ctx)
+        return rv
+
+
+_FLOAT = _Finite()
+_POSITIVE = _Finite(min=0, min_open=True)
+_VELOCITY = _Finite(min=-1, max=1, min_open=True, max_open=True)
+_UNIT = _Finite(min=0, max=1, min_open=True, max_open=True)
 
 
 def _lam(theory: str) -> Fraction:
@@ -49,9 +71,9 @@ def _params_from_file(path: str | None, theory: str | None = None) -> fluid.Flui
             kw["lam" if key == "lambda" else key] = _fraction(val, f"--params ({key})")
         elif key == "N0":
             try:
-                kw["N0"] = float(val)
-            except ValueError:
-                raise click.BadParameter(f"not a number: {val!r}",
+                kw["N0"] = _FLOAT(val)
+            except click.BadParameter:
+                raise click.BadParameter(f"not a finite number: {val!r}",
                                          param_hint="--params (N0)")
         else:
             raise click.BadParameter(
@@ -95,9 +117,13 @@ def symmetries(theory, ansatz_degree, dump_determining):
     basis = sm.solve_determining(lam, ansatz)
     if ansatz_degree == 1:
         basis = sm.canonical_presentation(basis)
-    click.echo(f"# {theory}: {len(basis)}-dimensional point-symmetry algebra")
-    for i, V in enumerate(basis, start=1):
-        click.echo(f"V{i} = {V.text()}")
+    click.echo(_basis_text(theory, basis), nl=False)
+
+
+def _basis_text(theory, basis) -> str:
+    lines = [f"# {theory}: {len(basis)}-dimensional point-symmetry algebra"]
+    lines += [f"V{i} = {V.text()}" for i, V in enumerate(basis, start=1)]
+    return "\n".join(lines) + "\n"
 
 
 def _emit_table(alg, kind, fmt):
@@ -131,10 +157,10 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
     alg = la.table_algebra(theory)
     if normalize_coeffs is not None:
         try:
-            coeffs = [float(v) for v in normalize_coeffs.split(",")]
-        except ValueError:
+            coeffs = [_FLOAT(v) for v in normalize_coeffs.split(",")]
+        except click.BadParameter:
             raise click.BadParameter(
-                f"expected comma-separated numbers, got {normalize_coeffs!r}",
+                f"expected comma-separated finite numbers, got {normalize_coeffs!r}",
                 param_hint="--normalize")
         if len(coeffs) != alg.dim:
             raise click.UsageError(
@@ -212,10 +238,10 @@ _STATE_COLUMNS = {
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
 @click.option("--v0", type=_VELOCITY, required=True)
-@click.option("--n0", type=float, default=1.0, show_default=True,
+@click.option("--n0", type=_FLOAT, default=1.0, show_default=True,
               help="Initial density-like state.")
-@click.option("--rho0", type=float, default=1.0, show_default=True)
-@click.option("--q0", type=float, default=0.0, show_default=True,
+@click.option("--rho0", type=_FLOAT, default=1.0, show_default=True)
+@click.option("--q0", type=_FLOAT, default=0.0, show_default=True,
               help="Initial heat-flux-like state.")
 @click.option("--t-end", type=_POSITIVE,
               default=10.0, show_default=True,
@@ -224,8 +250,8 @@ _STATE_COLUMNS = {
               default=1e-8, show_default=True)
 @click.option("--direction", type=click.Choice(["+", "-"]), default=None,
               help="Integration orientation (default: catalog orientation).")
-@click.option("--blowup-delta", type=float, default=1e-6, show_default=True,
-              help="1 - v^2 threshold for the blow-up event.")
+@click.option("--blowup-delta", type=_UNIT, default=1e-6, show_default=True,
+              help="1 - v^2 threshold for the blow-up event, in (0, 1).")
 @click.option("--params", "params_file", type=click.Path(exists=True), default=None)
 @click.option("--out", type=click.Path(), default=None, help="CSV output path.")
 @click.option("-a", "a_value", type=str, default=None)
@@ -315,7 +341,7 @@ def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta,
 @click.option("--lo", type=_VELOCITY, default=0.5, show_default=True)
 @click.option("--hi", type=_VELOCITY, default=0.9, show_default=True)
 @click.option("--tol", type=_POSITIVE, default=1e-3, show_default=True)
-@click.option("--q0", type=float, default=None,
+@click.option("--q0", type=_FLOAT, default=None,
               help="Heat-flux seed (default: per-case study value).")
 @click.option("--horizon", type=_POSITIVE, default=None,
               help="Classification horizon in scaled time.")
@@ -420,11 +446,21 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
         report(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
         all_ok = all_ok and ok
 
-    # 1. symmetry recovery against the reference bases
+    # 1. symmetry recovery against the computed and the reference bases
     for theory in THEORIES:
         basis = sm.solve_determining(_lam(theory))
+        stem = theory.replace("-", "_")
+        symbolic = fluid.build_system(fluid.FluidParams(k=None, kappa=None,
+                                                        lam=_lam(theory)))
+        certified = all(r.is_zero() for V in basis
+                        for r in sm.verify_symmetry(V, symbolic))
+        pinned = (_basis_text(theory, sm.canonical_presentation(basis))
+                  == (goldens / f"generator_basis_computed_{stem}.txt").read_text())
+        check(f"computed basis equals golden and every generator is certified"
+              f" exactly at symbolic k, kappa ({theory})", pinned and certified,
+              f"equals golden: {pinned}; certified: {certified}")
         golden_lines = [
-            ln for ln in (goldens / f"generator_basis_{theory.replace('-', '_')}.txt")
+            ln for ln in (goldens / f"generator_basis_{stem}.txt")
             .read_text().splitlines() if ln.strip() and not ln.startswith("#")]
         golden = [sm.field_from_text(ln) for ln in golden_lines]
         same = sm.span_equal(basis, golden)
@@ -489,7 +525,10 @@ def verify(goldens_dir):
     """Run the one-shot verification battery (exit 0 only if everything,
     including the documented reference discrepancies, checks out)."""
     lines = []
-    ok = run_verify_battery(goldens_dir=goldens_dir, report=lines.append)
+    try:
+        ok = run_verify_battery(goldens_dir=goldens_dir, report=lines.append)
+    except FileNotFoundError as err:
+        raise click.UsageError(f"missing golden file: {err.filename}")
     for ln in sorted(lines, key=lambda s: s[4:]):
         click.echo(ln)
     click.echo("verify: " + ("OK" if ok else "FAILED (see lines above)"))

@@ -33,8 +33,10 @@ __all__ = [
     "NonPolynomialError",
     "SingularSubstitutionError",
     "collect",
+    "evaluate",
     "nullspace",
     "parse",
+    "rational_reconstruction",
     "rref",
 ]
 
@@ -670,6 +672,53 @@ def evalf(e: Expr, env: Mapping[str, float]) -> float:
     return num / den
 
 
+def evaluate(e: Expr, point: Mapping[str, Fraction],
+             exps: Mapping[str, Fraction]) -> Fraction:
+    """Exact value of ``e`` at a rational point.
+
+    Every symbol takes its value from ``point``.  An exp factor must have an
+    integer multiple ``c*s`` of a symbol ``s`` of ``exps`` as its argument and
+    takes the value ``exps[s]**c``: exp(s) is an independent value, not a
+    function of ``point[s]``.  An ln atom, any other exp argument, a pole or
+    a vanishing denominator raises DomainError.
+    """
+    def poly_val(p: dict) -> Fraction:
+        total = Fraction(0)
+        for (atoms, exparg), c in p.items():
+            v = c
+            for a, k in atoms:
+                if a[0] != "s":
+                    raise DomainError("cannot evaluate an ln atom exactly")
+                if a[1] not in point:
+                    raise DomainError(f"no value provided for symbol '{a[1]}'")
+                v *= _power(point[a[1]], k)
+            if exparg is not None:
+                v *= _exp_value(exparg, exps)
+            total += v
+        return total
+
+    den = poly_val(e.den)
+    if not den:
+        raise DomainError("denominator evaluates to zero")
+    return poly_val(e.num) / den
+
+
+def _power(base: Fraction, k: int) -> Fraction:
+    if not base and k < 0:
+        raise DomainError("pole: zero raised to negative power")
+    return base ** k
+
+
+def _exp_value(arg: Expr, exps: Mapping[str, Fraction]) -> Fraction:
+    if len(arg.num) == 1 and arg.den == {_ONE_MONO: 1}:
+        ((atoms, exparg), c), = arg.num.items()
+        if exparg is None and len(atoms) == 1 and atoms[0][1] == 1 \
+                and atoms[0][0][0] == "s" and atoms[0][0][1] in exps \
+                and c.denominator == 1:
+            return _power(Fraction(exps[atoms[0][0][1]]), int(c))
+    raise DomainError(f"cannot evaluate exp({to_text(arg)}) exactly")
+
+
 def _mono_pycode(mono, coeff: Fraction, names: Mapping[str, str]) -> str:
     atoms, exparg = mono
     parts = []
@@ -822,21 +871,25 @@ def collect_resum(parts: Mapping) -> Expr:
 # -- exact linear algebra -------------------------------------------------------
 
 
-def rref(matrix: Iterable[Sequence[Fraction]], ncols: int) -> tuple:
+def rref(matrix: Iterable[Sequence[Fraction]], ncols: int,
+         modulus: int = None) -> tuple:
     """Exact reduced row echelon form, pivoting on the first ``ncols`` columns.
 
-    Entries must be ``Fraction``; any columns past ``ncols`` are carried along
-    as an augmented part.  Rows are reduced one at a time against the pivot
-    rows found so far, so dependent rows are dropped as they arrive.  Returns
-    ``(rows, pivots)``: ``rows[i]`` for ``i < len(pivots)`` is the pivot row
-    of column ``pivots[i]`` (increasing), followed by the nonzero rows that
-    vanish on the first ``ncols`` columns.  The pivot rows are unique for the
-    fixed column order whenever those trailing rows are absent.
+    Entries must be ``Fraction`` (or int); any columns past ``ncols`` are
+    carried along as an augmented part.  With a prime ``modulus`` the
+    reduction runs over the integers mod that prime instead, and every entry
+    returned is an int in [0, modulus).  Rows are reduced one at a time
+    against the pivot rows found so far, so dependent rows are dropped as
+    they arrive.  Returns ``(rows, pivots)``: ``rows[i]`` for
+    ``i < len(pivots)`` is the pivot row of column ``pivots[i]``
+    (increasing), followed by the nonzero rows that vanish on the first
+    ``ncols`` columns.  The pivot rows are unique for the fixed column order
+    whenever those trailing rows are absent.
     """
     pivots: dict = {}  # pivot column -> (row, its nonzero (column, value) pairs)
     rest = []
     for row in matrix:
-        row = list(row)
+        row = list(row) if modulus is None else [_residue(v, modulus) for v in row]
         # pivot rows are zero on every other pivot column, so eliminating
         # them in any order leaves the row zero on all pivot columns
         for c, (_, support) in pivots.items():
@@ -844,33 +897,48 @@ def rref(matrix: Iterable[Sequence[Fraction]], ncols: int) -> tuple:
             if f:
                 for j, b in support:
                     row[j] -= f * b
+        row = _reduced(row, modulus)
         lead = next((c for c in range(ncols) if row[c]), None)
         if lead is None:
             if any(row):
                 rest.append(row)
             continue
         pv = row[lead]
-        row = [v / pv for v in row]
+        inv = 1 / pv if modulus is None else pow(pv, -1, modulus)
+        row = _reduced([v * inv for v in row], modulus)
         for c in list(pivots):
             prow = pivots[c][0]
             f = prow[lead]
             if f:
-                pivots[c] = _with_support([a - f * b for a, b in zip(prow, row)])
+                pivots[c] = _with_support(
+                    _reduced([a - f * b for a, b in zip(prow, row)], modulus))
         pivots[lead] = _with_support(row)
     order = sorted(pivots)
     return [pivots[c][0] for c in order] + rest, order
+
+
+def _residue(v, modulus: int) -> int:
+    v = Fraction(v)
+    return v.numerator * pow(v.denominator, -1, modulus) % modulus
+
+
+def _reduced(row: list, modulus: int | None) -> list:
+    return row if modulus is None else [v % modulus for v in row]
 
 
 def _with_support(row: list) -> tuple:
     return row, [(j, v) for j, v in enumerate(row) if v]
 
 
-def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str]) -> list:
+def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str],
+              modulus: int = None) -> list:
     """Exact rational basis of the solution space of homogeneous linear forms.
 
     Each row maps unknown names to rational coefficients.  The basis is
     produced from the reduced row echelon form with free variables set to one
     in the fixed unknown order, so the output ordering is deterministic.
+    With a prime ``modulus`` the forms are reduced mod that prime and the
+    basis entries are ints in [0, modulus) (see ``rational_reconstruction``).
     """
     cols = list(unknowns)
     index = {u: i for i, u in enumerate(cols)}
@@ -882,15 +950,29 @@ def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str]) -
                 raise KeyError(f"row references unknown '{name}'")
             vec[index[name]] = Fraction(c)
         mat.append(vec)
-    reduced, pivots = rref(mat, len(cols))
+    reduced, pivots = rref(mat, len(cols), modulus)
+    zero, one = (Fraction(0), Fraction(1)) if modulus is None else (0, 1)
     basis = []
     for fc in sorted(set(range(len(cols))) - set(pivots)):
-        vec = [Fraction(0)] * len(cols)
-        vec[fc] = Fraction(1)
+        vec = [zero] * len(cols)
+        vec[fc] = one
         for prow, pc in zip(reduced, pivots):
-            vec[pc] = -prow[fc]
+            vec[pc] = -prow[fc] if modulus is None else -prow[fc] % modulus
         basis.append({cols[j]: vec[j] for j in range(len(cols)) if vec[j]})
     return basis
+
+
+def rational_reconstruction(a: int, modulus: int) -> Fraction | None:
+    """The fraction r/s with |r|, s <= sqrt(modulus/2) and r = a*s mod
+    ``modulus``, or None if there is none (Wang's extended-Euclid bound)."""
+    bound = math.isqrt(modulus // 2)
+    r0, r1, s0, s1 = modulus, a % modulus, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, s0, s1 = r1, r0 - q * r1, s1, s0 - q * s1
+    if abs(s1) > bound or math.gcd(r1, s1) != 1:
+        return None
+    return Fraction(r1, s1)
 
 
 # -- printing -------------------------------------------------------------------

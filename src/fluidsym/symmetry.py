@@ -6,16 +6,32 @@ the base variables (t, x, psi, n, rho, q), one unknown constant per
 in ``_condition``: the first prolongation acts on the fluid residuals and
 the four time-derivative jets are eliminated with the quasilinear solved
 form; the condition must then vanish identically in the remaining
-coordinates.  ``verify_symmetry`` returns the condition of one generator.
+coordinates.  ``verify_symmetry`` returns the condition of one generator;
+the time-jet substitution it uses is built once per system (``_on_shell``).
 The condition is linear in the generator, so ``determining_equations``
 evaluates it once per elementary field (one unknown set to one) and reads
 the rows off its numerator: the row of (residual k, monomial m) holds, for
 each unknown, the coefficient of m in residual k's condition of that
 unknown's field.
+
+``solve_determining`` never expands those rows.  It evaluates the condition
+of every elementary field at random integer points, with exp(psi) an
+independent value and the time jets on shell, takes the nullspace of the
+evaluated rows mod a 61-bit prime, reconstructs the rationals and certifies
+each vector exactly at symbolic k and kappa.  Each evaluated row is a
+consequence of the determining system and rank mod p never exceeds rank
+over Q, so the mod-p nullity is an upper bound on the dimension; the
+certificates supply as many independent symmetries, so the certified
+vectors span the algebra.  A failed reconstruction or certificate means a
+retry, never a wrong basis; randomness (Schwartz-Zippel) enters only the
+expected number of retries.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -224,10 +240,14 @@ def _unknown_priority(ansatz: Ansatz) -> list:
     return priority
 
 
-def on_shell_map(sys: PDESystem) -> dict:
-    """Time-jet elimination map from the quasilinear solved form."""
+# a process works with a few systems: two closures, symbolic or fixed k, kappa
+@functools.lru_cache(maxsize=8)
+def _on_shell(sys: PDESystem) -> ex.ClearedSubstitution:
+    """The substitution of the time jets by the quasilinear solved form,
+    built once per system and shared by every condition on it, products of
+    numerators included."""
     qf = fluid.quasilinear_time_form(sys)
-    return {tj: qf[tj] for tj in TIME_JETS}
+    return ex.ClearedSubstitution({tj: qf[tj] for tj in TIME_JETS})
 
 
 def _condition(V: VectorField, sys: PDESystem,
@@ -264,7 +284,7 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
     Rows are listed per residual, sorted by monomial, with exact duplicates
     dropped.  A condition with a denominator raises ValueError.
     """
-    cleared = ex.ClearedSubstitution(on_shell_map(sys))
+    cleared = _on_shell(sys)
     conditions = []
     for name, V in zip(ansatz.unknowns(), ansatz.elementary_fields()):
         cond = _condition(V, sys, cleared)
@@ -288,29 +308,119 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
     return rows
 
 
-# Two generic positive rational parameter points; solving at both and
-# intersecting guards against accidental degeneracies at a special point.
-_PARAM_POINTS = ((Fraction(1), Fraction(1)), (Fraction(2, 3), Fraction(3, 5)))
+# The solve's sampling: a fixed seed, integer coordinates in [1, _RANGE],
+# and one 61-bit prime per attempt.  Each attempt ends in exact
+# certificates, so none of these can change the result, only how often the
+# solve retries.
+_SEED = 1998
+_RANGE = 2 ** 20
+_PRIMES = (2 ** 61 - 1, 2 ** 61 - 1000051, 2 ** 61 - 2000059, 2 ** 61 - 3000079)
+# extra points beyond one per four unknowns, per attempt
+_EXTRA_POINTS = 4
 
 
 def solve_determining(sys_or_lam, ansatz: Ansatz = None) -> list:
-    """Nullspace basis of the determining system, as vector fields.
+    """Basis of the point-symmetry algebra within the ansatz class, as
+    vector fields.
 
-    Accepts a PDESystem (its lam is reused) or a bare lam value.  Parameters
-    k and kappa are instantiated at two generic rational points and the
-    nullspaces intersected; the returned basis is deterministic.
+    Accepts a PDESystem (its lam is reused) or a bare lam value; k and kappa
+    stay symbolic.  Each attempt evaluates the symmetry condition of every
+    elementary field at random integer points (``_evaluated_rows``), takes
+    the nullspace of those rows mod a 61-bit prime in ``_unknown_priority``
+    order, reconstructs its rational entries and certifies every vector
+    exactly with ``_condition`` at symbolic k and kappa.
+
+    The result is exact.  Every evaluated row is a consequence of the
+    determining system, and the rank of integer rows mod p is at most their
+    rank over Q, so the mod-p nullity bounds the algebra's dimension from
+    above.  The reconstructed vectors are independent (each has a one on its
+    own free column), so when all of them certify they span the algebra.
+    The basis returned is the span's unique reduced basis for this column
+    order, the one an exact nullspace of the full system gives.  An attempt
+    whose vectors do not reconstruct or certify is retried with more points
+    and the next prime; after ``len(_PRIMES)`` attempts the solve raises
+    RuntimeError rather than return an uncertified basis.  The
+    Schwartz-Zippel lemma (Schwartz 1980) bounds only how often a random
+    point set or prime is degenerate, that is the expected number of retries.
     """
     if ansatz is None:
         ansatz = Ansatz(degree=1)
     lam = sys_or_lam.params.lam if isinstance(sys_or_lam, PDESystem) else Fraction(sys_or_lam)
-    rows = []
-    for k_val, kappa_val in _PARAM_POINTS:
-        inst = fluid.build_system(fluid.FluidParams(k=k_val, kappa=kappa_val, lam=lam))
-        rows.extend(determining_equations(inst, ansatz))
+    sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
+    cleared = _on_shell(sys)
+    fields = ansatz.elementary_fields()
     priority = _unknown_priority(ansatz)
-    basis_vectors = ex.nullspace(rows, priority)
-    fields = [ansatz.assemble(vec) for vec in basis_vectors]
-    return [f for f in fields if not f.is_zero()]
+    rng = random.Random(_SEED)
+    for attempt, prime in enumerate(_PRIMES):
+        count = -(-len(fields) // 4) + _EXTRA_POINTS * (attempt + 1)
+        rows = _evaluated_rows(sys, fields, ansatz.unknowns(),
+                               _sample_points(rng, count))
+        vectors = []
+        for vec in ex.nullspace(rows, priority, modulus=prime):
+            values = {u: ex.rational_reconstruction(v, prime) for u, v in vec.items()}
+            if None in values.values() or not all(
+                    c.is_zero() for c in _condition(ansatz.assemble(values), sys, cleared)):
+                break
+            vectors.append(values)
+        else:
+            # Rewrite the certified span in its one reduced basis: the free
+            # columns of the rows' exact RREF are the pivots of the basis
+            # vectors taken in reverse order (dual matroids), so a prime
+            # that moved the pivots cannot change the basis printed.
+            cols = priority[::-1]
+            reduced, _ = ex.rref([[v.get(u, Fraction(0)) for u in cols]
+                                  for v in vectors], len(cols))
+            return [ansatz.assemble(dict(zip(cols, row))) for row in reversed(reduced)]
+    raise RuntimeError(f"no certified symmetry basis after {len(_PRIMES)} attempts")
+
+
+def _sample_points(rng: random.Random, count: int) -> list:
+    """``count`` random points ``(values, exps)``: integer values for t, x,
+    the fields, the x-jets, k and kappa, and exps holding exp(psi)."""
+    names = BASE_VARS + fluid.SPACE_JETS + ("k", "kappa")
+    return [({v: Fraction(rng.randint(1, _RANGE)) for v in names},
+             {"psi": Fraction(rng.randint(1, _RANGE))}) for _ in range(count)]
+
+
+def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
+                    points: list) -> list:
+    """Integer rows {unknown: value}, one per (residual k, point P).
+
+    The entry of field V_i is its condition evaluated at P: the sum over
+    the base variables and jets of coeff_var(pr V_i)(P) times
+    d(cleared residual k)/d var at P, with the time jets on shell.  Points
+    where a denominator vanishes are skipped.
+    """
+    cleared = _on_shell(sys)
+    variables = BASE_VARS + fluid.JETS
+    partials = []
+    for res in sys.residuals:
+        res = res * ex.denominator(res)
+        partials.append({v: d for v in variables
+                         if not (d := ex.diff(res, v)).is_zero()})
+    coeffs = [{v: c for v, c in {**V.coefficients(), **prolong1(V).jets}.items()
+               if not c.is_zero()} for V in fields]
+    rows = []
+    for values, exps in points:
+        try:
+            at = dict(values)
+            den = ex.evaluate(cleared.denominator, at, exps)
+            if not den:
+                continue
+            for tj in TIME_JETS:
+                at[tj] = ex.evaluate(cleared.numerators[tj], at, exps) / den
+            dres = [{v: ex.evaluate(d, at, exps) for v, d in p.items()}
+                    for p in partials]
+            pr = [{v: ex.evaluate(c, at, exps) for v, c in cs.items()}
+                  for cs in coeffs]
+        except ex.DomainError:
+            continue
+        for d in dres:
+            row = {u: sum(c * d[v] for v, c in cv.items() if v in d)
+                   for u, cv in zip(unknowns, pr)}
+            scale = math.lcm(*(c.denominator for c in row.values()))
+            rows.append({u: int(c * scale) for u, c in row.items() if c})
+    return rows
 
 
 def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
@@ -320,7 +430,7 @@ def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     residuals are returned cleared of the (nonzero) characteristic
     determinant, which does not affect the zero test.
     """
-    return _condition(V, sys, ex.ClearedSubstitution(on_shell_map(sys)))
+    return _condition(V, sys, _on_shell(sys))
 
 
 def coordinates(V: VectorField, basis: Sequence[VectorField],

@@ -208,6 +208,12 @@ def test_tables_side_by_side_listing(runner):
     assert "9)" in res.output
 
 
+def test_usage_error_goldens_dir_without_goldens(runner, tmp_path):
+    res = runner.invoke(main, ["verify", "--goldens-dir", str(tmp_path)])
+    assert res.exit_code == 2
+    assert "missing golden file" in res.output
+
+
 def test_golden_tables_check_passes():
     lines = []
     ok = cli._check_tables(cli._goldens_dir(), lines.append)
@@ -253,3 +259,54 @@ def test_reduce_dump_expr_roundtrip(runner, tmp_path):
         name, text = (s.strip() for s in ln.split("=", 1))
         parsed = ex.parse(text)  # the dumped format round-trips
         assert ex.to_text(parsed) == text
+
+
+@pytest.mark.parametrize("theory, stem", [("eckart", "eckart"),
+                                          ("israel-stewart", "israel_stewart")])
+def test_symmetries_prints_the_computed_golden_basis(runner, theory, stem):
+    res = runner.invoke(main, ["symmetries", "--theory", theory])
+    assert res.exit_code == 0
+    golden = cli._goldens_dir() / f"generator_basis_computed_{stem}.txt"
+    assert res.output == golden.read_text()
+
+
+_SOLVE = ["solve", "--case", "1", "--theory", "eckart", "--t-end", "1"]
+
+
+@pytest.mark.parametrize("args, option", [
+    (["algebra", "--theory", "eckart", "--normalize", "1,nan,0,0"], "--normalize"),
+    (["algebra", "--theory", "eckart", "--normalize", "1,0,inf,0"], "--normalize"),
+    (_SOLVE + ["--v0", "nan"], "--v0"),
+    (_SOLVE + ["--v0", "0.5", "--q0", "inf"], "--q0"),
+    (_SOLVE + ["--v0", "0.5", "--n0", "nan"], "--n0"),
+    (_SOLVE + ["--v0", "0.5", "--rho0", "-inf"], "--rho0"),
+    (_SOLVE + ["--v0", "0.5", "--rtol", "nan"], "--rtol"),
+    (["solve", "--case", "1", "--theory", "eckart", "--v0", "0.5",
+      "--t-end", "inf"], "--t-end"),
+    (_IS_CRITICAL + ["--q0", "nan"], "--q0"),
+    (_IS_CRITICAL + ["--lo", "nan"], "--lo"),
+    (_IS_CRITICAL + ["--horizon", "inf"], "--horizon"),
+    (_IS_CRITICAL + ["--tol", "nan"], "--tol"),
+], ids=["normalize-nan", "normalize-inf", "solve-v0-nan", "solve-q0-inf",
+        "solve-n0-nan", "solve-rho0-minus-inf", "solve-rtol-nan", "solve-t-end-inf",
+        "critical-q0-nan", "critical-lo-nan", "critical-horizon-inf",
+        "critical-tol-nan"])
+def test_usage_error_non_finite(runner, args, option):
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert option in res.output
+
+
+def test_usage_error_non_finite_params_n0(runner, tmp_path):
+    p = tmp_path / "params.txt"
+    p.write_text("N0 = nan\n")
+    res = runner.invoke(main, _SOLVE + ["--v0", "0.5", "--params", str(p)])
+    assert res.exit_code == 2
+    assert "not a finite number: 'nan'" in res.output
+
+
+@pytest.mark.parametrize("delta", ["-1", "0", "1", "2"])
+def test_usage_error_blowup_delta_outside_unit_interval(runner, delta):
+    res = runner.invoke(main, _SOLVE + ["--v0", "0.5", "--blowup-delta", delta])
+    assert res.exit_code == 2
+    assert "--blowup-delta" in res.output

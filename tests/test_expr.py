@@ -234,6 +234,119 @@ def test_rref_matches_sympy():
     check()
 
 
+_PRIME = 2 ** 61 - 1
+
+
+def test_rref_mod_p_reconstructs_the_rational_rref():
+    """Differential test of the modular path: on small-integer matrices the
+    reduced rows mod a 61-bit prime reconstruct to the Fraction ones, with
+    the same pivots, and so does the nullspace."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def reconstructed(rows):
+        return [[ex.rational_reconstruction(v, _PRIME) for v in row] for row in rows]
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        width=st.integers(1, 7),
+        matrix=st.lists(st.lists(st.integers(-4, 4), min_size=7, max_size=7),
+                        min_size=1, max_size=6),
+    )
+    def check(width, matrix):
+        matrix = [row[:width] for row in matrix]
+        exact, pivots = ex.rref([[Fraction(v) for v in row] for row in matrix], width)
+        modular, mod_pivots = ex.rref(matrix, width, modulus=_PRIME)
+        assert mod_pivots == pivots
+        assert all(0 <= v < _PRIME for row in modular for v in row)
+        assert reconstructed(modular) == exact
+        names = [f"c{j}" for j in range(width)]
+        forms = [dict(zip(names, row)) for row in matrix]
+        basis = ex.nullspace(forms, names)
+        mod_basis = ex.nullspace(forms, names, modulus=_PRIME)
+        assert [{u: ex.rational_reconstruction(v, _PRIME) for u, v in vec.items()}
+                for vec in mod_basis] == basis
+
+    check()
+
+
+def test_rref_mod_p_rank_can_only_drop():
+    # 3 vanishes mod 3: rank 1 over Q, rank 0 mod 3
+    assert ex.rref([[Fraction(3)]], 1)[1] == [0]
+    assert ex.rref([[3]], 1, modulus=3) == ([], [])
+
+
+def test_rational_reconstruction_bounds():
+    assert ex.rational_reconstruction(-3 * pow(7, -1, _PRIME) % _PRIME, _PRIME) \
+        == Fraction(-3, 7)
+    # a denominator above sqrt(p/2) cannot be recovered: the result is None
+    # or another fraction, which is why the solve certifies what it gets
+    big = Fraction(10 ** 12 - 11, 10 ** 12 + 39)
+    a = big.numerator * pow(big.denominator, -1, _PRIME) % _PRIME
+    assert ex.rational_reconstruction(a, _PRIME) != big
+    assert ex.rational_reconstruction(0, _PRIME) == 0
+
+
+def test_evaluate_matches_evalf():
+    """Differential test of the exact point evaluator against evalf: exp(c*psi)
+    takes the value E**c at the point where psi = ln E."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("t", "x", "n", "rho")
+    term = st.tuples(st.integers(-6, 6), st.integers(1, 4),
+                     st.lists(st.sampled_from(names), max_size=3),
+                     st.integers(-2, 2))
+
+    def build(terms):
+        e = ex.ZERO
+        for num, den, factors, c in terms:
+            mono = ex.number(Fraction(num, den)) * ex.exp(c * ex.sym("psi"))
+            for f in factors:
+                mono = mono * ex.sym(f)
+            e = e + mono
+        return e
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        num=st.lists(term, min_size=1, max_size=4),
+        den=st.lists(term, min_size=1, max_size=3),
+        values=st.lists(st.integers(1, 5).map(lambda v: v * (-1) ** v),
+                        min_size=4, max_size=4),
+        e_value=st.integers(1, 5),
+    )
+    def check(num, den, values, e_value):
+        denominator = build(den)
+        hypothesis.assume(not denominator.is_zero())
+        e = build(num) / denominator
+        point = {n: Fraction(v) for n, v in zip(names, values)}
+        exps = {"psi": Fraction(e_value)}
+        env = {**{n: float(v) for n, v in point.items()}, "psi": math.log(e_value)}
+        try:
+            exact = ex.evaluate(e, point, exps)
+        except ex.DomainError:
+            # no symbol is zero, so only the denominator can vanish
+            assert ex.evaluate(ex.denominator(e), point, exps) == 0
+            return
+        assert float(exact) == pytest.approx(ex.evalf(e, env), rel=1e-9, abs=1e-9)
+
+    check()
+
+
+@pytest.mark.parametrize("text, point", [
+    ("ln(t)", {"t": 2}),
+    ("exp(psi/2)", {}),
+    ("exp(t)", {"t": 1}),
+    ("1/(t - 1)", {"t": 1}),
+    ("t^-2", {"t": 0}),
+    ("t*y", {"t": 1}),
+], ids=["ln-atom", "half-exp-multiple", "exp-of-unlisted-symbol",
+        "zero-denominator", "pole", "unbound-symbol"])
+def test_evaluate_raises_where_no_exact_value_exists(text, point):
+    with pytest.raises(ex.DomainError):
+        ex.evaluate(ex.parse(text), {k: Fraction(v) for k, v in point.items()},
+                    {"psi": Fraction(2)})
+
+
 def _random_poly(rng, depth=0):
     names = ["t", "x", "psi", "n", "rho", "q", "psi_x", "n_x", "rho_x"]
     terms = rng.randint(1, 4)

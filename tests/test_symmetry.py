@@ -179,3 +179,77 @@ def test_field_text_roundtrip():
     for V in (sm.v_time(), sm.v_dilation(), sm.v_lorentz_boost()):
         W = sm.field_from_text(V.text())
         assert all((a - b).is_zero() for a, b in zip(V._tuple(), W._tuple()))
+
+
+def test_solve_retries_after_a_degenerate_point_set(monkeypatch, eckart_basis):
+    """One point repeated gives rank at most 4: the first attempt's vectors
+    fail their certificates, and the retry returns the certified basis."""
+    sample = sm._sample_points
+    counts = []
+
+    def repeated_first(rng, count):
+        points = sample(rng, count)
+        counts.append(count)
+        return [points[0]] * count if len(counts) == 1 else points
+
+    monkeypatch.setattr(sm, "_sample_points", repeated_first)
+    basis = sm.solve_determining(Fraction(0))
+    assert len(counts) == 2 and counts[1] > counts[0]
+    assert [V.text() for V in basis] == [V.text() for V in eckart_basis]
+
+
+@pytest.mark.parametrize("attempts", [1, None])
+def test_solve_never_returns_an_uncertified_vector(monkeypatch, eckart_basis,
+                                                   attempts):
+    """A vector slipped into the reconstruction fails its certificate: the
+    solve retries, and raises once every attempt carries it."""
+    rapidity_shift = sm._field_to_vector(sm.v_rapidity_shift(), sm.Ansatz())
+    nullspace = ex.nullspace
+    calls = []
+
+    def injected(rows, unknowns, modulus=None):
+        calls.append(modulus)
+        basis = nullspace(rows, unknowns, modulus)
+        if attempts is None or len(calls) <= attempts:
+            basis = [{u: int(c) % modulus for u, c in rapidity_shift.items()}] + basis
+        return basis
+
+    monkeypatch.setattr(ex, "nullspace", injected)
+    if attempts is None:
+        with pytest.raises(RuntimeError, match="no certified"):
+            sm.solve_determining(Fraction(0))
+        assert len(calls) == len(sm._PRIMES) == len(set(calls))
+    else:
+        basis = sm.solve_determining(Fraction(0))
+        assert [V.text() for V in basis] == [V.text() for V in eckart_basis]
+        assert not sm.in_span(sm.v_rapidity_shift(), basis)
+
+
+def test_solve_returns_the_reduced_basis_whatever_basis_the_prime_gives(
+        monkeypatch, eckart_basis):
+    """A prime that moved the pivots would give another basis of the same
+    span; the solve still returns the one reduced basis."""
+    nullspace = ex.nullspace
+
+    def mixed(rows, unknowns, modulus=None):
+        basis = nullspace(rows, unknowns, modulus)
+        first = {u: (basis[0].get(u, 0) + 2 * basis[1].get(u, 0)) % modulus
+                 for u in {**basis[0], **basis[1]}}
+        return [first] + basis[1:]
+
+    monkeypatch.setattr(ex, "nullspace", mixed)
+    basis = sm.solve_determining(Fraction(0))
+    assert [V.text() for V in basis] == [V.text() for V in eckart_basis]
+
+
+def test_degree_two_ansatz_gives_the_same_five_generators():
+    basis = sm.solve_determining(Fraction(0), sm.Ansatz(degree=2))
+    named = [sm.v_time(), sm.v_space(), sm.v_dilation(), sm.v_scaling(),
+             sm.v_lorentz_boost()]
+    assert len(basis) == 5
+    assert sm.span_equal(basis, named)
+
+
+def test_on_shell_substitution_is_built_once_per_system(eckart_system_symbolic):
+    same = fluid.build_system(eckart_system_symbolic.params)
+    assert sm._on_shell(same) is sm._on_shell(eckart_system_symbolic)
