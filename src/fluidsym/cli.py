@@ -238,9 +238,9 @@ _STATE_COLUMNS = {
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
 @click.option("--v0", type=_VELOCITY, required=True)
-@click.option("--n0", type=_FLOAT, default=1.0, show_default=True,
+@click.option("--n0", type=_POSITIVE, default=1.0, show_default=True,
               help="Initial density-like state.")
-@click.option("--rho0", type=_FLOAT, default=1.0, show_default=True)
+@click.option("--rho0", type=_POSITIVE, default=1.0, show_default=True)
 @click.option("--q0", type=_FLOAT, default=0.0, show_default=True,
               help="Initial heat-flux-like state.")
 @click.option("--t-end", type=_POSITIVE,
@@ -287,13 +287,9 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
 
 
 def _initial_state(case_no, psi0, n0, rho0, q0):
-    if case_no == 3:
-        return [psi0, n0, rho0, q0]  # alpha at y0 plays the density role
-    if case_no == 5:
-        return [psi0, n0, rho0, q0 / max(rho0, 1e-300)]  # theta = q/rho
-    if case_no == 6:
-        return [psi0, n0, rho0, q0 / max(rho0, 1e-300)]
-    return [psi0, n0, rho0, q0]
+    # in case 3, alpha at y0 plays the density role; cases 5 and 6 carry
+    # theta = q/rho in the last slot
+    return [psi0, n0, rho0, q0 / rho0 if case_no in (5, 6) else q0]
 
 
 def _write_csv(path, rs, tr, case_no):

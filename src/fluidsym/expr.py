@@ -719,49 +719,54 @@ def _exp_value(arg: Expr, exps: Mapping[str, Fraction]) -> Fraction:
     raise DomainError(f"cannot evaluate exp({to_text(arg)}) exactly")
 
 
-def _mono_pycode(mono, coeff: Fraction, names: Mapping[str, str]) -> str:
-    atoms, exparg = mono
-    parts = []
-    if coeff.denominator == 1:
-        parts.append(f"{coeff.numerator}")
-    else:
-        parts.append(f"({coeff.numerator}/{coeff.denominator})")
-    for a, e in atoms:
-        if a[0] == "s":
-            base = names[a[1]]
-        else:
-            base = f"_log({_pycode_expr(a[1], names)})"
-        parts.append(base if e == 1 else f"{base}**({e})")
-    if exparg is not None:
-        parts.append(f"_exp({_pycode_expr(exparg, names)})")
-    return "*".join(parts)
-
-
-def _pycode_expr(e: Expr, names: Mapping[str, str]) -> str:
-    num = " + ".join(_mono_pycode(m, c, names) for m, c in e.num.items()) or "0.0"
-    if len(e.den) == 1 and _ONE_MONO in e.den and e.den[_ONE_MONO] == 1:
-        return f"({num})"
-    den = " + ".join(_mono_pycode(m, c, names) for m, c in e.den.items())
-    return f"(({num})/({den}))"
-
-
 def compile_exprs(exprs: Sequence[Expr], arg_names: Sequence[str]):
     """Compile expressions into one fast positional-argument function.
 
     Returns f(*values) -> tuple of floats.  Symbols must all be listed in
     arg_names; ln/exp map to math.log/math.exp.
+
+    Subexpressions are hoisted: each distinct exp, ln, power and denominator
+    is computed once per call into a local, and every term multiplies the
+    same float factors in the same left-to-right order as term-by-term
+    evaluation, with sums in the same order.  The results are bit-identical
+    to that evaluation, and a pole or overflow still raises
+    ZeroDivisionError or OverflowError.
     """
-    names = {}
-    for i, n in enumerate(arg_names):
-        names[n] = f"_a{i}"
     missing = set()
     for e in exprs:
         missing |= (e.atoms() - set(arg_names))
     if missing:
         raise ValueError(f"unbound symbols in compiled expression: {sorted(missing)}")
-    args = ", ".join(names[n] for n in arg_names)
-    body = ", ".join(_pycode_expr(e, names) for e in exprs)
-    src = f"def _compiled({args}):\n    return ({body},)\n"
+    names = {n: f"_a{i}" for i, n in enumerate(arg_names)}
+    hoisted = {}  # code -> local name, in first-use order
+
+    def local(code: str) -> str:
+        if code not in hoisted:
+            hoisted[code] = f"_v{len(hoisted)}"
+        return hoisted[code]
+
+    def mono(m, c: Fraction) -> str:
+        atoms, exparg = m
+        parts = [f"{c.numerator}" if c.denominator == 1
+                 else f"({c.numerator}/{c.denominator})"]
+        for a, k in atoms:
+            base = names[a[1]] if a[0] == "s" else local(f"_log({code(a[1])})")
+            parts.append(base if k == 1 else local(f"{base}**({k})"))
+        if exparg is not None:
+            parts.append(local(f"_exp({code(exparg)})"))
+        return "*".join(parts)
+
+    def code(e: Expr) -> str:
+        num = " + ".join(mono(m, c) for m, c in e.num.items()) or "0.0"
+        if len(e.den) == 1 and e.den.get(_ONE_MONO) == 1:
+            return f"({num})"
+        den = " + ".join(mono(m, c) for m, c in e.den.items())
+        return f"(({num})/{local(f'({den})')})"
+
+    body = ", ".join(code(e) for e in exprs)
+    lines = [f"    {name} = {c}\n" for c, name in hoisted.items()]
+    src = (f"def _compiled({', '.join(names[n] for n in arg_names)}):\n"
+           + "".join(lines) + f"    return ({body},)\n")
     scope = {"_exp": math.exp, "_log": math.log}
     exec(src, scope)
     return scope["_compiled"]

@@ -1,5 +1,5 @@
 """Exact expression kernel: differentiation, normalization, substitution,
-collection, row reduction and nullspace, parsing."""
+collection, row reduction and nullspace, parsing, compilation."""
 
 import math
 import random
@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
-from fluidsym import expr as ex
+from fluidsym import expr as ex, odesolve as od, reduction as rd
 from fluidsym.expr import JetSpace
+from fluidsym.fluid import FluidParams
 
 
 def test_derivative_of_sinh_is_cosh():
@@ -483,6 +484,122 @@ def test_compiled_expressions_match_evalf():
     for _ in range(20):
         env = {"psi": rng.uniform(-2, 2), "n": rng.uniform(0.1, 4)}
         assert abs(fn(env["psi"], env["n"])[0] - ex.evalf(e, env)) < 1e-13
+
+
+def _term_by_term(e, env):
+    """Reference for compile_exprs: every term evaluated on its own, its float
+    factors multiplied left to right, sums taken in dict order."""
+    def poly(p):
+        total = None
+        for (atoms, exparg), c in p.items():
+            v = c.numerator if c.denominator == 1 else c.numerator / c.denominator
+            for a, k in atoms:
+                base = env[a[1]] if a[0] == "s" else math.log(_term_by_term(a[1], env))
+                v = v * (base if k == 1 else base ** k)
+            if exparg is not None:
+                v = v * math.exp(_term_by_term(exparg, env))
+            total = v if total is None else total + v
+        return 0.0 if total is None else total
+
+    num = poly(e.num)
+    if len(e.den) == 1 and e.den.get(ex._ONE_MONO) == 1:
+        return num
+    return num / poly(e.den)
+
+
+def test_compiled_expressions_equal_term_by_term_evaluation():
+    """Differential test: hoisting exps, powers and shared denominators into
+    locals leaves every compiled value bit-identical (==, no tolerance)."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    names = ("t", "x", "n", "rho")
+    psi = ex.sym("psi")
+    term = st.tuples(st.integers(-6, 6), st.integers(1, 4),
+                     st.lists(st.tuples(st.sampled_from(names), st.integers(-2, 3)),
+                              max_size=3),
+                     st.integers(-4, 4), st.integers(0, 1))
+
+    def build(terms):
+        e = ex.ZERO
+        for num, den, factors, c, log_power in terms:
+            mono = ex.number(Fraction(num, den)) * ex.exp(c * psi)
+            for f, k in factors:
+                mono = mono * ex.sym(f) ** k
+            e = e + mono * ex.ln(ex.sym("t")) ** log_power
+        return e
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(
+        nums=st.lists(st.lists(term, min_size=1, max_size=4), min_size=2, max_size=4),
+        den=st.lists(term, min_size=2, max_size=4),
+        values=st.lists(st.floats(0.1, 3.0), min_size=5, max_size=5),
+        signs=st.lists(st.booleans(), min_size=3, max_size=3),
+    )
+    def check(nums, den, values, signs):
+        shared = build(den)
+        hypothesis.assume(not shared.is_zero())
+        exprs = [build(num) / shared for num in nums] + [build(nums[0])]
+        env = dict(zip(("psi", "t") + names[1:], values))
+        for name, negative in zip(names[1:], signs):
+            env[name] = -env[name] if negative else env[name]
+        args = ["t", "psi", "x", "n", "rho"]
+        fn = ex.compile_exprs(exprs, args)
+        try:
+            expected = tuple(_term_by_term(e, env) for e in exprs)
+        except ZeroDivisionError:
+            with pytest.raises(ZeroDivisionError):
+                fn(*(env[a] for a in args))
+            return
+        assert fn(*(env[a] for a in args)) == expected
+
+    check()
+
+
+def _exp_arguments(e, found):
+    """Add the key of every exp argument in e, nested ones included, to found."""
+    for p in (e.num, e.den):
+        for atoms, exparg in p:
+            for a, _ in atoms:
+                if a[0] != "s":
+                    _exp_arguments(a[1], found)
+            if exparg is not None:
+                found.add(exparg.key())
+                _exp_arguments(exparg, found)
+
+
+def test_compiled_rhs_calls_exp_once_per_distinct_argument(monkeypatch):
+    calls = []
+    real_exp = math.exp
+
+    def spy(v):
+        calls.append(v)
+        return real_exp(v)
+
+    rs = rd.reduced_system(3, "eckart")
+    params = FluidParams(lam=Fraction(0))
+    monkeypatch.setattr(math, "exp", spy)
+    rhs = od.compile_rhs(rs, params)
+    rhs(0.4, [0.3, 1.1, 0.9, -0.2])
+    distinct = set()
+    for s in rs.states:
+        _exp_arguments(od._bind_params(rs.rhs[s], params), distinct)
+    assert len(distinct) == 8
+    assert len(calls) == len(distinct)
+
+
+def test_compiled_poles_and_overflow_still_raise():
+    n, psi, u = ex.syms("n psi u")
+    fn = ex.compile_exprs([n ** -2 * ex.exp(4 * psi), 1 / (1 - n)], ["n", "psi"])
+    for point in ((0.0, 0.5), (1.0, 0.5)):
+        with pytest.raises(ZeroDivisionError):
+            fn(*point)
+    with pytest.raises(OverflowError):
+        fn(0.5, 200.0)
+    cfg = od.SolverConfig(span=1.0)
+    for e, u0 in ((1 / u, 0.0), (ex.exp(4 * u), 200.0)):
+        f = ex.compile_exprs([e], ["t", "u"])
+        tr = od.integrate(lambda t, y, f=f: f(t, *y), [u0], cfg)
+        assert tr.termination == "step-failure"
 
 
 def test_normalize_is_idempotent_identity():
