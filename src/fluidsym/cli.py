@@ -224,16 +224,6 @@ def reduce(case_no, theory, check, a_value, dump_expr):
             sys.exit(1)
 
 
-_STATE_COLUMNS = {
-    1: ("psi", "n", "rho", "q"),
-    2: ("psi", "n", "rho", "q"),
-    3: ("psi", "alpha", "rho", "q"),
-    4: ("psi", "n", "rho", "q"),
-    5: ("psi", "beta", "w", "theta"),
-    6: ("psi", "n", "sigma", "theta"),
-}
-
-
 @main.command()
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
@@ -274,7 +264,7 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
     tr = od.integrate(rhs, u0, cfg, ev)
     cls = od.classify_trajectory(tr)
     if out:
-        _write_csv(out, rs, tr, case_no)
+        _write_csv(out, rs, tr)
         click.echo(f"wrote {len(tr.ts)} samples to {out}")
     tfin, ufin = tr.final()
     click.echo(f"termination: {tr.termination}"
@@ -292,11 +282,10 @@ def _initial_state(case_no, psi0, n0, rho0, q0):
     return [psi0, n0, rho0, q0 / rho0 if case_no in (5, 6) else q0]
 
 
-def _write_csv(path, rs, tr, case_no):
-    cols = _STATE_COLUMNS[case_no]
+def _write_csv(path, rs, tr):
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
-        w.writerow([rs.independent, cols[0], "v", cols[1], cols[2], cols[3]])
+        w.writerow([rs.independent, rs.states[0], "v", *rs.states[1:]])
         for t, u in zip(tr.ts, tr.states):
             v = math.tanh(u[0])
             w.writerow([f"{t:.15g}", f"{u[0]:.15g}", f"{v:.15g}",

@@ -11,8 +11,6 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import expr as ex
 from . import symmetry as sm
 from .symmetry import VectorField
@@ -203,7 +201,10 @@ def _unit(n, i):
 
 
 def _closed_form(mat) -> str | None:
-    """"diagonal" or "nilpotent" when exp(-eps*ad) has a closed form, else None."""
+    """The closed form of exp(-eps*ad): "diagonal", "nilpotent" (a finite
+    series) or "hyperbolic" (ad^3 = ad, as for the Lorentz boost); None for
+    any other ad.  Diagonal is tested first: its eigenvalues here lie in
+    {-1, 0}, so it satisfies ad^3 = ad too, but it keeps its own exp form."""
     dim = len(mat)
     if all(mat[r][c] == 0 for r in range(dim) for c in range(dim) if r != c):
         return "diagonal"
@@ -212,6 +213,8 @@ def _closed_form(mat) -> str | None:
         power = _mat_mul(power, mat)
         if all(not v for row in power for v in row):
             return "nilpotent"
+    if _mat_mul(_mat_mul(mat, mat), mat) == mat:
+        return "hyperbolic"
     return None
 
 
@@ -235,11 +238,12 @@ def _mat_mul(a, b):
 
 
 def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
-    """Ad(exp(eps*V_i)) w = exp(-eps*ad_{V_i}) w.
+    """Ad(exp(eps*V_i)) w = exp(-eps*ad_{V_i}) w, in closed form.
 
-    Closed form when ad_{V_i} is diagonal or nilpotent; the nilpotent series
-    is exact when eps and w are rational.  Otherwise a scaled-and-squared
-    numeric matrix exponential is used.
+    A diagonal ad scales each coordinate by an exponential; a nilpotent ad
+    gives a finite series, exact when eps and w are rational; an ad with
+    ad^3 = ad gives w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w in floats.
+    Any other ad raises ValueError.
     """
     coords = list(w.coefficients if isinstance(w, AlgebraElement) else w)
     mat = alg.ad_matrix(i)
@@ -255,10 +259,14 @@ def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
         for _, term in _series(mat, coords, Fraction(eps) if exact else float(eps)):
             acc = [a + t for a, t in zip(acc, term)]
         return AlgebraElement(tuple(acc))
-    from scipy.linalg import expm
-    m = np.array([[float(v) for v in row] for row in mat])
-    vec = np.array([float(c) for c in coords])
-    return AlgebraElement(tuple(expm(-float(eps) * m) @ vec))
+    if kind == "hyperbolic":
+        vec = [float(c) for c in coords]
+        ad1 = _mat_apply(mat, vec)
+        ad2 = _mat_apply(mat, ad1)
+        sh, ch1 = math.sinh(float(eps)), math.cosh(float(eps)) - 1.0
+        return AlgebraElement(tuple(
+            v - sh * a + ch1 * b for v, a, b in zip(vec, ad1, ad2)))
+    raise ValueError("no closed-form adjoint action for this generator")
 
 
 def _mat_apply(mat, vec):
@@ -278,32 +286,38 @@ def adjoint_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
             "exp(-eps)" if lam == 1 else f"exp({-lam}*eps)")
         return f"{coeff}*V{j + 1}"
     if kind == "nilpotent":
-        out = [f"V{j + 1}"]
+        terms = [(1, f"V{j + 1}")]
         for p, term in _series(mat, _unit(alg.dim, j), Fraction(1)):
             epspow = "eps" if p == 1 else f"eps^{p}"
-            for k, c in enumerate(term):
+            terms += [(c, f"{epspow}*V{k + 1}") for k, c in enumerate(term) if c]
+        return _sum_text(terms)
+    if kind == "hyperbolic":
+        ad1 = [row[j] for row in mat]
+        ad2 = _mat_apply(mat, ad1)
+        terms = []
+        for k in range(alg.dim):
+            # w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w, collected per V_k
+            for c, factor in ((int(k == j) - ad2[k], ""), (ad2[k], "cosh(eps)*"),
+                              (-ad1[k], "sinh(eps)*")):
                 if c:
-                    mag = "" if abs(c) == 1 else f"{abs(c)}*"
-                    out.append(f"{' - ' if c < 0 else ' + '}{mag}{epspow}*V{k + 1}")
-        return "".join(out)
+                    terms.append((c, f"{factor}V{k + 1}"))
+        return _sum_text(terms)
     raise ValueError("no closed-form adjoint entry for this generator")
+
+
+def _sum_text(terms) -> str:
+    """Text of a sum of (rational coefficient, factor text) terms."""
+    out = ""
+    for c, factor in terms:
+        mag = "" if abs(c) == 1 else f"{abs(c)}*"
+        sign = (" - " if c < 0 else " + ") if out else ("-" if c < 0 else "")
+        out += f"{sign}{mag}{factor}"
+    return out
 
 
 def commutator_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
     coords = [alg.c(i, j, k) for k in range(alg.dim)]
-    if not any(coords):
-        return "0"
-    parts = []
-    for k, c in enumerate(coords):
-        if not c:
-            continue
-        if c == 1:
-            parts.append(f"V{k + 1}" if not parts else f"+ V{k + 1}")
-        elif c == -1:
-            parts.append(f"-V{k + 1}" if not parts else f"- V{k + 1}")
-        else:
-            parts.append(f"{c}*V{k + 1}" if not parts else f"+ {c}*V{k + 1}")
-    return " ".join(parts)
+    return _sum_text([(c, f"V{k + 1}") for k, c in enumerate(coords) if c]) or "0"
 
 
 def normalize_element(alg: LieAlgebra, w) -> tuple:

@@ -89,30 +89,6 @@ class ReducedSystem:
     lam: Fraction
     direction: int = 1  # default integration orientation for studies
 
-    def state_definitions(self) -> dict:
-        if self.invariant_set is None:
-            return {s: s for s in self.states}
-        return {s: ex.to_text(self.invariants_of_state(s)) for s in self.states}
-
-    def invariants_of_state(self, s: str) -> Expr:
-        return self.invariant_set.invariants[s]
-
-
-def _generator_for_case(case: int, a: Fraction) -> VectorField:
-    if case == 1:
-        return sm.v_time()
-    if case == 2:
-        return sm.v_space()
-    if case == 3:
-        return sm.v_dilation()
-    if case == 4:
-        return sm.v_time() + sm.v_space().scale(ex.number(a))
-    if case == 5:
-        return sm.v_dilation() + sm.v_scaling().scale(ex.number(a))
-    if case == 6:
-        return sm.v_scaling() + sm.v_time() + sm.v_space().scale(ex.number(a))
-    raise UnsupportedReductionError(f"no reduction catalogued for case {case}")
-
 
 def verify_invariant(V: VectorField, e: Expr) -> Expr:
     """V acting on e as a first-order operator; zero iff e is invariant."""

@@ -3,7 +3,10 @@ canonical subalgebra representatives."""
 
 import math
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -180,10 +183,76 @@ def test_adjoint_table_entry_evaluates_to_adjoint_action(alg):
                     assert ex.evalf(coeff, {}) == pytest.approx(c, rel=1e-15)
 
 
+def _taylor_reference(alg, eps, i, w, terms=40):
+    """exp(-eps*ad_{V_i}) w summed in Fractions to ``terms`` terms."""
+    mat = alg.ad_matrix(i)
+    term, acc = list(w), list(w)
+    for p in range(1, terms):
+        term = [-eps * sum(mat[r][c] * term[c] for c in range(alg.dim)) / p
+                for r in range(alg.dim)]
+        acc = [a + t for a, t in zip(acc, term)]
+    return acc
+
+
+@pytest.mark.parametrize("alg", [la.table_algebra("eckart"),
+                                 la.table_algebra("israel-stewart"),
+                                 la.full_algebra()],
+                         ids=["eckart", "israel-stewart", "full"])
+def test_adjoint_action_matches_the_taylor_series(alg):
+    """Every generator has a closed form, and it sums the exponential series."""
+    rng = random.Random(29)
+    for i in range(alg.dim):
+        assert la._closed_form(alg.ad_matrix(i)) is not None
+        for eps in (Fraction(-2, 3), Fraction(1, 3), Fraction(3, 2)):
+            w = [Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+                 for _ in range(alg.dim)]
+            got = la.adjoint_action(alg, eps, i, w).coefficients
+            for g, r in zip(got, _taylor_reference(alg, eps, i, w)):
+                assert abs(float(g) - float(r)) <= 1e-13 * max(1.0, abs(float(r)))
+
+
+def _rotation_algebra():
+    # so(3): [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2, so ad^3 = -ad
+    basis = (sm.v_time(), sm.v_space(), sm.v_rapidity_shift())  # placeholders
+    constants = {}
+    for (i, j, k) in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
+        constants[(i, j, k)] = Fraction(1)
+        constants[(j, i, k)] = Fraction(-1)
+    return la.LieAlgebra(basis=basis, constants=constants)
+
+
+def test_adjoint_without_closed_form_raises():
+    alg = _rotation_algebra()
+    assert la._closed_form(alg.ad_matrix(0)) is None
+    with pytest.raises(ValueError, match="no closed-form"):
+        la.adjoint_action(alg, 0.5, 0, (1.0, 0.0, 0.0))
+    with pytest.raises(ValueError, match="no closed-form"):
+        la.adjoint_table_entry(alg, 0, 1)
+
+
+def test_cli_import_needs_neither_numpy_nor_scipy():
+    src = str(Path(la.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import fluidsym.cli; "
+            "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_commutator_table_entries(alg_e):
     assert la.commutator_table_entry(alg_e, 0, 2) == "V1"
     assert la.commutator_table_entry(alg_e, 2, 0) == "-V1"
     assert la.commutator_table_entry(alg_e, 0, 1) == "0"
+
+
+def test_table_entries_print_negative_coefficients_as_differences():
+    basis = (sm.v_time(), sm.v_space(), sm.v_scaling())  # placeholders
+    constants = {(0, 1, 0): Fraction(1), (0, 1, 1): Fraction(-2),
+                 (1, 0, 0): Fraction(-1), (1, 0, 1): Fraction(2)}
+    alg = la.LieAlgebra(basis=basis, constants=constants)
+    assert la.commutator_table_entry(alg, 0, 1) == "V1 - 2*V2"
+    assert la.commutator_table_entry(alg, 1, 0) == "-V1 + 2*V2"
+    assert la.commutator_table_entry(alg, 0, 2) == "0"
 
 
 def test_adjoint_of_boost_is_hyperbolic_rotation():
