@@ -1,12 +1,21 @@
 """Similarity reductions: invariants, reduced ODE systems, symbolic checks.
 
-Each supported reduction case carries the group invariants of one
-one-dimensional subalgebra, the inverse map expressing the physical fields
-in terms of invariant states, and the mechanically derived explicit
-first-order system those states satisfy.  The derivation is verified by
-substituting the invariant ansatz back into the full PDE residuals and
-normalizing; catalog entries only ship if that residual is structurally
-zero.
+Each reduction case is one one-dimensional subalgebra, and its catalog entry
+states everything the derivation reads: the generator, the group invariants,
+the inverse map giving the physical fields in the invariant states, the
+partials (y_t, y_x) of the similarity variable y, the name of the independent
+variable, the value t takes while deriving, and the default orientation and
+group parameter a.  The translations d_t and d_x are ordinary entries: their
+invariants are the fields themselves, and t or x is the independent variable.
+
+Every case takes one path.  ``reduced_system`` substitutes the invariant
+ansatz into the full PDE residuals by the chain rule and solves the result,
+which is affine in the state derivatives, for those derivatives.
+``symbolic_check_reduction`` substitutes the ansatz again with t kept
+symbolic, eliminates the state derivatives with the derived right-hand sides
+and normalizes: the residuals are zero exactly when the reduction holds for
+all t.  ``SUPPORTED`` is a fixed table; the check runs in ``verify`` and in
+the tests.
 
 Case numbering follows the one-dimensional subalgebra list:
   1  d_t + homogeneous states            (evolution in t)
@@ -22,11 +31,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import expr as ex
 from . import fluid
 from .expr import Expr, JetSpace
-from .fluid import FluidParams, PDESystem
+from .fluid import FIELD_NAMES, FluidParams, PDESystem
 from .symmetry import VectorField
 from . import symmetry as sm
 
@@ -71,7 +81,7 @@ class InvariantSet:
     generator: VectorField
     similarity_variable: Expr | None  # expression in (t, x), None for cases 1-2
     invariants: dict  # name -> Expr in the base variables
-    inverse: dict  # field name -> Expr in (t, x or y, state symbols)
+    inverse: dict  # field name -> Expr in (t, y, state symbols)
     states: tuple
 
 
@@ -85,9 +95,96 @@ class ReducedSystem:
     determinant: Expr  # clearing determinant of the jet solve
     singular: tuple  # denominator expressions bounding integration
     first_integrals: dict  # name -> Expr in (independent, states)
-    invariant_set: InvariantSet | None
+    invariant_set: InvariantSet | None  # None for cases 1-2
     lam: Fraction
     direction: int = 1  # default integration orientation for studies
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One catalog entry.  The callables take the group parameter a: an
+    Expr, or None for a case that takes no a."""
+    invariants: Callable  # a -> InvariantSet
+    independent: str  # 't', 'x' or 'y'
+    partials: Callable  # a -> (y_t, y_x) in (t, y)
+    inst_t: Fraction | None  # value of t while deriving; None keeps t
+    first_integrals: dict  # name -> text in (independent, states, a)
+    default_a: Fraction | None = None  # None: the case takes no a
+    direction: int = 1  # default integration orientation
+
+
+def _catalog() -> dict:
+    t, x, y, psi, n, rho, q = ex.syms("t x y psi n rho q")
+    alpha, beta, w, sigma, theta = ex.syms("alpha beta w sigma theta")
+    fields = {"psi": psi, "n": n, "rho": rho, "q": q}
+    # the first integrals are checked exact by first_integral_defects
+    traveling_particle = {"particle": "n*(sinh(psi) + a*cosh(psi))"}
+    return {
+        1: _Case(lambda a: InvariantSet(sm.v_time(), None, {**fields, "y": x},
+                                        dict(fields), FIELD_NAMES),
+                 "t", partials=lambda a: (ex.ONE, ex.ZERO), inst_t=None,
+                 first_integrals={
+                     "particle": "n*cosh(psi)",
+                     "energy_flux": "rho*cosh(psi)^2 + (1/3)*rho*sinh(psi)^2 + 2*q*sinh(psi)*cosh(psi)",
+                     "momentum_flux": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
+                 }),
+        2: _Case(lambda a: InvariantSet(sm.v_space(), None, {**fields, "y": t},
+                                        dict(fields), FIELD_NAMES),
+                 "x", partials=lambda a: (ex.ZERO, ex.ONE), inst_t=None,
+                 first_integrals={
+                     "particle_flux": "n*sinh(psi)",
+                     "momentum": "(4/3)*rho*sinh(psi)^2 + (1/3)*rho + 2*q*sinh(psi)*cosh(psi)",
+                     "energy": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
+                 }, direction=-1),
+        3: _Case(lambda a: InvariantSet(
+                     sm.v_dilation(), x / t,
+                     {"y": x / t, "psi": psi, "alpha": n * t, "rho": rho, "q": q},
+                     {**fields, "n": alpha / t}, ("psi", "alpha", "rho", "q")),
+                 "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
+                 first_integrals={"particle": "alpha*(sinh(psi) + y*cosh(psi))"}),
+        4: _Case(lambda a: InvariantSet(
+                     sm.v_time() + sm.v_space().scale(a), x - a * t,
+                     {"y": x - a * t, **fields}, dict(fields), FIELD_NAMES),
+                 "y", partials=lambda a: (-a, ex.ONE), inst_t=None,
+                 first_integrals=traveling_particle, default_a=Fraction(-1)),
+        5: _Case(lambda a: InvariantSet(
+                     sm.v_dilation() + sm.v_scaling().scale(a), x / t,
+                     {"y": x / t, "psi": psi, "beta": n * x, "w": rho * t ** (-a),
+                      "theta": q / rho},
+                     {"psi": psi, "n": beta / (y * t), "rho": w * t ** a,
+                      "q": theta * w * t ** a},
+                     ("psi", "beta", "w", "theta")),
+                 "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
+                 first_integrals={"particle": "beta*(sinh(psi) + y*cosh(psi))/y"},
+                 default_a=Fraction(1)),
+        6: _Case(lambda a: InvariantSet(
+                     sm.v_scaling() + sm.v_time() + sm.v_space().scale(a), x - a * t,
+                     {"y": x - a * t, "psi": psi, "n": n, "sigma": rho * ex.exp(-t),
+                      "theta": q / rho},
+                     {"psi": psi, "n": n, "rho": sigma * ex.exp(t),
+                      "q": theta * sigma * ex.exp(t)},
+                     ("psi", "n", "sigma", "theta")),
+                 "y", partials=lambda a: (-a, ex.ONE), inst_t=Fraction(0),
+                 first_integrals=traveling_particle, default_a=Fraction(-1)),
+    }
+
+
+_CATALOG = _catalog()
+
+
+def _case_invariants(case: int, a: Expr | None) -> InvariantSet:
+    return _CATALOG[case].invariants(a)
+
+
+def _group_parameter(case: int, a_value: Fraction | None) -> Expr | None:
+    """The group parameter a: a_value, else the entry's default.  None for a
+    case that takes no a, where passing one is an error."""
+    default = _CATALOG[case].default_a
+    if default is None:
+        if a_value is not None:
+            raise UnsupportedReductionError(f"case {case} takes no group parameter a")
+        return None
+    return ex.number(default if a_value is None else a_value)
 
 
 def verify_invariant(V: VectorField, e: Expr) -> Expr:
@@ -101,7 +198,6 @@ def invariants_of(V: VectorField, a_value: Fraction | None = None) -> InvariantS
     fields)."""
     a = ex.sym("a") if a_value is None else ex.number(a_value)
     t, x, psi, n, rho, q = ex.syms("t x psi n rho q")
-    candidates = [(case, _case_invariants(case, a)) for case in (1, 2, 3, 4, 5, 6)]
     try:
         target = sm._field_to_vector(V, sm.Ansatz(degree=1))
     except ValueError:
@@ -115,7 +211,8 @@ def invariants_of(V: VectorField, a_value: Fraction | None = None) -> InvariantS
                              "theta": q / rho},
                             {"psi": psi, "n": n},
                             ())
-    for case, inv in candidates:
+    for case in _CATALOG:
+        inv = _case_invariants(case, a)
         try:
             gen_vec = sm._field_to_vector(inv.generator, sm.Ansatz(degree=1))
         except ValueError:
@@ -126,99 +223,34 @@ def invariants_of(V: VectorField, a_value: Fraction | None = None) -> InvariantS
         "generator is not in the reduction catalog: " + V.text())
 
 
-def _case_invariants(case: int, a: Expr) -> InvariantSet:
-    t, x, psi, n, rho, q = ex.syms("t x psi n rho q")
-    if case == 1:
-        gen = sm.v_time()
-        return InvariantSet(gen, None,
-                            {"psi": psi, "n": n, "rho": rho, "q": q, "y": x},
-                            {"psi": psi, "n": n, "rho": rho, "q": q},
-                            ("psi", "n", "rho", "q"))
-    if case == 2:
-        gen = sm.v_space()
-        return InvariantSet(gen, None,
-                            {"psi": psi, "n": n, "rho": rho, "q": q, "y": t},
-                            {"psi": psi, "n": n, "rho": rho, "q": q},
-                            ("psi", "n", "rho", "q"))
-    if case == 3:
-        gen = sm.v_dilation()
-        y = x / t
-        return InvariantSet(gen, y,
-                            {"y": y, "psi": psi, "alpha": n * t,
-                             "rho": rho, "q": q},
-                            {"psi": psi, "n": ex.sym("alpha") / t,
-                             "rho": rho, "q": q},
-                            ("psi", "alpha", "rho", "q"))
-    if case == 4:
-        gen = sm.v_time() + sm.v_space().scale(a)
-        y = x - a * t
-        return InvariantSet(gen, y,
-                            {"y": y, "psi": psi, "n": n, "rho": rho, "q": q},
-                            {"psi": psi, "n": n, "rho": rho, "q": q},
-                            ("psi", "n", "rho", "q"))
-    if case == 5:
-        gen = sm.v_dilation() + sm.v_scaling().scale(a)
-        y = x / t
-        w = rho * t ** (-a)
-        return InvariantSet(gen, y,
-                            {"y": y, "psi": psi, "beta": n * x,
-                             "w": w, "theta": q / rho},
-                            {"psi": psi,
-                             "n": ex.sym("beta") / (ex.sym("y") * t),
-                             "rho": ex.sym("w") * t ** a,
-                             "q": ex.sym("theta") * ex.sym("w") * t ** a},
-                            ("psi", "beta", "w", "theta"))
-    if case == 6:
-        gen = sm.v_scaling() + sm.v_time() + sm.v_space().scale(a)
-        y = x - a * t
-        return InvariantSet(gen, y,
-                            {"y": y, "psi": psi, "n": n,
-                             "sigma": rho * ex.exp(-t), "theta": q / rho},
-                            {"psi": psi, "n": n,
-                             "rho": ex.sym("sigma") * ex.exp(t),
-                             "q": ex.sym("theta") * ex.sym("sigma") * ex.exp(t)},
-                            ("psi", "n", "sigma", "theta"))
-    raise UnsupportedReductionError(f"no reduction catalogued for case {case}")
-
-
-def _similarity_partials(case: int, a: Expr) -> tuple:
-    """(y_t, y_x) expressed in (t, y)."""
-    t, y = ex.sym("t"), ex.sym("y")
-    if case in (3, 5):
-        return (-y / t, ex.ONE / t)
-    if case in (4, 6):
-        return (-a, ex.ONE)
-    raise UnsupportedReductionError(f"case {case} has no similarity variable")
-
-
-def _substituted_residuals(sys: PDESystem, case: int, a: Expr,
+def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
                            inst_t: Fraction | None) -> tuple:
     """Residuals with the invariant ansatz substituted.
 
-    Returns (list of Exprs in (t, y, states, state-jets), state names).
-    When inst_t is given, the explicit scale variable t is instantiated at
-    that value (legitimate for deriving the reduced right-hand sides, whose
+    Returns (list of Exprs in (t, y, states, state jets), {state: jet name}),
+    each state jet taken along the entry's independent variable.  When
+    inst_t is given, the explicit scale variable t is instantiated at that
+    value (legitimate for deriving the reduced right-hand sides, whose
     validity for all t is re-established by the symbolic check).
     """
+    entry = _CATALOG[case]
     inv = _case_invariants(case, a)
-    states = inv.states
-    space = JetSpace(("y",), states)
-    y_t, y_x = _similarity_partials(case, a)
+    space = JetSpace((entry.independent,), inv.states)
+    jets = {s: space.jet(s, entry.independent) for s in inv.states}
+    y_t, y_x = entry.partials(a)
     bindings = {}
-    for fname in fluid.FIELD_NAMES:
+    for fname in FIELD_NAMES:
         U = inv.inverse[fname]
         bindings[fname] = U
-        dU_dt = ex.diff(U, "t")
         dU_dy = ex.diff(U, "y")
-        chain_t = dU_dt + dU_dy * y_t
+        chain_t = ex.diff(U, "t") + dU_dy * y_t
         chain_x = dU_dy * y_x
-        for s in states:
+        for s, jet in jets.items():
             dU_ds = ex.diff(U, s)
             if dU_ds.is_zero():
                 continue
-            sj = ex.sym(space.jet(s, "y"))
-            chain_t = chain_t + dU_ds * sj * y_t
-            chain_x = chain_x + dU_ds * sj * y_x
+            chain_t = chain_t + dU_ds * ex.sym(jet) * y_t
+            chain_x = chain_x + dU_ds * ex.sym(jet) * y_x
         bindings[f"{fname}_t"] = chain_t
         bindings[f"{fname}_x"] = chain_x
     out = []
@@ -227,42 +259,7 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr,
         if inst_t is not None:
             sub = ex.subs(sub, {"t": ex.number(inst_t)})
         out.append(sub)
-    return out, states
-
-
-_FIRST_INTEGRALS = {
-    # name -> expression in (independent, states); machine-verified on build
-    1: {
-        "particle": "n*cosh(psi)",
-        "energy_flux": "rho*cosh(psi)^2 + (1/3)*rho*sinh(psi)^2 + 2*q*sinh(psi)*cosh(psi)",
-        "momentum_flux": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
-    },
-    2: {
-        "particle_flux": "n*sinh(psi)",
-        "momentum": "(4/3)*rho*sinh(psi)^2 + (1/3)*rho + 2*q*sinh(psi)*cosh(psi)",
-        "energy": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
-    },
-    3: {
-        "particle": "alpha*(sinh(psi) + y*cosh(psi))",
-    },
-    4: {
-        "particle": "n*(sinh(psi) + a*cosh(psi))",
-    },
-    5: {
-        "particle": "beta*(sinh(psi) + y*cosh(psi))/y",
-    },
-    6: {
-        "particle": "n*(sinh(psi) + a*cosh(psi))",
-    },
-}
-
-
-def _group_parameter(case: int, a_value: Fraction | None) -> Fraction:
-    """The group parameter a: a_value, by default -1 for the traveling-wave
-    cases 4 and 6 and 1 otherwise."""
-    if a_value is not None:
-        return a_value
-    return Fraction(-1) if case in (4, 6) else Fraction(1)
+    return out, jets
 
 
 def reduced_system(case: int, theory: str,
@@ -275,47 +272,21 @@ def reduced_system(case: int, theory: str,
             (theory, case), "no reduction is catalogued for this combination")
         raise UnsupportedReductionError(
             f"case {case} is not supported for theory '{theory}': {reason}")
+    entry = _CATALOG[case]
+    a = _group_parameter(case, a_value)
     lam = Fraction(0) if theory == "eckart" else Fraction(1)
     # keep k and kappa symbolic: numeric values are bound at compile time
-    params = FluidParams(k=None, kappa=None, lam=lam)
-    sys = fluid.build_system(params)
-    if case == 1:
-        qf = fluid.quasilinear_time_form(sys)
-        zero = {nm: ex.ZERO for nm in fluid.SPACE_JETS}
-        rhs = {u: ex.subs(qf[f"{u}_t"], zero) for u in fluid.FIELD_NAMES}
-        det = ex.subs(qf["_det"], zero)
-        return _finish(case, theory, "t", fluid.FIELD_NAMES, rhs, det, None, lam)
-    if case == 2:
-        qf = fluid.quasilinear_space_form(sys)
-        zero = {nm: ex.ZERO for nm in fluid.TIME_JETS}
-        rhs = {u: ex.subs(qf[f"{u}_x"], zero) for u in fluid.FIELD_NAMES}
-        det = ex.subs(qf["_det"], zero)
-        return _finish(case, theory, "x", fluid.FIELD_NAMES, rhs, det, None, lam,
-                       direction=-1)
-    a_value = _group_parameter(case, a_value)
-    a = ex.number(a_value)
-    inst = Fraction(0) if case == 6 else Fraction(1)
-    if case == 4:
-        inst = None  # t drops out without instantiation
-    res, states = _substituted_residuals(sys, case, a, inst)
-    space = JetSpace(("y",), states)
-    sol, det = fluid.solve_for_jets(res, [space.jet(s, "y") for s in states])
-    rhs = {s: sol[space.jet(s, "y")] for s in states}
-    inv = _case_invariants(case, a)
-    return _finish(case, theory, "y", states, rhs, det, inv, lam, a_value=a_value)
-
-
-def _finish(case, theory, indep, states, rhs, det, inv, lam,
-            a_value=None, direction=1):
+    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
+    res, jets = _substituted_residuals(sys, case, a, entry.inst_t)
+    sol, det = fluid.solve_for_jets(res, list(jets.values()))
+    rhs = {s: sol[jet] for s, jet in jets.items()}
     singular = [ex.denominator(r) for r in rhs.values()
                 if not ex.denominator(r).equivalent(ex.ONE)]
     singular.append(det)
     integrals = {}
-    for name, text in _FIRST_INTEGRALS.get(case, {}).items():
+    for name, text in entry.first_integrals.items():
         e = ex.parse(text)
-        if a_value is not None:
-            e = ex.subs(e, {"a": ex.number(a_value)})
-        integrals[name] = e
+        integrals[name] = e if a is None else ex.subs(e, {"a": a})
     seen = set()
     uniq = []
     for s in singular:
@@ -325,16 +296,17 @@ def _finish(case, theory, indep, states, rhs, det, inv, lam,
         if monic.key() not in seen:
             seen.add(monic.key())
             uniq.append(monic)
-    return ReducedSystem(case=case, theory=theory, independent=indep,
-                         states=tuple(states), rhs=rhs, determinant=det,
+    inv = _case_invariants(case, a)
+    return ReducedSystem(case=case, theory=theory, independent=entry.independent,
+                         states=tuple(jets), rhs=rhs, determinant=det,
                          singular=tuple(uniq), first_integrals=integrals,
-                         invariant_set=inv, lam=lam, direction=direction)
+                         invariant_set=None if inv.similarity_variable is None else inv,
+                         lam=lam, direction=entry.direction)
 
 
 def first_integral_defects(rs: ReducedSystem) -> dict:
     """d/dy of each first integral along the reduced flow; all zero when
     the integral is exact."""
-    space = JetSpace((rs.independent,), rs.states)
     out = {}
     for name, I in rs.first_integrals.items():
         ddy = ex.diff(I, rs.independent)
@@ -354,25 +326,12 @@ def symbolic_check_reduction(case: int, theory: str,
     ReducedSystem}, the system being the one checked.  Nonzero residuals are
     reported, not raised."""
     rs = reduced_system(case, theory, a_value=a_value)
-    lam = rs.lam
-    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
-    if case == 1:
-        res = [ex.subs(r, {nm: ex.ZERO for nm in fluid.SPACE_JETS})
-               for r in sys.residuals]
-        jet_map = {f"{u}_t": rs.rhs[u] for u in fluid.FIELD_NAMES}
-    elif case == 2:
-        res = [ex.subs(r, {nm: ex.ZERO for nm in fluid.TIME_JETS})
-               for r in sys.residuals]
-        jet_map = {f"{u}_x": rs.rhs[u] for u in fluid.FIELD_NAMES}
-    else:
-        a = ex.number(_group_parameter(case, a_value))
-        res, _ = _substituted_residuals(sys, case, a, None)
-        space = JetSpace(("y",), rs.states)
-        jet_map = {space.jet(s, "y"): rs.rhs[s] for s in rs.states}
+    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=rs.lam))
+    res, jets = _substituted_residuals(sys, case, _group_parameter(case, a_value), None)
     # the residuals are affine in the state jets: substitute r0*D + sum
     # c_j*N_j over the shared denominator D of the right-hand sides, then
     # divide by D once
-    cleared = ex.ClearedSubstitution(jet_map)
+    cleared = ex.ClearedSubstitution({jet: rs.rhs[s] for s, jet in jets.items()})
     out = [cleared(r, 1) / cleared.denominator for r in res]
     return {"residuals": out, "ok": all(r.is_zero() for r in out), "system": rs}
 

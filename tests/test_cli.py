@@ -361,3 +361,46 @@ def test_integrator_output_is_pinned_bit_for_bit(runner, tmp_path):
         assert len(res.output.splitlines()) == 3
         h.update(res.output.encode())
     assert h.hexdigest() == _PINNED_SHA256
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--case", "1", "--theory", "eckart", "--check"],
+    ["reduce", "--case", "2", "--theory", "israel-stewart"],
+    ["reduce", "--case", "3", "--theory", "eckart", "--check"],
+    ["solve", "--case", "1", "--theory", "israel-stewart", "--v0", "0.5"],
+    ["solve", "--case", "2", "--theory", "eckart", "--v0", "0.5"],
+    ["solve", "--case", "3", "--theory", "eckart", "--v0", "0.5"],
+], ids=["reduce-1", "reduce-2", "reduce-3", "solve-1", "solve-2", "solve-3"])
+def test_usage_error_group_parameter_on_a_case_without_one(runner, args):
+    res = runner.invoke(main, args + ["-a", "5"])
+    assert res.exit_code == 2
+    assert "takes no group parameter" in res.output
+
+
+# Every catalogued (case, theory) pair under `reduce --check`, three
+# non-default group parameters, then the `--dump-expr` file of one case.
+_PINNED_REDUCTIONS = [
+    [str(case), theory] for theory, cases in (("eckart", range(1, 7)),
+                                               ("israel-stewart", (1, 2)))
+    for case in cases] + [["4", "eckart", "-a", "-2/3"],
+                          ["5", "eckart", "-a", "1/2"],
+                          ["6", "eckart", "-a", "3/2"]]
+_PINNED_REDUCE_SHA256 = ("7c4bae792764f233cc1566f415182217"
+                         "41cbaec931e767dd30899506774371b3")
+
+
+def test_reduce_output_is_pinned(runner, tmp_path):
+    """The printed reduced systems, invariants, first integrals, singular
+    factors and check lines hash to the recorded value."""
+    h = hashlib.sha256()
+    for case, theory, *extra in _PINNED_REDUCTIONS:
+        res = runner.invoke(main, ["reduce", "--case", case, "--theory", theory,
+                                   "--check", *extra])
+        assert res.exit_code == 0, res.output
+        h.update(res.output.encode())
+    out = tmp_path / "rhs.txt"
+    res = runner.invoke(main, ["reduce", "--case", "1", "--theory",
+                               "israel-stewart", "--dump-expr", str(out)])
+    assert res.exit_code == 0, res.output
+    h.update(out.read_bytes())
+    assert h.hexdigest() == _PINNED_REDUCE_SHA256

@@ -224,3 +224,21 @@ def test_pure_scaling_invariants():
     assert theta.equivalent(ex.sym("q") / ex.sym("rho"))
     for e in inv.invariants.values():
         assert rd.verify_invariant(sm.v_scaling(), e).is_zero()
+
+
+@pytest.mark.parametrize("theory, fixture", [
+    ("eckart", "eckart_system_symbolic"),
+    ("israel-stewart", "israel_stewart_system_symbolic")])
+def test_translation_cases_match_the_quasilinear_forms(request, theory, fixture):
+    """Cases 1 and 2 agree with the time and space forms of the full system
+    with the other direction's jets set to zero."""
+    sys = request.getfixturevalue(fixture)
+    for case_no, form, other in ((1, fluid.quasilinear_time_form, fluid.SPACE_JETS),
+                                 (2, fluid.quasilinear_space_form, fluid.TIME_JETS)):
+        qf = form(sys)
+        zero = {jet: ex.ZERO for jet in other}
+        rs = rd.reduced_system(case_no, theory)
+        for u in fluid.FIELD_NAMES:
+            expect = ex.subs(qf[f"{u}_{rs.independent}"], zero)
+            assert rs.rhs[u].equivalent(expect), (case_no, u)
+        assert rs.determinant.equivalent(ex.subs(qf["_det"], zero)), case_no
