@@ -58,8 +58,9 @@ def _fraction(text: str, param_hint: str) -> Fraction:
                                  param_hint=param_hint)
 
 
-def _params_from_file(path: str | None, theory: str | None = None) -> fluid.FluidParams:
-    kw = {}
+def _params_from_file(path: str | None, theory: str) -> fluid.FluidParams:
+    """k and kappa from a parameter file; lambda comes from the theory."""
+    kw = {"lam": _lam(theory)}
     for line in Path(path).read_text().splitlines() if path else ():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -67,20 +68,10 @@ def _params_from_file(path: str | None, theory: str | None = None) -> fluid.Flui
         if "=" not in line:
             raise click.UsageError(f"bad parameter line: {line!r}")
         key, val = (s.strip() for s in line.split("=", 1))
-        if key in ("k", "kappa", "lambda"):
-            kw["lam" if key == "lambda" else key] = _fraction(val, f"--params ({key})")
-        elif key == "N0":
-            try:
-                kw["N0"] = _FLOAT(val)
-            except click.BadParameter:
-                raise click.BadParameter(f"not a finite number: {val!r}",
-                                         param_hint="--params (N0)")
-        else:
-            raise click.BadParameter(
-                f"unknown key {key!r} (expected k, kappa, lambda or N0)",
-                param_hint="--params")
-    if theory is not None:
-        kw["lam"] = _lam(theory)
+        if key not in ("k", "kappa"):
+            raise click.BadParameter(f"unknown key {key!r} (expected k or kappa)",
+                                     param_hint="--params")
+        kw[key] = _fraction(val, f"--params ({key})")
     try:
         return fluid.FluidParams(**kw)
     except ValueError as err:

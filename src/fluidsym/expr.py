@@ -21,7 +21,9 @@ multiplied through by ``D**d``, so the denominators never multiply.
 
 from __future__ import annotations
 
+import ast
 import math
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -1030,102 +1032,47 @@ def to_text(e: Expr) -> str:
 _FUNCTIONS = {"exp": exp, "ln": ln, "sinh": sinh, "cosh": cosh, "tanh": tanh}
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
+def _rational_power(base: Expr, exponent: Expr) -> Expr:
+    if exponent.is_rational():
+        f = exponent.as_fraction()
+        return base ** (int(f) if f.denominator == 1 else f)
+    return base ** exponent
 
-    def error(self, msg: str):
-        raise ValueError(f"parse error at {self.pos}: {msg} in {self.text!r}")
 
-    def peek(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expr(self) -> Expr:
-        node = self.term()
-        while True:
-            ch = self.peek()
-            if ch == "+":
-                self.pos += 1
-                node = node + self.term()
-            elif ch == "-":
-                self.pos += 1
-                node = node - self.term()
-            else:
-                return node
-
-    def term(self) -> Expr:
-        node = self.power()
-        while True:
-            ch = self.peek()
-            if ch == "*":
-                self.pos += 1
-                node = node * self.power()
-            elif ch == "/":
-                self.pos += 1
-                node = node / self.power()
-            else:
-                return node
-
-    def power(self) -> Expr:
-        base = self.unary()
-        if self.peek() == "^":
-            self.pos += 1
-            expo = self.unary()
-            if expo.is_rational():
-                f = expo.as_fraction()
-                return base ** (int(f) if f.denominator == 1 else f)
-            return base ** expo
-        return base
-
-    def unary(self) -> Expr:
-        ch = self.peek()
-        if ch == "-":
-            self.pos += 1
-            return -self.unary()
-        if ch == "+":
-            self.pos += 1
-            return self.unary()
-        return self.atom()
-
-    def atom(self) -> Expr:
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            node = self.expr()
-            if self.peek() != ")":
-                self.error("expected ')'")
-            self.pos += 1
-            return node
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            return Expr.number(int(self.text[start:self.pos]))
-        if ch.isalpha() or ch == "_":
-            start = self.pos
-            while self.pos < len(self.text) and (self.text[self.pos].isalnum()
-                                                 or self.text[self.pos] == "_"):
-                self.pos += 1
-            name = self.text[start:self.pos]
-            if name in _FUNCTIONS:
-                if self.peek() != "(":
-                    self.error(f"expected '(' after {name}")
-                self.pos += 1
-                arg = self.expr()
-                if self.peek() != ")":
-                    self.error("expected ')'")
-                self.pos += 1
-                return _FUNCTIONS[name](arg)
-            return Expr.symbol(name)
-        self.error(f"unexpected character {ch!r}")
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: _rational_power}
 
 
 def parse(text: str) -> Expr:
-    p = _Parser(text)
-    node = p.expr()
-    if p.peek():
-        p.error("trailing input")
-    return node
+    """Read the infix text form back; parse(to_text(e)) == e.
+
+    The grammar is Python's expression grammar with ``^`` read as ``**``,
+    restricted to binary ``+ - * / ^``, unary ``+`` and ``-``, integer
+    literals, names (symbols) and one-argument calls of exp, ln, sinh, cosh
+    and tanh.  Precedence is Python's: ``-x^2`` is ``-(x^2)`` and ``^``
+    groups to the right.  A rational exponent is applied as an int or a
+    Fraction.  Anything else, or nesting past the recursion limit (a sum of
+    about a thousand terms), raises ValueError.  The syntax tree is walked,
+    never evaluated.
+    """
+    try:
+        return _read(ast.parse(text.replace("^", "**").strip(), mode="eval").body)
+    except (SyntaxError, RecursionError) as err:
+        raise ValueError(f"cannot parse {text!r}: {err}") from None
+
+
+def _read(node: ast.AST) -> Expr:
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _BINARY[type(node.op)](_read(node.left), _read(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.UAdd, ast.USub)):
+        arg = _read(node.operand)
+        return -arg if isinstance(node.op, ast.USub) else arg
+    if isinstance(node, ast.Constant) and type(node.value) is int:
+        return Expr.number(node.value)
+    if isinstance(node, ast.Name) and node.id not in _FUNCTIONS:
+        return Expr.symbol(node.id)
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1
+            and not node.keywords and not isinstance(node.args[0], ast.Starred)):
+        return _FUNCTIONS[node.func.id](_read(node.args[0]))
+    raise ValueError(f"unsupported expression {ast.unparse(node)!r}")

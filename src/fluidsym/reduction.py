@@ -18,8 +18,8 @@ all t.  ``SUPPORTED`` is a fixed table; the check runs in ``verify`` and in
 the tests.
 
 Case numbering follows the one-dimensional subalgebra list:
-  1  d_t + homogeneous states            (evolution in t)
-  2  d_x + stationary states             (evolution in x)
+  1  d_x: homogeneous states             (evolution in t)
+  2  d_t: stationary states              (evolution in x)
   3  dilatation t*d_t + x*d_x - n*d_n    (y = x/t, alpha = n*t)
   4  d_t + a*d_x                         (y = x - a*t, traveling wave)
   5  dilatation + a*(rho,q) scaling      (y = x/t, beta = n*x, w = rho*t^-a)
@@ -120,7 +120,7 @@ def _catalog() -> dict:
     # the first integrals are checked exact by first_integral_defects
     traveling_particle = {"particle": "n*(sinh(psi) + a*cosh(psi))"}
     return {
-        1: _Case(lambda a: InvariantSet(sm.v_time(), None, {**fields, "y": x},
+        1: _Case(lambda a: InvariantSet(sm.v_space(), None, {**fields, "y": t},
                                         dict(fields), FIELD_NAMES),
                  "t", partials=lambda a: (ex.ONE, ex.ZERO), inst_t=None,
                  first_integrals={
@@ -128,7 +128,7 @@ def _catalog() -> dict:
                      "energy_flux": "rho*cosh(psi)^2 + (1/3)*rho*sinh(psi)^2 + 2*q*sinh(psi)*cosh(psi)",
                      "momentum_flux": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
                  }),
-        2: _Case(lambda a: InvariantSet(sm.v_space(), None, {**fields, "y": t},
+        2: _Case(lambda a: InvariantSet(sm.v_time(), None, {**fields, "y": x},
                                         dict(fields), FIELD_NAMES),
                  "x", partials=lambda a: (ex.ZERO, ex.ONE), inst_t=None,
                  first_integrals={

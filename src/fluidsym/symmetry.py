@@ -30,6 +30,7 @@ expected number of retries.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -118,16 +119,8 @@ class VectorField:
 
 def field_from_text(text: str) -> VectorField:
     """Parse the d_var component notation emitted by VectorField.text()."""
-    coeffs = {v: ex.ZERO for v in BASE_VARS}
-    expr = ex.parse(text.replace("d_psi", "D_PSI").replace("d_rho", "D_RHO")
-                    .replace("d_t", "D_T").replace("d_x", "D_X")
-                    .replace("d_n", "D_N").replace("d_q", "D_Q"))
-    markers = {"D_T": "t", "D_X": "x", "D_PSI": "psi",
-               "D_N": "n", "D_RHO": "rho", "D_Q": "q"}
-    for marker, var in markers.items():
-        coeffs[var] = ex.diff(expr, marker)
-    return VectorField(coeffs["t"], coeffs["x"], coeffs["psi"],
-                       coeffs["n"], coeffs["rho"], coeffs["q"])
+    e = ex.parse(text)
+    return VectorField(*(ex.diff(e, f"d_{v}") for v in BASE_VARS))
 
 
 @dataclass(frozen=True)
@@ -159,85 +152,67 @@ def prolong1(V: VectorField) -> ProlongedField:
 @dataclass(frozen=True)
 class Ansatz:
     """Polynomial coefficient ansatz: one unknown constant per
-    (coefficient slot, monomial) pair."""
+    (coefficient slot, monomial) pair, numbered slot by slot."""
 
     degree: int = 1
 
-    def monomials(self) -> list:
-        if self.degree < 0:
-            raise ValueError("degree must be >= 0")
-        monos = [ex.ONE]
-        layer = [ex.ONE]
-        for _ in range(self.degree):
-            nxt = []
-            for m in layer:
-                for v in BASE_VARS:
-                    cand = m * ex.sym(v)
-                    if cand not in monos and cand not in nxt:
-                        nxt.append(cand)
-            monos.extend(nxt)
-            layer = nxt
-        return monos
+    @property
+    def table(self) -> dict:
+        """{unknown: (slot index, monomial)}."""
+        return _ansatz_tables(self.degree)[0]
+
+    @property
+    def index(self) -> dict:
+        """{(slot index, collect key of the monomial): unknown}."""
+        return _ansatz_tables(self.degree)[1]
 
     def unknowns(self) -> list:
-        count = len(self.monomials()) * len(_SLOTS)
-        return [f"c{i}" for i in range(count)]
+        return list(self.table)
 
     def elementary_fields(self) -> list:
         """One generator per unknown, with that coefficient set to 1."""
-        monos = self.monomials()
-        fields = []
-        for si, slot in enumerate(_SLOTS):
-            for m in monos:
-                vals = [ex.ZERO] * 6
-                vals[si] = m
-                fields.append(VectorField(*vals))
-        return fields
+        return [VectorField(*(m if i == si else ex.ZERO for i in range(len(_SLOTS))))
+                for si, m in self.table.values()]
 
     def assemble(self, coeffs: dict) -> VectorField:
         """Build the generator for an assignment {unknown: Fraction}."""
-        monos = self.monomials()
-        vals = []
-        i = 0
-        for slot in _SLOTS:
-            total = ex.ZERO
-            for m in monos:
-                c = coeffs.get(f"c{i}", 0)
-                if c:
-                    total = total + ex.number(c) * m
-                i += 1
-            vals.append(total)
+        vals = [ex.ZERO] * len(_SLOTS)
+        for u, (si, m) in self.table.items():
+            if coeffs.get(u, 0):
+                vals[si] = vals[si] + ex.number(coeffs[u]) * m
         return VectorField(*vals)
+
+
+@functools.lru_cache(maxsize=None)
+def _ansatz_tables(degree: int) -> tuple:
+    """The unknown table of the degree-``degree`` ansatz and its inverse,
+    built once per degree; monomials come in graded order."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    monos = [math.prod((ex.sym(v) for v in vs), start=ex.ONE)
+             for d in range(degree + 1)
+             for vs in itertools.combinations_with_replacement(BASE_VARS, d)]
+    keys = [next(iter(ex.collect(m, BASE_VARS))) for m in monos]
+    table, index = {}, {}
+    for si in range(len(_SLOTS)):
+        for m, key in zip(monos, keys):
+            u = f"c{len(table)}"
+            table[u] = (si, m)
+            index[(si, key)] = u
+    return table, index
 
 
 # Priority ordering of unknowns used for the echelon solve: it makes the
 # emitted basis come out as translations, then the space-time dilatation,
 # then field scalings, matching the commutator-table ordering.
+_PREFERRED = (("tau", ()), ("xi", ()), ("tau", (("t", 1),)), ("gamma", (("rho", 1),)),
+              ("phi", ()), ("sigma", (("n", 1),)), ("omega", (("q", 1),)))
+
+
 def _unknown_priority(ansatz: Ansatz) -> list:
-    monos = ansatz.monomials()
-    names = {}
-    i = 0
-    for slot in _SLOTS:
-        for m in monos:
-            names[(slot, m.key())] = f"c{i}"
-            i += 1
-
-    def get(slot, mono_expr):
-        return names.get((slot, mono_expr.key()))
-
-    priority = []
-    preferred = [("tau", ex.ONE), ("xi", ex.ONE),
-                 ("tau", ex.sym("t")), ("gamma", ex.sym("rho")),
-                 ("phi", ex.ONE), ("sigma", ex.sym("n")),
-                 ("omega", ex.sym("q"))]
-    for slot, m in preferred:
-        u = get(slot, m)
-        if u is not None:
-            priority.append(u)
-    for u in names.values():
-        if u not in priority:
-            priority.append(u)
-    return priority
+    first = [ansatz.index[key] for slot, mono in _PREFERRED
+             if (key := (_SLOTS.index(slot), mono)) in ansatz.index]
+    return first + [u for u in ansatz.unknowns() if u not in first]
 
 
 # a process works with a few systems: two closures, symbolic or fixed k, kappa
@@ -465,32 +440,17 @@ def span_equal(basis1: Sequence[VectorField], basis2: Sequence[VectorField]) -> 
 
 
 def _field_to_vector(V: VectorField, ansatz: Ansatz) -> dict:
-    monos = ansatz.monomials()
+    """Ansatz coordinates {unknown: Fraction} of V; ValueError if V is not
+    in the ansatz class."""
     out = {}
-    i = 0
-    for slot, coeff in zip(_SLOTS, V._tuple()):
-        parts = ex.collect(coeff, BASE_VARS)
-        covered = ex.ZERO
-        for m in monos:
-            mk = _mono_key_of(m)
-            if mk in parts:
-                c = parts[mk]
-                if not c.is_rational():
-                    raise ValueError("field is not in the polynomial ansatz class")
-                if not c.is_zero():
-                    out[f"c{i}"] = c.as_fraction()
-                covered = covered + c * m
-            i += 1
-        if not (coeff - covered).is_zero():
-            raise ValueError("field has monomials outside the ansatz")
+    for si, coeff in enumerate(V._tuple()):
+        for key, c in ex.collect(coeff, BASE_VARS).items():
+            if (si, key) not in ansatz.index:
+                raise ValueError("field has monomials outside the ansatz")
+            if not c.is_rational():
+                raise ValueError("field is not in the polynomial ansatz class")
+            out[ansatz.index[(si, key)]] = c.as_fraction()
     return out
-
-
-def _mono_key_of(m: Expr):
-    parts = ex.collect(m, BASE_VARS)
-    if len(parts) != 1:
-        raise ValueError("not a monomial")
-    return next(iter(parts))
 
 
 def canonical_presentation(basis: Sequence[VectorField]) -> list:

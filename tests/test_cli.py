@@ -237,15 +237,13 @@ def test_golden_fault_injection_names_cell(tmp_path):
 def test_params_file_parsing(tmp_path):
     from fractions import Fraction
     p = tmp_path / "params.txt"
-    p.write_text("k = 2\nkappa = 1/2\nlambda = 1\nN0 = 1.5\n")
-    params = cli._params_from_file(str(p))
+    p.write_text("k = 2\nkappa = 1/2\n")
+    params = cli._params_from_file(str(p), theory="israel-stewart")
     assert params.k == Fraction(2)
     assert params.kappa == Fraction(1, 2)
+    # lambda comes from the theory alone
     assert params.lam == Fraction(1)
-    assert params.N0 == 1.5
-    # the theory flag overrides the file's lambda
-    params = cli._params_from_file(str(p), theory="eckart")
-    assert params.lam == Fraction(0)
+    assert cli._params_from_file(str(p), theory="eckart").lam == Fraction(0)
 
 
 def test_reduce_dump_expr_roundtrip(runner, tmp_path):
@@ -299,11 +297,22 @@ def test_usage_error_non_finite(runner, args, option):
 
 
 def test_usage_error_non_finite_params_n0(runner, tmp_path):
+    """N0 is derived from the start, so a file that sets it is a usage
+    error whatever the value, not a silent no-op."""
     p = tmp_path / "params.txt"
     p.write_text("N0 = nan\n")
     res = runner.invoke(main, _SOLVE + ["--v0", "0.5", "--params", str(p)])
     assert res.exit_code == 2
-    assert "not a finite number: 'nan'" in res.output
+    assert "unknown key 'N0'" in res.output
+
+
+def test_usage_error_params_lambda(runner, tmp_path):
+    """--theory fixes lambda, so a file that sets it is a usage error."""
+    p = tmp_path / "params.txt"
+    p.write_text("lambda = 1\n")
+    res = runner.invoke(main, _SOLVE + ["--v0", "0.5", "--params", str(p)])
+    assert res.exit_code == 2
+    assert "unknown key 'lambda'" in res.output
 
 
 @pytest.mark.parametrize("delta", ["-1", "0", "1", "2"])

@@ -463,10 +463,18 @@ def test_exponent_merging_cancels():
 
 def test_parser_roundtrip_randomized():
     rng = random.Random(11)
-    for _ in range(25):
-        e = _random_expr(rng)
+    x, y = ex.syms("x y")
+    # a leading minus binds looser than ^: -x^2 is -(x^2)
+    fixed = [-x ** 2, -x ** 2 + y, ex.exp(-x ** 2)]
+    for e in fixed + [s * _random_expr(rng) for _ in range(25) for s in (1, -1)]:
         text = ex.to_text(e)
-        assert ex.parse(text) == e
+        assert ex.parse(text) == e, text
+
+
+@pytest.mark.parametrize("text", ["1.5", "x.y", "f(x)", "exp", '__import__("os")'])
+def test_parser_rejects_text_outside_the_grammar(text):
+    with pytest.raises(ValueError):
+        ex.parse(text)
 
 
 def test_parser_function_names():

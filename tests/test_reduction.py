@@ -242,3 +242,17 @@ def test_translation_cases_match_the_quasilinear_forms(request, theory, fixture)
             expect = ex.subs(qf[f"{u}_{rs.independent}"], zero)
             assert rs.rhs[u].equivalent(expect), (case_no, u)
         assert rs.determinant.equivalent(ex.subs(qf["_det"], zero)), case_no
+
+
+@pytest.mark.parametrize("case_no", sorted(rd._CATALOG))
+def test_catalog_generator_and_partials_match_the_invariants(case_no):
+    """At its default a, each entry's generator annihilates every invariant,
+    and its partials (y_t, y_x) are those of the similarity invariant y."""
+    entry = rd._CATALOG[case_no]
+    a = None if entry.default_a is None else ex.number(entry.default_a)
+    inv = rd._case_invariants(case_no, a)
+    for name, e in inv.invariants.items():
+        assert rd.verify_invariant(inv.generator, e).is_zero(), name
+    y = inv.invariants["y"]
+    for partial, var in zip(entry.partials(a), ("t", "x")):
+        assert ex.subs(partial, {"y": y}).equivalent(ex.diff(y, var)), var

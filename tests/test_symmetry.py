@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from fluidsym import expr as ex, fluid, symmetry as sm
+from fluidsym import cli, expr as ex, fluid, symmetry as sm
 from fluidsym.fluid import JET_SPACE
 
 
@@ -248,6 +248,10 @@ def test_degree_two_ansatz_gives_the_same_five_generators():
              sm.v_lorentz_boost()]
     assert len(basis) == 5
     assert sm.span_equal(basis, named)
+    # the printed basis depends on the unknown order of the degree-2 table
+    text = cli._basis_text("eckart", basis)
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "548acef70af58a6e501c2201bea8c4f87c423e49b1b365425f310cad60228780")
 
 
 def test_on_shell_substitution_is_built_once_per_system(eckart_system_symbolic):
