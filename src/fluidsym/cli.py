@@ -249,8 +249,11 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
     u0 = _initial_state(case_no, psi0, n0, rho0, q0)
     rhs = od.compile_rhs(rs, params)
     sgn = rs.direction if direction is None else (1 if direction == "+" else -1)
-    cfg = od.SolverConfig(span=t_end, rtol=rtol, atol=rtol * 1e-2,
-                          max_step=1e9, direction=sgn)
+    try:
+        cfg = od.SolverConfig(span=t_end, rtol=rtol, atol=rtol * 1e-2,
+                              max_step=1e9, direction=sgn)
+    except ValueError as err:  # atol = rtol / 100 underflows to 0
+        raise click.BadParameter(str(err), param_hint="--rtol")
     ev = od.default_events(rs, params, blowup_delta=blowup_delta)
     tr = od.integrate(rhs, u0, cfg, ev)
     cls = od.classify_trajectory(tr)
@@ -339,6 +342,8 @@ def critical(case_no, theory, lo, hi, tol, q0, horizon, params_file):
     except od.NoBracketError as err:
         click.echo(f"no-bracket error: {err}")
         sys.exit(1)
+    except ValueError as err:  # horizon / (4 k N0 / kappa) underflows to 0
+        raise click.BadParameter(str(err), param_hint="--horizon")
     click.echo(f"v_c = {res.v_critical:.6f} (bracket [{res.lo:.6f}, {res.hi:.6f}],"
                f" {res.iterations} bisections)")
     click.echo(f"endpoint classifications: lo={res.lo_class}, hi={res.hi_class}")

@@ -6,6 +6,12 @@ step-size control on the embedded error estimate, event localisation by
 bisection on the dense output, and deterministic float arithmetic
 (identical inputs give identical samples).
 
+The step is generated Python code, straight-line for each state size and
+built on first use, with the same sums in the same order as a loop over the
+tableau.  The pair is FSAL ("first same as last"): stage 7 is f(t + h, u5),
+so an accepted step's last stage is the next step's first, and a step costs
+six right-hand-side evaluations.
+
 Critical-velocity searches bisect the initial velocity between a decaying
 and a blowing-up trajectory of a reduced system.
 """
@@ -45,8 +51,11 @@ class SolverConfig:
     dense_points: int = 200
 
     def __post_init__(self):
-        if self.rtol <= 0 or self.atol <= 0:
-            raise ValueError("tolerances must be positive")
+        # 0 < x < inf is false for nan: a nan tolerance would accept every
+        # step, a zero step would never advance
+        for name in ("rtol", "atol", "initial_step", "max_step", "span"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must bound the runtime")
 
@@ -91,30 +100,71 @@ _B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200,
        187 / 2100, 1 / 40)
 
 
-def _rk_step(f, t, u, h, k1):
-    ks = [k1]
-    n = len(u)
-    for i in range(1, 7):
-        acc = list(u)
-        row = _A[i]
-        for j, a in enumerate(row):
-            if a:
-                kj = ks[j]
-                for m in range(n):
-                    acc[m] += h * a * kj[m]
-        ks.append(f(t + _C[i] * h, acc))
-    u5 = list(u)
-    err = [0.0] * n
-    for j in range(7):
-        b5 = _B5[j]
-        diff = _B5[j] - _B4[j]
-        kj = ks[j]
-        for m in range(n):
-            if b5:
-                u5[m] += h * b5 * kj[m]
-            if diff:
-                err[m] += h * diff * kj[m]
-    return u5, err, ks
+def _step_source(n: int) -> str:
+    """Python source of the Dormand-Prince step for states of size n.
+
+    Every stage input, u5 and the error estimate is the sum, in tableau
+    order, of the products (h * c) * k[m] over the nonzero tableau entries
+    c, started from u[m] (0.0 for the error), so the step is bit-identical
+    to a loop over the tableau.  Row 6 of _A is _B5 and _C[6] is 1.0 (the
+    pair is FSAL), so stage 7 is evaluated at u5 itself.
+    """
+    ms = range(n)
+    body = [f"u{m} = u[{m}]" for m in ms]
+
+    def sums(start, row, tag):
+        # row[j] multiplies stage k{j + 1}
+        terms = [(j + 1, f"{tag}{j + 1}") for j, c in enumerate(row) if c]
+        body.extend(f"{name} = h * {row[j - 1]!r}" for j, name in terms)
+        return [" + ".join([start.format(m)]
+                           + [f"{name} * k{j}_{m}" for j, name in terms])
+                for m in ms]
+
+    def stage(s, arg):
+        body.append(f"k{s} = f(t + {_C[s - 1]!r} * h, [{', '.join(arg)}])")
+        body.extend(f"k{s}_{m} = k{s}[{m}]" for m in ms)
+
+    body.extend(f"k1_{m} = k1[{m}]" for m in ms)
+    for s in range(2, 7):
+        stage(s, sums("u{}", _A[s - 1], f"a{s}_"))
+    u5 = sums("u{}", _B5, "b")
+    body.extend(f"v{m} = {code}" for m, code in zip(ms, u5))
+    stage(7, [f"v{m}" for m in ms])
+    diff = [b5 - b4 for b5, b4 in zip(_B5, _B4)]
+    body.extend(f"e{m} = {code}" for m, code in zip(ms, sums("0.0", diff, "d")))
+    # x - x == 0.0 holds exactly for the finite floats
+    finite = " and ".join(f"{x}{m} - {x}{m} == 0.0"
+                          for x in "ve" for m in ms) or "True"
+    scaled = [f"abs(e{m}) / (atol + rtol * max(abs(u{m}), abs(v{m})))"
+              for m in ms]
+    body += [f"if {finite}:",
+             f"    norm = max([{', '.join(['0.0'] + scaled)}])",
+             "else:",
+             "    norm = nan",
+             f"return [{', '.join(f'v{m}' for m in ms)}], norm, "
+             f"[{', '.join(f'k{s}' for s in range(1, 8))}]"]
+    return ("def _step(f, t, u, h, k1, atol, rtol):\n"
+            + "".join(f"    {line}\n" for line in body))
+
+
+_STEPS: dict = {}  # state size -> generated step function
+
+
+def _step_function(n: int) -> Callable:
+    """The Dormand-Prince step for states of size n, generated on first use.
+
+    step(f, t, u, h, k1, atol, rtol) -> (u5, norm, ks): the 5th-order
+    solution, the embedded error estimate's max norm scaled by
+    atol + rtol * max(|u|, |u5|) (nan when u5 or the estimate is not
+    finite), and the seven stage derivatives, of which ks[6] = f(t + h, u5)
+    is the next step's k1.
+    """
+    step = _STEPS.get(n)
+    if step is None:
+        scope = {"nan": math.nan}
+        exec(_step_source(n), scope)
+        step = _STEPS[n] = scope["_step"]
+    return step
 
 
 def _dense(u, u5, ks, h, theta):
@@ -124,15 +174,15 @@ def _dense(u, u5, ks, h, theta):
     right-end derivative), giving O(h^4) dense output, below the step error
     at practical tolerances.
     """
-    k1, k7 = ks[0], ks[6]
     t2 = theta * theta
     t3 = t2 * theta
+    ht = h * theta
     out = []
-    for m in range(len(u)):
-        d = u5[m] - u[m]
-        out.append(u[m] + h * theta * k1[m]
-                   + t2 * (3.0 * d - h * (2.0 * k1[m] + k7[m]))
-                   + t3 * (-2.0 * d + h * (k1[m] + k7[m])))
+    for a, b, p, q in zip(u, u5, ks[0], ks[6]):
+        d = b - a
+        out.append(a + ht * p
+                   + t2 * (3.0 * d - h * (2.0 * p + q))
+                   + t3 * (-2.0 * d + h * (p + q)))
     return out
 
 
@@ -152,7 +202,7 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     states = [list(u)]
     sample_dt = (t_end - t0) / max(cfg.dense_points, 1)
     next_sample = t0 + sample_dt
-    h = sgn * min(abs(cfg.initial_step), abs(cfg.max_step))
+    h = sgn * min(cfg.initial_step, cfg.max_step)
     hmin = 1e-14 * max(1.0, abs(t_end - t0))
     traj = Trajectory(ts=ts, states=states, termination="reached-end")
 
@@ -164,6 +214,7 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     except (ZeroDivisionError, OverflowError, ValueError):
         traj.termination = "step-failure"
         return traj
+    step = _step_function(len(u))
     g_prev = guards_at(t, u)
     nsteps = 0
     nrej = 0
@@ -171,28 +222,21 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         if nsteps >= cfg.max_steps:
             traj.termination = "step-failure"
             break
-        if abs(h) > abs(cfg.max_step):
-            h = sgn * abs(cfg.max_step)
+        if abs(h) > cfg.max_step:
+            h = sgn * cfg.max_step
         if (t + h - t_end) * sgn > 0:
             h = t_end - t
         try:
-            u5, errv, ks = _rk_step(rhs, t, u, h, k1)
-            bad = any(math.isnan(v) or math.isinf(v) for v in u5)
+            u5, norm, ks = step(rhs, t, u, h, k1, cfg.atol, cfg.rtol)
         except (ZeroDivisionError, OverflowError, ValueError):
-            bad = True
-            u5, errv, ks = None, None, None
-        if bad:
+            norm = math.nan
+        if math.isnan(norm):  # a stage raised, or u5 or its error is not finite
             h *= 0.25
             nrej += 1
             if abs(h) < hmin:
                 traj.termination = "step-failure"
                 break
             continue
-        # scaled error norm
-        norm = 0.0
-        for m in range(len(u)):
-            sc = cfg.atol + cfg.rtol * max(abs(u[m]), abs(u5[m]))
-            norm = max(norm, abs(errv[m]) / sc)
         if norm > 1.0:
             h *= max(0.2, 0.9 * norm ** -0.2)
             nrej += 1
@@ -209,8 +253,8 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         except (ZeroDivisionError, OverflowError, ValueError):
             g_new = [float("nan")] * len(g_prev)
         for gi in range(len(g_prev)):
-            gp, gn = g_prev[gi], g_new[gi]
-            if not (math.isnan(gn) or math.isnan(gp)) and gp > 0.0 >= gn:
+            # a NaN guard value compares false, so it brackets no crossing
+            if g_prev[gi] > 0.0 >= g_new[gi]:
                 lo_th, hi_th = 0.0, 1.0
                 while (hi_th - lo_th) * abs(h) > ev.delta:
                     mid = 0.5 * (lo_th + hi_th)
@@ -251,11 +295,7 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         t = t_new
         u = u5
         g_prev = g_new
-        try:
-            k1 = list(rhs(t, u))
-        except (ZeroDivisionError, OverflowError, ValueError):
-            traj.termination = "step-failure"
-            break
+        k1 = ks[6]
         h = h * min(5.0, max(0.2, 0.9 * (norm + 1e-16) ** -0.2))
     if traj.termination == "reached-end":
         if abs(ts[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
@@ -273,9 +313,12 @@ def fixed_step_integrate(rhs: Callable, u0: Sequence[float], t0: float,
     h = (t_end - t0) / nsteps
     u = [float(v) for v in u0]
     t = t0
+    step = _step_function(len(u))
+    k1 = list(rhs(t, u))
     for _ in range(nsteps):
-        k1 = list(rhs(t, u))
-        u, _, _ = _rk_step(rhs, t, u, h, k1)
+        # the error norm is not used; unit tolerances keep it well defined
+        u, _, ks = step(rhs, t, u, h, k1, 1.0, 1.0)
+        k1 = ks[6]
         t += h
     return u
 

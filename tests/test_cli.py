@@ -94,12 +94,16 @@ _IS_CRITICAL = ["critical", "--case", "1", "--theory", "israel-stewart"]
     (_IS_CRITICAL + ["--lo", "-2"], "--lo"),
     (_IS_CRITICAL + ["--lo", "0.9", "--hi", "0.5"], "--lo"),
     (_IS_CRITICAL + ["--horizon", "-5"], "--horizon"),
+    (_IS_CRITICAL + ["--horizon", "5e-324"], "--horizon"),
+    (["solve", "--case", "1", "--theory", "eckart", "--v0", "0.5",
+      "--rtol", "1e-323"], "--rtol"),
     (_IS_CRITICAL + ["--tol", "0"], "--tol"),
     (["algebra", "--theory", "eckart", "--normalize", "0,0,0,0"], "--normalize"),
     (["symmetries", "--theory", "eckart", "--ansatz-degree", "-1"],
      "--ansatz-degree"),
 ], ids=["critical-hi-above-1", "critical-lo-below-minus-1",
         "critical-reversed-bracket", "critical-negative-horizon",
+        "critical-underflowing-horizon", "solve-underflowing-atol",
         "critical-zero-tol", "normalize-zero-element", "negative-ansatz-degree"])
 def test_usage_error_out_of_range(runner, args, option):
     res = runner.invoke(main, args)

@@ -1,6 +1,7 @@
 """Integrator quality, events, classification, and critical-velocity search."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -59,6 +60,127 @@ def test_step_failure_reported_not_raised():
     tr = od.integrate(lambda t, u: [u[0] ** 2], [1.0], cfg)
     assert tr.termination == "step-failure"
     assert tr.ts[-1] < 1.01
+
+
+@pytest.mark.parametrize("field, value", [
+    ("rtol", math.nan), ("atol", math.inf), ("initial_step", 0.0),
+    ("initial_step", math.nan), ("max_step", -1.0), ("max_step", math.inf),
+    ("span", 0.0), ("span", math.nan)])
+def test_solver_config_rejects_non_finite_or_degenerate_settings(field, value):
+    # a nan rtol made every error norm 0 (every step accepted); a zero
+    # initial step took max_steps zero-length steps before failing
+    with pytest.raises(ValueError, match=field):
+        od.SolverConfig(**{field: value})
+
+
+@pytest.mark.parametrize("switch_on", [0.5, 1.7])
+def test_nan_error_estimate_rejects_the_step(switch_on):
+    # y' switches from 0 to 1 at t = switch_on, and the derivative is NaN once
+    # y > 0.  A step across the switch can end at a finite u5 whose stage 7,
+    # f(t + h, u5), is NaN; that step must be rejected, not accepted with a
+    # NaN error estimate (which put NaN dense samples into the trajectory).
+    def f(t, u):
+        if u[0] > 0.0:
+            return [math.nan]
+        return [0.0 if t < switch_on else 1.0]
+
+    tr = od.integrate(f, [0.0], od.SolverConfig(span=4.0, max_step=1e9))
+    assert tr.termination == "step-failure"
+    assert all(s[0] <= 0.0 for s in tr.states)
+    assert tr.ts[-1] == pytest.approx(switch_on, abs=0.05)
+
+
+def _tableau_loop_step(f, t, u, h, k1):
+    """The loop over the Dormand-Prince tableau that the generated step
+    replaced, kept as its reference."""
+    ks = [k1]
+    n = len(u)
+    for i in range(1, 7):
+        acc = list(u)
+        row = od._A[i]
+        for j, a in enumerate(row):
+            if a:
+                kj = ks[j]
+                for m in range(n):
+                    acc[m] += h * a * kj[m]
+        ks.append(f(t + od._C[i] * h, acc))
+    u5 = list(u)
+    err = [0.0] * n
+    for j in range(7):
+        b5 = od._B5[j]
+        diff = od._B5[j] - od._B4[j]
+        kj = ks[j]
+        for m in range(n):
+            if b5:
+                u5[m] += h * b5 * kj[m]
+            if diff:
+                err[m] += h * diff * kj[m]
+    return u5, err, ks
+
+
+def _scaled_norm(u, u5, err, atol, rtol):
+    norm = 0.0
+    for m in range(len(u)):
+        sc = atol + rtol * max(abs(u[m]), abs(u5[m]))
+        norm = max(norm, abs(err[m]) / sc)
+    return norm
+
+
+def test_generated_step_matches_the_tableau_loop_bit_for_bit():
+    rng = random.Random(20261018)
+
+    def bits(values):
+        return [float(v).hex() for v in values]
+
+    for n in range(1, 7):
+        step = od._step_function(n)
+        w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+
+        def f(t, u):
+            return [math.sin(t * w[m] + u[m]) - u[(m + 1) % n] ** 2
+                    + math.exp(-u[m - 1] * u[m - 1]) for m in range(n)]
+
+        for _ in range(40):
+            t = rng.uniform(-5.0, 5.0)
+            h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
+            u = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            k1 = [rng.uniform(-3.0, 3.0) for _ in range(n)]
+            atol, rtol = 10.0 ** rng.uniform(-12, -6), 10.0 ** rng.uniform(-10, -4)
+            u5, norm, ks = step(f, t, u, h, k1, atol, rtol)
+            ref_u5, ref_err, ref_ks = _tableau_loop_step(f, t, u, h, k1)
+            assert bits(u5) == bits(ref_u5)
+            assert [bits(k) for k in ks] == [bits(k) for k in ref_ks]
+            assert norm.hex() == _scaled_norm(u, ref_u5, ref_err, atol, rtol).hex()
+            # FSAL: the last stage is the derivative at the step's end
+            assert bits(ks[6]) == bits(f(t + h, u5))
+
+
+def _counted(rhs):
+    def f(t, u):
+        f.calls += 1
+        return rhs(t, u)
+
+    f.calls = 0
+    return f
+
+
+@pytest.mark.parametrize("rhs, u0, ev", [
+    (lambda t, u: [u[1], -u[0]], [1.0, 0.0], od.EventSpec()),
+    (lambda t, u: [-u[0]], [1.0],
+     od.EventSpec(guards=(lambda t, u: u[0] - 0.5,), names=("half",))),
+    (lambda t, u: [u[0] * u[0]], [1.0], od.EventSpec()),
+])
+def test_each_attempted_step_evaluates_the_rhs_six_times(rhs, u0, ev):
+    # stage 1 of a step is stage 7 of the step before (FSAL), so only the
+    # start costs a seventh evaluation
+    f = _counted(rhs)
+    cfg = od.SolverConfig(span=2.0, rtol=1e-8, atol=1e-10, max_step=1e9)
+    tr = od.integrate(f, u0, cfg, ev)
+    assert tr.n_steps > 0
+    assert f.calls == 1 + 6 * (tr.n_steps + tr.n_rejected)
+    f = _counted(rhs)
+    od.fixed_step_integrate(f, u0, 0.0, 0.5, 16)
+    assert f.calls == 1 + 6 * 16
 
 
 def test_dense_output_accuracy():
