@@ -1,5 +1,6 @@
 """Integrator quality, events, classification, and critical-velocity search."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -354,3 +355,91 @@ def test_find_critical_bisects_relaxing_family():
     assert res.lo_class == "decaying" and res.hi_class == "blowing-up"
     assert 0.5 < res.v_critical < 0.9
     assert res.hi - res.lo <= 5e-3
+
+
+def _crossing_guard(raise_band):
+    """u - 1/2 as a guard that raises ValueError for u inside raise_band;
+    the calls that raised are recorded on the guard."""
+    def g(t, u):
+        if raise_band[0] < u[0] < raise_band[1]:
+            g.raised.append(t)
+            raise ValueError("guard undefined here")
+        return u[0] - 0.5
+
+    g.raised = []
+    return g
+
+
+# Every catalogued (theory, case) pair, both orientations and both blow-up
+# thresholds over seeded starts, under a 500-step budget that the case-3
+# separatrix start (0.508, -0.111) exhausts.  Cases 1 and 2 run to the study
+# horizons in scaled time, the similarity cases over a window (y0, span).
+_LIBRARY_PAIRS = [("eckart", case) for case in range(1, 7)] + [
+    ("israel-stewart", 1), ("israel-stewart", 2)]
+_LIBRARY_HORIZON = {1: 50.0, 2: 100.0}
+_LIBRARY_WINDOW = {3: (0.0, 10.0), 4: (0.0, 10.0), 5: (1.0, 10.0),
+                   6: (0.0, 10.0)}
+_LIBRARY_PINNED_SHA256 = ("af730479e6bbde52119bd387385930fc"
+                          "c0996e16edcf453bce5ba72f9a00f268")
+
+
+def test_integrate_output_is_pinned_bit_for_bit():
+    """integrate's samples, termination, event and step counts hash to the
+    recorded value over the reduced systems, a step budget, a finite-time
+    blow-up and guards that raise inside and at the end of a step."""
+    rng = random.Random(1212)
+    runs = []
+    for theory, case in _LIBRARY_PAIRS:
+        params = fluid.FluidParams(lam=Fraction(0 if theory == "eckart" else 1))
+        rs = rd.reduced_system(case, theory)
+        rhs = od.compile_rhs(rs, params)
+        events = {delta: od.default_events(rs, params, blowup_delta=delta)
+                  for delta in (6e-2, 1e-6)}
+        starts = [(rng.uniform(0.05, 0.95), rng.uniform(-0.5, 0.0))
+                  for _ in range(3)]
+        if case == 3:
+            starts.append((0.508, -0.111))
+        for v0, q0 in starts:
+            psi0 = math.atanh(v0)
+            if case in _LIBRARY_HORIZON:
+                t0 = 0.0
+                span = (_LIBRARY_HORIZON[case]
+                        / od.scaled_time_factor(params, 1.0, psi0))
+            else:
+                t0, span = _LIBRARY_WINDOW[case]
+            for direction in (1, -1):
+                cfg = od.SolverConfig(span=span, rtol=1e-8, atol=1e-10,
+                                      max_step=1e9, max_steps=500,
+                                      direction=direction)
+                for ev in events.values():
+                    runs.append(od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg,
+                                             ev, t0))
+    budget = [tr for tr in runs
+              if tr.termination == "step-failure" and tr.n_steps == 500]
+    assert budget
+    assert {tr.termination for tr in runs} == {"reached-end", "event",
+                                               "step-failure"}
+
+    decay = lambda t, u: [-u[0]]
+    loose = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
+    # the first midpoint of the bracketing step raises and counts as crossed
+    inside = _crossing_guard((0.4, 0.45))
+    tr = od.integrate(decay, [1.0], loose, od.EventSpec((inside,), ("half",)))
+    assert inside.raised and tr.termination == "event"
+    runs.append(tr)
+    # the guard raises at the step end before the crossing: nothing brackets
+    at_end = _crossing_guard((0.6, 0.7))
+    tr = od.integrate(decay, [1.0], loose, od.EventSpec((at_end,), ("half",)))
+    assert at_end.raised and tr.termination == "reached-end"
+    runs.append(tr)
+    runs.append(od.integrate(lambda t, u: [u[0] * u[0]], [1.0],
+                             od.SolverConfig(span=2.0, max_step=1e9)))
+    runs.append(od.integrate(lambda t, u: [u[1], -u[0]], [1.0, 0.0],
+                             od.SolverConfig(span=20.0, max_steps=40,
+                                             direction=-1)))
+
+    h = hashlib.sha256()
+    for tr in runs:
+        h.update(repr((tr.ts, tr.states, tr.termination, tr.event_name,
+                       tr.event_value, tr.n_steps, tr.n_rejected)).encode())
+    assert h.hexdigest() == _LIBRARY_PINNED_SHA256
