@@ -12,6 +12,10 @@ tableau.  The pair is FSAL ("first same as last"): stage 7 is f(t + h, u5),
 so an accepted step's last stage is the next step's first, and a step costs
 six right-hand-side evaluations.
 
+``default_events`` builds the guards of a reduced system as one name ->
+guard table: velocity blow-up, collapse of the density-like states, and the
+singular locus.
+
 Critical-velocity searches bisect the initial velocity between a decaying
 and a blowing-up trajectory of a reduced system.
 """
@@ -37,6 +41,9 @@ __all__ = [
     "integrate",
     "scaled_time_factor",
 ]
+
+# what a right-hand side or a guard raises where it is not defined
+_UNDEFINED = (ZeroDivisionError, OverflowError, ValueError)
 
 
 @dataclass(frozen=True)
@@ -186,123 +193,105 @@ def _dense(u, u5, ks, h, theta):
     return out
 
 
+def _locate(guard: Callable, t, u, u5, ks, h, delta: float) -> float:
+    """Bisect the dense output of one step for the guard's crossing.
+
+    Returns the step fraction of the crossed end of the final bracket, which
+    is at most delta wide in the independent variable.  A guard that is not
+    positive, is nan or raises counts as crossed.
+    """
+    lo_th, hi_th = 0.0, 1.0
+    while (hi_th - lo_th) * abs(h) > delta:
+        mid = 0.5 * (lo_th + hi_th)
+        try:
+            crossed = not guard(t + mid * h, _dense(u, u5, ks, h, mid)) > 0.0
+        except _UNDEFINED:
+            crossed = True
+        if crossed:
+            hi_th = mid
+        else:
+            lo_th = mid
+    return hi_th
+
+
 def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
               ev: EventSpec = EventSpec(), t0: float = 0.0) -> Trajectory:
     """Adaptive integration with dense output and event localisation.
 
     rhs(t, u) -> sequence of derivatives.  Step failures (error control
-    underflow or non-finite right-hand sides) terminate the trajectory with
-    reason 'step-failure' instead of raising.
+    underflow, non-finite right-hand sides or an exhausted step budget)
+    terminate the trajectory with reason 'step-failure' instead of raising.
     """
     sgn = 1.0 if cfg.direction >= 0 else -1.0
     t_end = t0 + sgn * cfg.span
     u = [float(v) for v in u0]
     t = t0
-    ts = [t]
-    states = [list(u)]
+    # every return before the end of the interval is a failure or an event
+    traj = Trajectory(ts=[t], states=[list(u)], termination="step-failure")
+    ts, states = traj.ts, traj.states
     sample_dt = (t_end - t0) / max(cfg.dense_points, 1)
     next_sample = t0 + sample_dt
     h = sgn * min(cfg.initial_step, cfg.max_step)
     hmin = 1e-14 * max(1.0, abs(t_end - t0))
-    traj = Trajectory(ts=ts, states=states, termination="reached-end")
-
-    def guards_at(tt, uu):
-        return [g(tt, uu) for g in ev.guards]
-
     try:
         k1 = list(rhs(t, u))
-    except (ZeroDivisionError, OverflowError, ValueError):
-        traj.termination = "step-failure"
+    except _UNDEFINED:
         return traj
     step = _step_function(len(u))
-    g_prev = guards_at(t, u)
-    nsteps = 0
-    nrej = 0
+    g_prev = [g(t, u) for g in ev.guards]
     while (t_end - t) * sgn > 1e-14 * max(1.0, abs(t_end)):
-        if nsteps >= cfg.max_steps:
-            traj.termination = "step-failure"
-            break
-        if abs(h) > cfg.max_step:
-            h = sgn * cfg.max_step
+        if traj.n_steps >= cfg.max_steps:
+            return traj
+        h = sgn * min(abs(h), cfg.max_step)  # exact: h has the sign sgn
         if (t + h - t_end) * sgn > 0:
             h = t_end - t
         try:
             u5, norm, ks = step(rhs, t, u, h, k1, cfg.atol, cfg.rtol)
-        except (ZeroDivisionError, OverflowError, ValueError):
+        except _UNDEFINED:
             norm = math.nan
-        if math.isnan(norm):  # a stage raised, or u5 or its error is not finite
-            h *= 0.25
-            nrej += 1
+        if not norm <= 1.0:
+            # nan: a stage raised, or u5 or its error estimate is not finite
+            h *= 0.25 if math.isnan(norm) else max(0.2, 0.9 * norm ** -0.2)
+            traj.n_rejected += 1
             if abs(h) < hmin:
-                traj.termination = "step-failure"
-                break
+                return traj
             continue
-        if norm > 1.0:
-            h *= max(0.2, 0.9 * norm ** -0.2)
-            nrej += 1
-            if abs(h) < hmin:
-                traj.termination = "step-failure"
-                break
-            continue
-        nsteps += 1
+        traj.n_steps += 1
         t_new = t + h
-        # event check at the step end, refined on the dense output
-        event_hit = None
         try:
-            g_new = guards_at(t_new, u5)
-        except (ZeroDivisionError, OverflowError, ValueError):
-            g_new = [float("nan")] * len(g_prev)
-        for gi in range(len(g_prev)):
-            # a NaN guard value compares false, so it brackets no crossing
-            if g_prev[gi] > 0.0 >= g_new[gi]:
-                lo_th, hi_th = 0.0, 1.0
-                while (hi_th - lo_th) * abs(h) > ev.delta:
-                    mid = 0.5 * (lo_th + hi_th)
-                    um = _dense(u, u5, ks, h, mid)
-                    try:
-                        gm = ev.guards[gi](t + mid * h, um)
-                    except (ZeroDivisionError, OverflowError, ValueError):
-                        gm = float("nan")
-                    if math.isnan(gm) or gm <= 0.0:
-                        hi_th = mid
-                    else:
-                        lo_th = mid
-                te = t + hi_th * h
-                ue = _dense(u, u5, ks, h, hi_th)
-                event_hit = (gi, te, ue)
-                break
-        if event_hit is not None:
-            gi, te, ue = event_hit
-            # dense samples up to the event
+            g_new = [g(t_new, u5) for g in ev.guards]
+        except _UNDEFINED:
+            g_new = [math.nan] * len(g_prev)
+        # a nan guard value compares false, so it brackets no crossing
+        hit = next((i for i, (a, b) in enumerate(zip(g_prev, g_new))
+                    if a > 0.0 >= b), None)
+        if hit is not None:
+            theta_e = _locate(ev.guards[hit], t, u, u5, ks, h, ev.delta)
+            te = t + theta_e * h
+            ue = _dense(u, u5, ks, h, theta_e)
             while (te - next_sample) * sgn > 0:
-                theta = (next_sample - t) / h
                 ts.append(next_sample)
-                states.append(_dense(u, u5, ks, h, theta))
+                states.append(_dense(u, u5, ks, h, (next_sample - t) / h))
                 next_sample += sample_dt
             ts.append(te)
             states.append(ue)
             traj.termination = "event"
-            traj.event_name = ev.names[gi] if gi < len(ev.names) else f"guard{gi}"
-            traj.event_value = ev.guards[gi](te, ue)
-            break
-        # dense output samples inside the accepted step
-        while (t_new - next_sample) * sgn >= 0 and abs(h) > 0:
+            traj.event_name = (ev.names[hit] if hit < len(ev.names)
+                               else f"guard{hit}")
+            traj.event_value = ev.guards[hit](te, ue)
+            return traj
+        while (t_new - next_sample) * sgn >= 0:
             theta = (next_sample - t) / h
             if 0.0 <= theta <= 1.0:
                 ts.append(next_sample)
                 states.append(_dense(u, u5, ks, h, theta))
             next_sample += sample_dt
-        t = t_new
-        u = u5
-        g_prev = g_new
-        k1 = ks[6]
+        t, u, g_prev, k1 = t_new, u5, g_new, ks[6]
         h = h * min(5.0, max(0.2, 0.9 * (norm + 1e-16) ** -0.2))
-    if traj.termination == "reached-end":
-        if abs(ts[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
-            ts.append(t_end)
-            states.append(list(u))
-    traj.n_steps = nsteps
-    traj.n_rejected = nrej
+    if abs(ts[-1] - t_end) > 1e-12 * max(1.0, abs(t_end)):
+        ts.append(t_end)
+        states.append(list(u))
+    traj.termination = "reached-end"
     return traj
 
 
@@ -345,25 +334,6 @@ def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
     return rhs
 
 
-def compile_guard_exprs(rs: ReducedSystem, params: fluid.FluidParams):
-    """Singular-locus guards |denominator| - tiny, for event monitoring."""
-    guards = []
-    names = []
-    args = [rs.independent] + list(rs.states)
-    for i, den in enumerate(rs.singular):
-        fn = ex.compile_exprs([_bind_params(den, params)], args)
-
-        def g(t, u, fn=fn):
-            try:
-                return abs(fn(t, *u)[0]) - 1e-10
-            except (ZeroDivisionError, OverflowError, ValueError):
-                return float("nan")
-
-        guards.append(g)
-        names.append(f"singular-locus-{i}")
-    return guards, names
-
-
 def scaled_time_factor(params: fluid.FluidParams, n0: float, psi0: float) -> float:
     """Conversion factor from physical to scaled time, 4*k*N0/kappa, with
     N0 the conserved n*cosh(psi) of the homogeneous case."""
@@ -376,40 +346,33 @@ def scaled_time_factor(params: fluid.FluidParams, n0: float, psi0: float) -> flo
 _PSI_INDEX = 0  # psi is the first state in every catalog entry
 
 
-def velocity_blowup_guard(delta: float):
-    def g(t, u):
-        v = math.tanh(u[_PSI_INDEX])
-        return (1.0 - v * v) - delta
-
-    return g
-
-
-def positivity_guards(rs: ReducedSystem):
-    """Density-like states must stay positive."""
-    guards = []
-    names = []
-    positive = {"n", "rho", "alpha", "beta", "w", "sigma"}
-    for i, s in enumerate(rs.states):
-        if s in positive:
-            def g(t, u, i=i):
-                return u[i] - 1e-12
-
-            guards.append(g)
-            names.append(f"{s}-collapse")
-    return guards, names
-
-
 def default_events(rs: ReducedSystem, params: fluid.FluidParams,
                    blowup_delta: float = 1e-6) -> EventSpec:
-    guards = [velocity_blowup_guard(blowup_delta)]
-    names = ["v-blowup"]
-    pg, pn = positivity_guards(rs)
-    guards += pg
-    names += pn
-    sg, sn = compile_guard_exprs(rs, params)
-    guards += sg
-    names += sn
-    return EventSpec(guards=tuple(guards), names=tuple(names), delta=1e-6)
+    """The guards of a reduced system, as one name -> guard table: the
+    velocity blow-up 1 - v^2 - blowup_delta, the collapse of each
+    density-like state, and |factor| - 1e-10 for each singular-locus
+    factor (nan where the factor cannot be evaluated)."""
+    def blowup(t, u):
+        v = math.tanh(u[_PSI_INDEX])
+        return (1.0 - v * v) - blowup_delta
+
+    table = {"v-blowup": blowup}
+    for i, s in enumerate(rs.states):
+        if s in ("n", "rho", "alpha", "beta", "w", "sigma"):
+            table[f"{s}-collapse"] = lambda t, u, i=i: u[i] - 1e-12
+    args = [rs.independent] + list(rs.states)
+    for i, den in enumerate(rs.singular):
+        fn = ex.compile_exprs([_bind_params(den, params)], args)
+
+        def singular(t, u, fn=fn):
+            try:
+                return abs(fn(t, *u)[0]) - 1e-10
+            except _UNDEFINED:
+                return math.nan
+
+        table[f"singular-locus-{i}"] = singular
+    return EventSpec(guards=tuple(table.values()), names=tuple(table),
+                     delta=1e-6)
 
 
 def classify_trajectory(tr: Trajectory) -> str:
@@ -421,13 +384,10 @@ def classify_trajectory(tr: Trajectory) -> str:
     Decaying: |v| non-increasing over the final third of samples and no
     event fired.
     """
-    if tr.termination == "event" and tr.event_name == "v-blowup":
-        if math.tanh(tr.states[-1][_PSI_INDEX]) > 0:
-            return "blowing-up"
-        return "inconclusive"
-    if not tr.states or len(tr.states) < 6:
-        return "inconclusive"
-    if tr.termination != "reached-end":
+    if (tr.termination == "event" and tr.event_name == "v-blowup"
+            and math.tanh(tr.states[-1][_PSI_INDEX]) > 0):
+        return "blowing-up"
+    if tr.termination != "reached-end" or len(tr.states) < 6:
         return "inconclusive"
     vs = [abs(math.tanh(s[_PSI_INDEX])) for s in tr.states]
     tail = vs[len(vs) * 2 // 3:]
@@ -473,12 +433,9 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
         mid = 0.5 * (lo + hi)
         c_mid = classify_trajectory(run(mid))
         iterations += 1
-        blow = (c_mid == "blowing-up")
-        if c_mid == "inconclusive":
-            # resolve toward the blowing side: an undecided run is treated
-            # as not-decaying so the bracket keeps a decaying endpoint
-            blow = True
-        if blow != flip:
+        # an undecided run counts as blowing up, so the bracket keeps a
+        # decaying endpoint
+        if (c_mid != "decaying") != flip:
             hi = mid
         else:
             lo = mid
