@@ -46,6 +46,18 @@ _VELOCITY = _Finite(min=-1, max=1, min_open=True, max_open=True)
 _UNIT = _Finite(min=0, max=1, min_open=True, max_open=True)
 
 
+def _inside_threshold(v0: float, blowup_delta: float, param_hint: str):
+    """Reject a start at or past the blow-up threshold 1 - v^2 = blowup_delta:
+    the guard fires only on a crossing from above, so such a start can
+    never be classified as blowing up."""
+    v = math.tanh(math.atanh(v0))  # the velocity the guard sees
+    if not 1.0 - v * v > blowup_delta:
+        raise click.BadParameter(
+            f"{v0} starts at or past the blow-up threshold 1 - v^2 = "
+            f"{blowup_delta:g}; |v| must be below "
+            f"{math.sqrt(1.0 - blowup_delta):.6g}", param_hint=param_hint)
+
+
 def _lam(theory: str) -> Fraction:
     return Fraction(0) if theory == "eckart" else Fraction(1)
 
@@ -239,6 +251,7 @@ def reduce(case_no, theory, check, a_value, dump_expr):
 def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
           blowup_delta, params_file, out, a_value):
     """Integrate a reduced system and write a trajectory CSV."""
+    _inside_threshold(v0, blowup_delta, "--v0")
     params = _params_from_file(params_file, theory)
     a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
@@ -255,7 +268,7 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
     except ValueError as err:  # atol = rtol / 100 underflows to 0
         raise click.BadParameter(str(err), param_hint="--rtol")
     ev = od.default_events(rs, params, blowup_delta=blowup_delta)
-    tr = od.integrate(rhs, u0, cfg, ev)
+    tr = od.integrate(rhs, u0, cfg, ev, rs.start)
     cls = od.classify_trajectory(tr)
     if out:
         _write_csv(out, rs, tr)
@@ -333,6 +346,8 @@ def critical(case_no, theory, lo, hi, tol, q0, horizon, params_file):
     defaults = CRITICAL_DEFAULTS.get(case_no)
     if defaults is None:
         raise click.UsageError(f"no critical-velocity protocol for case {case_no}")
+    _inside_threshold(lo, defaults["blowup_delta"], "--lo")
+    _inside_threshold(hi, defaults["blowup_delta"], "--hi")
     q0 = defaults["q0"] if q0 is None else q0
     horizon = defaults["horizon"] if horizon is None else horizon
     run = critical_run_factory(case_no, theory, params, q0, horizon,

@@ -4,8 +4,8 @@ Each reduction case is one one-dimensional subalgebra, and its catalog entry
 states everything the derivation reads: the generator, the group invariants,
 the inverse map giving the physical fields in the invariant states, the
 partials (y_t, y_x) of the similarity variable y, the name of the independent
-variable, the value t takes while deriving, and the default orientation and
-group parameter a.  The translations d_t and d_x are ordinary entries: their
+variable, the value t takes while deriving, and the default orientation,
+start ordinate and group parameter a.  The translations d_t and d_x are ordinary entries: their
 invariants are the fields themselves, and t or x is the independent variable.
 
 Every case takes one path.  ``reduced_system`` substitutes the invariant
@@ -98,6 +98,7 @@ class ReducedSystem:
     invariant_set: InvariantSet | None  # None for cases 1-2
     lam: Fraction
     direction: int = 1  # default integration orientation for studies
+    start: float = 0.0  # default start ordinate of the independent variable
 
 
 @dataclass(frozen=True)
@@ -111,6 +112,7 @@ class _Case:
     first_integrals: dict  # name -> text in (independent, states, a)
     default_a: Fraction | None = None  # None: the case takes no a
     direction: int = 1  # default integration orientation
+    start: float = 0.0  # default start ordinate, off the singular points
 
 
 def _catalog() -> dict:
@@ -156,7 +158,7 @@ def _catalog() -> dict:
                      ("psi", "beta", "w", "theta")),
                  "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
                  first_integrals={"particle": "beta*(sinh(psi) + y*cosh(psi))/y"},
-                 default_a=Fraction(1)),
+                 default_a=Fraction(1), start=1.0),
         6: _Case(lambda a: InvariantSet(
                      sm.v_scaling() + sm.v_time() + sm.v_space().scale(a), x - a * t,
                      {"y": x - a * t, "psi": psi, "n": n, "sigma": rho * ex.exp(-t),
@@ -301,7 +303,8 @@ def reduced_system(case: int, theory: str,
                          states=tuple(jets), rhs=rhs, determinant=det,
                          singular=tuple(uniq), first_integrals=integrals,
                          invariant_set=None if inv.similarity_variable is None else inv,
-                         lam=lam, direction=entry.direction)
+                         lam=lam, direction=entry.direction,
+                         start=entry.start)
 
 
 def first_integral_defects(rs: ReducedSystem) -> dict:

@@ -198,6 +198,37 @@ def test_solve_case3_header_names_states(runner, tmp_path):
     assert rows[0] == ["y", "psi", "v", "alpha", "rho", "q"]
 
 
+def test_solve_case5_starts_off_its_singular_point(runner, tmp_path):
+    # y = 0 is a singular point of the case-5 reduction; from there the run
+    # ended in step-failure with one sample
+    out = tmp_path / "traj5.csv"
+    res = runner.invoke(main, [
+        "solve", "--case", "5", "--theory", "eckart", "--v0", "0.5",
+        "--q0", "-0.1", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "termination: reached-end" in res.output
+    ys = [float(r[0]) for r in list(csv.reader(out.open()))[1:]]
+    assert (ys[0], ys[-1], len(ys)) == (1.0, 11.0, 201)
+
+
+@pytest.mark.parametrize("args, option", [
+    (["solve", "--case", "1", "--theory", "eckart", "--v0", "0.9",
+      "--q0", "-0.1", "--blowup-delta", "0.5"], "--v0"),
+    (["solve", "--case", "1", "--theory", "eckart", "--v0", "-0.9",
+      "--blowup-delta", "0.5"], "--v0"),
+    (["critical", "--case", "1", "--theory", "israel-stewart",
+      "--hi", "0.99"], "--hi"),
+    (["critical", "--case", "2", "--theory", "eckart", "--lo", "-0.97"],
+     "--lo"),
+], ids=["solve-v0", "solve-mirror-v0", "critical-hi", "critical-lo"])
+def test_usage_error_start_past_the_blowup_threshold(runner, args, option):
+    # the blow-up guard fires only on a crossing from 1 - v^2 > threshold, so
+    # such a start ran to the end as inconclusive, or exited 1 as no-bracket
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert option in res.output and "blow-up threshold" in res.output
+
+
 def test_critical_no_bracket_exits_nonzero(runner):
     res = runner.invoke(main, ["critical", "--case", "1", "--theory",
                                "eckart", "--lo", "0.1", "--hi", "0.9"])
@@ -336,8 +367,8 @@ def test_usage_error_nonpositive_density(runner, option, value):
 
 # Two starts for every supported (theory, case) pair: (case, theory, v0, q0,
 # t-end).  Case 3 runs short windows because most of its starts reach a
-# separatrix and stall; case 5 starts at its singular point y = 0, so both of
-# its runs pin the immediate step failure.
+# separatrix and stall; case 5 starts at its catalog ordinate y = 1, off its
+# singular point y = 0, and both of its runs reach y = 11.
 _PINNED_SOLVES = [
     (1, "eckart", "0.5", "-0.1", "10"), (1, "eckart", "0.3", "-0.3", "10"),
     (2, "eckart", "0.7", "-0.1", "10"), (2, "eckart", "0.4", "-0.3", "10"),
@@ -352,8 +383,8 @@ _PINNED_SOLVES = [
 ]
 _PINNED_CRITICALS = [["critical", "--case", "1", "--theory", "israel-stewart"],
                      ["critical", "--case", "2", "--theory", "eckart"]]
-_PINNED_SHA256 = ("ef1f9630303c5098f43be546e7b6150f"
-                  "cba25634a035c427e50406903db42b8a")
+_PINNED_SHA256 = ("8b50b8ba800287c6ddf8b5f05a3ce767"
+                  "71238b9f315c4c3935cb7294d9533fe6")
 
 
 def test_integrator_output_is_pinned_bit_for_bit(runner, tmp_path):
