@@ -262,24 +262,21 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             g_new = [g(t_new, u5) for g in ev.guards]
         except _UNDEFINED:
             g_new = [math.nan] * len(g_prev)
-        # a nan guard value compares false, so it brackets no crossing
-        hit = next((i for i, (a, b) in enumerate(zip(g_prev, g_new))
-                    if a > 0.0 >= b), None)
-        if hit is not None:
-            theta_e = _locate(ev.guards[hit], t, u, u5, ks, h, ev.delta)
-            te = t + theta_e * h
-            ue = _dense(u, u5, ks, h, theta_e)
-            while (te - next_sample) * sgn > 0:
-                ts.append(next_sample)
-                states.append(_dense(u, u5, ks, h, (next_sample - t) / h))
-                next_sample += sample_dt
-            ts.append(te)
-            states.append(ue)
-            traj.termination = "event"
-            traj.event_name = (ev.names[hit] if hit < len(ev.names)
-                               else f"guard{hit}")
-            traj.event_value = ev.guards[hit](te, ue)
-            return traj
+        for i, (a, b) in enumerate(zip(g_prev, g_new)):
+            if a > 0.0 >= b:  # a nan guard value compares false: no crossing
+                theta_e = _locate(ev.guards[i], t, u, u5, ks, h, ev.delta)
+                te = t + theta_e * h
+                ue = _dense(u, u5, ks, h, theta_e)
+                while (te - next_sample) * sgn > 0:
+                    ts.append(next_sample)
+                    states.append(_dense(u, u5, ks, h, (next_sample - t) / h))
+                    next_sample += sample_dt
+                ts.append(te)
+                states.append(ue)
+                traj.termination = "event"
+                traj.event_name = ev.names[i] if i < len(ev.names) else f"guard{i}"
+                traj.event_value = ev.guards[i](te, ue)
+                return traj
         while (t_new - next_sample) * sgn >= 0:
             theta = (next_sample - t) / h
             if 0.0 <= theta <= 1.0:
