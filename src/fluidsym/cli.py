@@ -50,8 +50,7 @@ def _inside_threshold(v0: float, blowup_delta: float, param_hint: str):
     """Reject a start at or past the blow-up threshold 1 - v^2 = blowup_delta:
     the guard fires only on a crossing from above, so such a start can
     never be classified as blowing up."""
-    v = math.tanh(math.atanh(v0))  # the velocity the guard sees
-    if not 1.0 - v * v > blowup_delta:
+    if not 1.0 - v0 * v0 > blowup_delta:
         raise click.BadParameter(
             f"{v0} starts at or past the blow-up threshold 1 - v^2 = "
             f"{blowup_delta:g}; |v| must be below "

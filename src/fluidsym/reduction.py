@@ -5,8 +5,9 @@ states everything the derivation reads: the generator, the group invariants,
 the inverse map giving the physical fields in the invariant states, the
 partials (y_t, y_x) of the similarity variable y, the name of the independent
 variable, the value t takes while deriving, and the default orientation,
-start ordinate and group parameter a.  The translations d_t and d_x are ordinary entries: their
-invariants are the fields themselves, and t or x is the independent variable.
+start ordinate and group parameter a.  The translations d_t and d_x are
+ordinary entries: their invariants are the fields themselves, and t or x is
+the independent variable.
 
 Every case takes one path.  ``reduced_system`` substitutes the invariant
 ansatz into the full PDE residuals by the chain rule and solves the result,
