@@ -170,7 +170,11 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
         if not any(coeffs):
             raise click.BadParameter("the zero element spans no subalgebra",
                                      param_hint="--normalize")
-        el, word = la.normalize_element(alg, coeffs)
+        try:
+            el, word = la.normalize_element(alg, coeffs)
+        except OverflowError:
+            raise click.BadParameter("the representative or a group parameter is "
+                                     "beyond float range", param_hint="--normalize")
         click.echo("canonical representative: "
                    + ", ".join(f"{c:.12g}" for c in el.coefficients))
         for action, epsv in word:
@@ -382,13 +386,17 @@ def tables(theory, fmt):
             "d_x", "d_t", "V3", "d_t + a*d_x", "V3 + a*V4",
             "V4 + a*d_x + d_t", "V4 + d_x", "V4 + d_t", "V4",
         ]
+        canonical = [
+            "+-V3 + b*V4 (translations absorbed when the V3 part is nonzero)",
+            "+-V1 + a*V2 + d*V4 and +-V2 + d*V4 with d in {-1, 0, 1}",
+            "+-V4",
+        ]
     else:
         reference = ["d_x", "d_t", "V3", "d_t + a*d_x"]
-    canonical = [
-        "V3 + b*V4 (translations absorbed when the V3 part is nonzero)",
-        "cos(th)*V1 + sin(th)*V2 + d*V4 with d in {0, 1}",
-        "V4",
-    ]
+        canonical = [
+            "+-V3 (translations absorbed)",
+            "+-V1 + a*V2 and +-V2",
+        ]
     click.echo("reference list:")
     for i, r in enumerate(reference, start=1):
         click.echo(f"  {i}) {r}")

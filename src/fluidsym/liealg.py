@@ -60,7 +60,7 @@ class LieAlgebra:
         return self.constants.get((i, j, k), Fraction(0))
 
     def bracket_coords(self, a: Sequence, b: Sequence) -> list:
-        out = [Fraction(0) if isinstance(a[0], Fraction) else 0.0] * self.dim
+        out = [0] * self.dim
         for i in range(self.dim):
             if not a[i]:
                 continue
@@ -95,7 +95,7 @@ class LieAlgebra:
         coeffs = w.coefficients if isinstance(w, AlgebraElement) else w
         out = None
         for c, V in zip(coeffs, self.basis):
-            term = V.scale(ex.number(c)) if isinstance(c, (int, Fraction)) else V.scale(c)
+            term = V.scale(c)
             out = term if out is None else out + term
         return out
 
@@ -240,10 +240,11 @@ def _mat_mul(a, b):
 def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
     """Ad(exp(eps*V_i)) w = exp(-eps*ad_{V_i}) w, in closed form.
 
-    A diagonal ad scales each coordinate by an exponential; a nilpotent ad
-    gives a finite series, exact when eps and w are rational; an ad with
-    ad^3 = ad gives w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w in floats.
-    Any other ad raises ValueError.
+    A nilpotent ad gives a finite series, summed exactly in Fractions (a
+    float eps or coordinate is read exactly).  A diagonal ad scales each
+    coordinate by an exponential, and an ad with ad^3 = ad gives
+    w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w; both are in floats.  Any
+    other ad raises ValueError.
     """
     coords = list(w.coefficients if isinstance(w, AlgebraElement) else w)
     mat = alg.ad_matrix(i)
@@ -253,10 +254,8 @@ def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
             math.exp(-float(eps) * float(mat[k][k])) * float(c) if mat[k][k] else c
             for k, c in enumerate(coords)))
     if kind == "nilpotent":
-        exact = isinstance(eps, (int, Fraction)) and \
-            all(isinstance(c, (int, Fraction)) for c in coords)
-        acc = list(coords)
-        for _, term in _series(mat, coords, Fraction(eps) if exact else float(eps)):
+        acc = [Fraction(c) for c in coords]
+        for _, term in _series(mat, acc, Fraction(eps)):
             acc = [a + t for a, t in zip(acc, term)]
         return AlgebraElement(tuple(acc))
     if kind == "hyperbolic":
@@ -323,49 +322,46 @@ def commutator_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
 def normalize_element(alg: LieAlgebra, w) -> tuple:
     """Canonical representative of the one-dimensional subalgebra span{w}.
 
-    Deterministic rules for the four-generator table algebra
-    (V1,V2 translations; V3 dilatation; V4 field scaling):
-      * translations absorb into V3 when the V3 coefficient is nonzero;
-      * the translation pair is rescaled to unit sup-norm with the V3
-        action when V3 is absent;
-      * finally the leading surviving coefficient is scaled to +-1.
-    Returns (AlgebraElement, list of (action, parameter) applied).
+    Exact rules for the table algebras (V1, V2 translations; V3 dilatation;
+    V4 central field scaling), computed in Fractions:
+      * with a V3 part, Ad(exp(eps*V_i)), eps = a_i/a3, absorbs each
+        translation into V3;
+      * without one, Ad(exp(eps*V3)) scales only the translations, by e^eps;
+        when a translation part and a V4 part are both present it is applied
+        once, with eps = ln(|a4|/|t|) for the leading translation t, so that
+        the two parts have the same size;
+      * finally w is divided by |leading coefficient|, keeping its sign.
+    Positive multiples of w get one representative, -w gets its negative,
+    and a second pass applies nothing.  Returns (AlgebraElement of floats,
+    list of (action, float parameter) applied); raises OverflowError when
+    one of these floats is out of range.
     """
-    coords = [float(c) for c in (w.coefficients if isinstance(w, AlgebraElement) else w)]
-    if not any(abs(c) > 0 for c in coords):
+    coords = [Fraction(c) for c in (w.coefficients if isinstance(w, AlgebraElement) else w)]
+    if not any(coords):
         raise ValueError("zero element has no one-dimensional subalgebra")
     word = []
     idx_t, idx_x, idx_dil = alg.named_indices
-    if idx_dil is not None and abs(coords[idx_dil]) > 1e-14:
-        # Ad(exp(eps V1)) shifts a1 by -eps*a3; kill both translations
-        for idx in (idx_t, idx_x):
-            if idx is None:
-                continue
-            if abs(coords[idx]) > 1e-14:
-                epsv = coords[idx] / coords[idx_dil]
-                out = adjoint_action(alg, epsv, idx, coords)
-                coords = [float(c) for c in out.coefficients]
-                word.append((f"Ad(exp(eps*V{idx + 1}))", epsv))
-    elif idx_dil is not None:
-        # no dilatation part: V3-action scales translations; normalize size
-        tr = [abs(coords[i]) for i in (idx_t, idx_x) if i is not None]
-        mx = max(tr) if tr else 0.0
-        if mx > 1e-14 and abs(mx - 1.0) > 1e-14:
-            epsv = math.log(mx)
-            out = adjoint_action(alg, epsv, idx_dil, coords)
-            coords = [float(c) for c in out.coefficients]
-            word.append((f"Ad(exp(eps*V{idx_dil + 1}))", epsv))
-    # positive scaling of the leading surviving coefficient to +-1
-    lead = None
-    for c in coords:
-        if abs(c) > 1e-12:
-            lead = abs(c)
-            break
-    if lead is not None and abs(lead - 1.0) > 1e-14:
+    shifts = [i for i in (idx_t, idx_x) if i is not None and coords[i]]
+    if idx_dil is not None and coords[idx_dil]:
+        for i in shifts:
+            eps = coords[i] / coords[idx_dil]
+            coords = list(adjoint_action(alg, eps, i, coords).coefficients)
+            word.append((f"Ad(exp(eps*V{i + 1}))", float(eps)))
+    elif idx_dil is not None and shifts:
+        rest = [c for k, c in enumerate(coords) if c and k not in (idx_t, idx_x, idx_dil)]
+        ratio = abs(rest[0] / coords[shifts[0]]) if rest else 1
+        if ratio != 1:
+            coords = [c * ratio if k in shifts else c for k, c in enumerate(coords)]
+            try:
+                eps = math.log(ratio)
+            except (OverflowError, ValueError):  # the ratio is beyond float range
+                eps = math.log(ratio.numerator) - math.log(ratio.denominator)
+            word.append((f"Ad(exp(eps*V{idx_dil + 1}))", eps))
+    lead = abs(next(c for c in coords if c))
+    if lead != 1:
         coords = [c / lead for c in coords]
-        word.append(("scale", 1.0 / lead))
-    coords = [0.0 if abs(c) < 1e-12 else c for c in coords]
-    return AlgebraElement(tuple(coords)), word
+        word.append(("scale", float(1 / lead)))
+    return AlgebraElement(tuple(float(c) for c in coords)), word
 
 
 def table_algebra(theory: str) -> LieAlgebra:

@@ -275,7 +275,10 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
                 states.append(ue)
                 traj.termination = "event"
                 traj.event_name = ev.names[i] if i < len(ev.names) else f"guard{i}"
-                traj.event_value = ev.guards[i](te, ue)
+                try:
+                    traj.event_value = ev.guards[i](te, ue)
+                except _UNDEFINED:
+                    traj.event_value = math.nan
                 return traj
         while (t_new - next_sample) * sgn >= 0:
             theta = (next_sample - t) / h

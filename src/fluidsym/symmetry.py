@@ -202,9 +202,11 @@ def _ansatz_tables(degree: int) -> tuple:
     return table, index
 
 
-# Priority ordering of unknowns used for the echelon solve: it makes the
-# emitted basis come out as translations, then the space-time dilatation,
-# then field scalings, matching the commutator-table ordering.
+# Unknowns put first in the echelon solve's column order.  Each nullspace
+# vector has a one on its own free column, in column order, so this fixes
+# the raw basis and its order: d_t, d_x, field scaling, boost, dilatation at
+# degrees 1 and 2 (the degree-2 basis pin depends on it).  The order that
+# ``symmetries`` prints comes from ``canonical_presentation``.
 _PREFERRED = (("tau", ()), ("xi", ()), ("tau", (("t", 1),)), ("gamma", (("rho", 1),)),
               ("phi", ()), ("sigma", (("n", 1),)), ("omega", (("q", 1),)))
 
@@ -294,16 +296,16 @@ _PRIMES = (2 ** 61 - 1, 2 ** 61 - 1000051, 2 ** 61 - 2000059, 2 ** 61 - 3000079)
 _EXTRA_POINTS = 4
 
 
-def solve_determining(sys_or_lam, ansatz: Ansatz = None) -> list:
+def solve_determining(lam, ansatz: Ansatz = None) -> list:
     """Basis of the point-symmetry algebra within the ansatz class, as
     vector fields.
 
-    Accepts a PDESystem (its lam is reused) or a bare lam value; k and kappa
-    stay symbolic.  Each attempt evaluates the symmetry condition of every
-    elementary field at random integer points (``_evaluated_rows``), takes
-    the nullspace of those rows mod a 61-bit prime in ``_unknown_priority``
-    order, reconstructs its rational entries and certifies every vector
-    exactly with ``_condition`` at symbolic k and kappa.
+    Takes the closure parameter lam; k and kappa stay symbolic.  Each
+    attempt evaluates the symmetry condition of every elementary field at
+    random integer points (``_evaluated_rows``), takes the nullspace of
+    those rows mod a 61-bit prime in ``_unknown_priority`` order,
+    reconstructs its rational entries and certifies every vector exactly
+    with ``_condition`` at symbolic k and kappa.
 
     The result is exact.  Every evaluated row is a consequence of the
     determining system, and the rank of integer rows mod p is at most their
@@ -320,8 +322,7 @@ def solve_determining(sys_or_lam, ansatz: Ansatz = None) -> list:
     """
     if ansatz is None:
         ansatz = Ansatz(degree=1)
-    lam = sys_or_lam.params.lam if isinstance(sys_or_lam, PDESystem) else Fraction(sys_or_lam)
-    sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
+    sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=Fraction(lam)))
     cleared = _on_shell(sys)
     fields = ansatz.elementary_fields()
     priority = _unknown_priority(ansatz)
@@ -457,7 +458,7 @@ def canonical_presentation(basis: Sequence[VectorField]) -> list:
     """Re-present a computed basis in a stable, readable generator order.
 
     Named generators contained in the span are emitted first (translations,
-    field scaling, dilatation, boost), then any remaining independent
+    dilatation, field scaling, boost), then any remaining independent
     directions from the raw basis.
     """
     named = [v_time(), v_space(), v_dilation(), v_scaling(), v_lorentz_boost()]

@@ -99,12 +99,15 @@ _IS_CRITICAL = ["critical", "--case", "1", "--theory", "israel-stewart"]
       "--rtol", "1e-323"], "--rtol"),
     (_IS_CRITICAL + ["--tol", "0"], "--tol"),
     (["algebra", "--theory", "eckart", "--normalize", "0,0,0,0"], "--normalize"),
+    (["algebra", "--theory", "eckart", "--normalize", "1e300,0,1e-300,0"],
+     "--normalize"),
     (["symmetries", "--theory", "eckart", "--ansatz-degree", "-1"],
      "--ansatz-degree"),
 ], ids=["critical-hi-above-1", "critical-lo-below-minus-1",
         "critical-reversed-bracket", "critical-negative-horizon",
         "critical-underflowing-horizon", "solve-underflowing-atol",
-        "critical-zero-tol", "normalize-zero-element", "negative-ansatz-degree"])
+        "critical-zero-tol", "normalize-zero-element",
+        "normalize-parameter-beyond-float-range", "negative-ansatz-degree"])
 def test_usage_error_out_of_range(runner, args, option):
     res = runner.invoke(main, args)
     assert res.exit_code == 2
@@ -237,11 +240,19 @@ def test_critical_no_bracket_exits_nonzero(runner):
 
 
 def test_tables_side_by_side_listing(runner):
-    res = runner.invoke(main, ["tables", "--theory", "eckart"])
-    assert res.exit_code == 0
-    assert "reference list:" in res.output
-    assert "canonical families" in res.output
-    assert "9)" in res.output
+    for theory, last, families in (
+            ("eckart", "9)", ["+-V3 + b*V4", "+-V1 + a*V2 + d*V4 and +-V2 + d*V4",
+                              "+-V4"]),
+            ("israel-stewart", "4)", ["+-V3", "+-V1 + a*V2 and +-V2"])):
+        res = runner.invoke(main, ["tables", "--theory", theory])
+        assert res.exit_code == 0
+        assert "reference list:" in res.output
+        assert "canonical families" in res.output
+        assert last in res.output
+        listed = res.output.split("canonical families")[1].splitlines()[1:]
+        assert len(listed) == len(families)
+        assert all(line.startswith(f"  - {f}") for line, f in zip(listed, families))
+        assert theory == "eckart" or "V4" not in "".join(listed)
 
 
 def test_usage_error_goldens_dir_without_goldens(runner, tmp_path):
@@ -448,3 +459,14 @@ def test_reduce_output_is_pinned(runner, tmp_path):
     assert res.exit_code == 0, res.output
     h.update(out.read_bytes())
     assert h.hexdigest() == _PINNED_REDUCE_SHA256
+
+
+@pytest.mark.parametrize("coeffs, rep", [
+    ("1,0.5,0,3", "1, 0.5, 0, 1"), ("2,1,0,6", "1, 0.5, 0, 1"),
+    # the V3 action's ratio 1e-600 and 1e320 are beyond float range
+    ("1e300,0,0,1e-300", "1, 0, 0, 1"), ("1e-320,0,0,1", "1, 0, 0, 1"),
+])
+def test_algebra_normalize_multiples_share_a_representative(runner, coeffs, rep):
+    res = runner.invoke(main, ["algebra", "--theory", "eckart", "--normalize", coeffs])
+    assert res.exit_code == 0
+    assert res.output.splitlines()[0] == f"canonical representative: {rep}"

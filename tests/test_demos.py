@@ -12,7 +12,7 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # sha256 of each demo's stdout
 _DEMO_SHA256 = {
-    "algebra_tables": "b0da7e7954e1eb6b302c134a3a7d22607a85f8ae45fbe8f5d658d8563a4f4da7",
+    "algebra_tables": "828f82ec7c5bbb21387fd406b562780b0042fa725c99d09190c3496f8eff442e",
     "critical_velocity": "bc1dbf444f741de6d313dab1a22aa9def6b009b5e920227ac1635ed6323ab1c2",
     "homogeneous_instability": "5d566b9e331ebcd870a0c458c50410a41e9c218608d2cdf97d46a3f500ad74e2",
     "reductions": "0707f06fe2dd0a9dcf7682590989f41b9d3a8830adc87265c604a523b2102615",

@@ -442,3 +442,15 @@ def test_integrate_output_is_pinned_bit_for_bit():
         h.update(repr((tr.ts, tr.states, tr.termination, tr.event_name,
                        tr.event_value, tr.n_steps, tr.n_rejected)).encode())
     assert h.hexdigest() == _LIBRARY_PINNED_SHA256
+
+
+def test_guard_raising_at_the_located_event_ends_in_that_event():
+    """The bisection converges to the edge of the band where the guard
+    raises; the event is recorded there with value nan, not raised."""
+    guard = _crossing_guard((0.5, 0.55))
+    cfg = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
+    tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg,
+                      od.EventSpec((guard,), ("g",)))
+    assert tr.termination == "event" and tr.event_name == "g"
+    assert math.isnan(tr.event_value)
+    assert tr.ts[-1] == pytest.approx(math.log(1 / 0.55), abs=2e-3)
