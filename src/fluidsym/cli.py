@@ -311,21 +311,19 @@ CRITICAL_DEFAULTS = {
 }
 
 
-def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta,
-                         rtol=1e-8, n0=1.0, rho0=1.0):
-    try:
-        rs = rd.reduced_system(case_no, theory)
-    except rd.UnsupportedReductionError as err:
-        raise click.UsageError(str(err))
+def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta):
+    """run(v0) integrates the family from psi0 = atanh(v0), n0 = rho0 = 1
+    and q0 over the horizon in scaled time, at rtol 1e-8."""
+    rs = rd.reduced_system(case_no, theory)
     rhs = od.compile_rhs(rs, params)
     ev = od.default_events(rs, params, blowup_delta=blowup_delta)
 
     def run(v0: float) -> od.Trajectory:
         psi0 = math.atanh(v0)
-        fac = od.scaled_time_factor(params, n0, psi0)
-        cfg = od.SolverConfig(span=horizon / fac, rtol=rtol, atol=rtol * 1e-2,
+        fac = od.scaled_time_factor(params, 1.0, psi0)
+        cfg = od.SolverConfig(span=horizon / fac, rtol=1e-8, atol=1e-10,
                               max_step=1e9, direction=rs.direction)
-        return od.integrate(rhs, [psi0, n0, rho0, q0], cfg, ev)
+        return od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg, ev)
 
     return run
 

@@ -161,16 +161,15 @@ def _mono_div(m1, m2):
     return _mono_mul(m1, (inv_atoms, inv_exp))
 
 
-def _poly_try_div(num: dict, den: dict, max_steps: int = None):
-    """Exact polynomial division; returns quotient dict or None on failure."""
+def _poly_try_div(num: dict, den: dict, max_steps: int):
+    """Exact polynomial division in at most max_steps steps; returns the
+    quotient dict or None on failure."""
     if not num:
         return {}
     lead = _leading_mono(den)
     lead_c = den[lead]
     rem = dict(num)
     quo: dict = {}
-    if max_steps is None:
-        max_steps = len(num) * 4 + 8
     for _ in range(max_steps):
         if not rem:
             return quo

@@ -56,7 +56,6 @@ class FluidParams:
     k: Fraction | None = Fraction(1)
     kappa: Fraction | None = Fraction(1)
     lam: Fraction = Fraction(0)
-    N0: float = 1.0
 
     def __post_init__(self):
         if self.k is not None and self.k <= 0:
@@ -173,13 +172,14 @@ def _det(matrix):
 def solve_for_jets(residuals, jets) -> tuple:
     """Solve residuals affine in the given jets for those jets.
 
-    Each residual gives the row (d r/d jet, -r at zero jets); the rows are
-    cleared of denominators and solved exactly by Cramer's rule.  Returns
-    ({jet: Expr}, determinant Expr of the cleared coefficient matrix).
+    Each residual gives the row (d r/d jet, -r at zero jets), read off one
+    collect in the jets; the rows are cleared of denominators and solved
+    exactly by Cramer's rule.  Returns ({jet: Expr}, determinant Expr of the
+    cleared coefficient matrix).
     """
-    zero = {j: ex.ZERO for j in jets}
-    cleared = [_clear_row([ex.diff(r, j) for j in jets], -ex.subs(r, zero))
-               for r in residuals]
+    parts = [ex.collect(r, jets) for r in residuals]
+    cleared = [_clear_row([p.get(((j, 1),), ex.ZERO) for j in jets],
+                          -p.get((), ex.ZERO)) for p in parts]
     mat = [cs for cs, _ in cleared]
     rhs = [r for _, r in cleared]
     det = _det(mat)
@@ -224,12 +224,9 @@ def heat_flux_constraint(sys: PDESystem) -> Expr:
     return -b / a
 
 
-def residual_at(sys: PDESystem, state: FluidState, jets: Mapping[str, float],
-                extra: Mapping[str, float] | None = None) -> tuple:
+def residual_at(sys: PDESystem, state: FluidState, jets: Mapping[str, float]) -> tuple:
     """Numeric residual values at a state with given first-derivative jets."""
     env = state.env()
     for name in JETS:
         env[name] = float(jets.get(name, 0.0))
-    if extra:
-        env.update(extra)
     return tuple(ex.evalf(res, env) for res in sys.residuals)

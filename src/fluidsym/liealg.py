@@ -82,6 +82,11 @@ class LieAlgebra:
         return mat
 
     @cached_property
+    def ad_forms(self) -> tuple:
+        """(ad matrix, ``_closed_form`` kind) per generator, built once."""
+        return tuple((m, _closed_form(m)) for m in map(self.ad_matrix, range(self.dim)))
+
+    @cached_property
     def named_indices(self) -> tuple:
         """Basis positions of the time and space translations and the
         dilatation, None for any the basis lacks; resolved once per algebra."""
@@ -247,8 +252,7 @@ def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
     other ad raises ValueError.
     """
     coords = list(w.coefficients if isinstance(w, AlgebraElement) else w)
-    mat = alg.ad_matrix(i)
-    kind = _closed_form(mat)
+    mat, kind = alg.ad_forms[i]
     if kind == "diagonal":
         return AlgebraElement(tuple(
             math.exp(-float(eps) * float(mat[k][k])) * float(c) if mat[k][k] else c
@@ -275,8 +279,7 @@ def _mat_apply(mat, vec):
 
 def adjoint_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
     """Symbolic text of Ad(exp(eps*V_i)) V_j for table emission."""
-    mat = alg.ad_matrix(i)
-    kind = _closed_form(mat)
+    mat, kind = alg.ad_forms[i]
     if kind == "diagonal":
         lam = mat[j][j]
         if lam == 0:

@@ -50,7 +50,6 @@ _UNDEFINED = (ZeroDivisionError, OverflowError, ValueError)
 class SolverConfig:
     rtol: float = 1e-8
     atol: float = 1e-10
-    initial_step: float = 1e-4
     max_step: float = 1.0
     max_steps: int = 200_000
     span: float = 10.0  # length of the integration interval
@@ -58,9 +57,10 @@ class SolverConfig:
     dense_points: int = 200
 
     def __post_init__(self):
-        # 0 < x < inf is false for nan: a nan tolerance would accept every
-        # step, a zero step would never advance
-        for name in ("rtol", "atol", "initial_step", "max_step", "span"):
+        """Reject rtol, atol, max_step or span outside 0 < x < inf, which is
+        false for nan (a nan tolerance would accept every step, a zero
+        max_step would never advance), and a max_steps below 1."""
+        for name in ("rtol", "atol", "max_step", "span"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_steps <= 0:
@@ -70,11 +70,11 @@ class SolverConfig:
 @dataclass(frozen=True)
 class EventSpec:
     """Guard functions g(t, u); an event fires when any guard crosses zero
-    from positive to non-positive.  delta bounds the bracketing width."""
+    from positive to non-positive, located to 1e-6 in t.  Where any guard
+    raises, every guard reads nan there, and nan never crosses."""
 
     guards: tuple = ()
     names: tuple = ()
-    delta: float = 1e-6
 
 
 @dataclass
@@ -193,15 +193,15 @@ def _dense(u, u5, ks, h, theta):
     return out
 
 
-def _locate(guard: Callable, t, u, u5, ks, h, delta: float) -> float:
+def _locate(guard: Callable, t, u, u5, ks, h) -> float:
     """Bisect the dense output of one step for the guard's crossing.
 
     Returns the step fraction of the crossed end of the final bracket, which
-    is at most delta wide in the independent variable.  A guard that is not
+    is at most 1e-6 wide in the independent variable.  A guard that is not
     positive, is nan or raises counts as crossed.
     """
     lo_th, hi_th = 0.0, 1.0
-    while (hi_th - lo_th) * abs(h) > delta:
+    while (hi_th - lo_th) * abs(h) > 1e-6:
         mid = 0.5 * (lo_th + hi_th)
         try:
             crossed = not guard(t + mid * h, _dense(u, u5, ks, h, mid)) > 0.0
@@ -212,6 +212,14 @@ def _locate(guard: Callable, t, u, u5, ks, h, delta: float) -> float:
         else:
             lo_th = mid
     return hi_th
+
+
+def _guard_values(guards: tuple, t, u) -> list:
+    """The guards at (t, u); all nan where any of them is not defined."""
+    try:
+        return [g(t, u) for g in guards]
+    except _UNDEFINED:
+        return [math.nan] * len(guards)
 
 
 def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
@@ -231,14 +239,14 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     ts, states = traj.ts, traj.states
     sample_dt = (t_end - t0) / max(cfg.dense_points, 1)
     next_sample = t0 + sample_dt
-    h = sgn * min(cfg.initial_step, cfg.max_step)
+    h = sgn * min(1e-4, cfg.max_step)
     hmin = 1e-14 * max(1.0, abs(t_end - t0))
     try:
         k1 = list(rhs(t, u))
     except _UNDEFINED:
         return traj
     step = _step_function(len(u))
-    g_prev = [g(t, u) for g in ev.guards]
+    g_prev = _guard_values(ev.guards, t, u)
     while (t_end - t) * sgn > 1e-14 * max(1.0, abs(t_end)):
         if traj.n_steps >= cfg.max_steps:
             return traj
@@ -258,13 +266,10 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             continue
         traj.n_steps += 1
         t_new = t + h
-        try:
-            g_new = [g(t_new, u5) for g in ev.guards]
-        except _UNDEFINED:
-            g_new = [math.nan] * len(g_prev)
+        g_new = _guard_values(ev.guards, t_new, u5)
         for i, (a, b) in enumerate(zip(g_prev, g_new)):
             if a > 0.0 >= b:  # a nan guard value compares false: no crossing
-                theta_e = _locate(ev.guards[i], t, u, u5, ks, h, ev.delta)
+                theta_e = _locate(ev.guards[i], t, u, u5, ks, h)
                 te = t + theta_e * h
                 ue = _dense(u, u5, ks, h, theta_e)
                 while (te - next_sample) * sgn > 0:
@@ -371,8 +376,7 @@ def default_events(rs: ReducedSystem, params: fluid.FluidParams,
                 return math.nan
 
         table[f"singular-locus-{i}"] = singular
-    return EventSpec(guards=tuple(table.values()), names=tuple(table),
-                     delta=1e-6)
+    return EventSpec(guards=tuple(table.values()), names=tuple(table))
 
 
 def classify_trajectory(tr: Trajectory) -> str:
@@ -405,7 +409,6 @@ class CriticalResult:
     lo_class: str
     hi_class: str
     iterations: int
-    trajectories: tuple  # (lo trajectory, hi trajectory)
 
 
 class NoBracketError(RuntimeError):
@@ -443,18 +446,17 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
             break
     return CriticalResult(v_critical=0.5 * (lo + hi), lo=lo, hi=hi,
                           lo_class=c_lo, hi_class=c_hi,
-                          iterations=iterations,
-                          trajectories=(tr_lo, tr_hi))
+                          iterations=iterations)
 
 
 def convergence_order(rhs: Callable, u0: Sequence[float], t_end: float,
-                      exact: Sequence[float], steps: Sequence[int] = (8, 16, 32, 64)) -> float:
+                      exact: Sequence[float]) -> float:
     """Observed order from fixed-step error ratios under step halving.
 
-    Step counts stay coarse so the error ratios are measured above the
-    roundoff floor."""
+    Step counts stay coarse (8 to 64) so the error ratios are measured above
+    the roundoff floor."""
     errs = []
-    for ns in steps:
+    for ns in (8, 16, 32, 64):
         u = fixed_step_integrate(rhs, u0, 0.0, t_end, ns)
         errs.append(max(abs(a - b) for a, b in zip(u, exact)))
     orders = []

@@ -340,9 +340,9 @@ def symbolic_check_reduction(case: int, theory: str,
     return {"residuals": out, "ok": all(r.is_zero() for r in out), "system": rs}
 
 
-def closed_form_case4(params: FluidParams, C1: float, C2: float, y: float,
-                      rho0: float = 1.0) -> dict:
-    """Reference traveling-wave profile for case 4 with a = -1.
+def closed_form_case4(params: FluidParams, C1: float, C2: float, y: float) -> dict:
+    """Reference traveling-wave profile for case 4 with a = -1 and
+    N0 = rho0 = 1 (the energy density is constant).
 
     Returns the state and its exact y-derivatives.  Kept for comparison
     purposes: the profile satisfies particle conservation but leaves the
@@ -351,7 +351,7 @@ def closed_form_case4(params: FluidParams, C1: float, C2: float, y: float,
     """
     k = float(params.k if params.k is not None else 1)
     kappa = float(params.kappa if params.kappa is not None else 1)
-    N0 = params.N0
+    N0 = rho0 = 1.0
     g = kappa * C1 / (k * N0)
     if g <= 0:
         raise ex.DomainError("kappa*C1/(k*N0) must be positive")

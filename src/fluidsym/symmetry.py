@@ -7,7 +7,7 @@ in ``_condition``: the first prolongation acts on the fluid residuals and
 the four time-derivative jets are eliminated with the quasilinear solved
 form; the condition must then vanish identically in the remaining
 coordinates.  ``verify_symmetry`` returns the condition of one generator;
-the time-jet substitution it uses is built once per system (``_on_shell``).
+its parts are built once per system (``_on_shell``).
 The condition is linear in the generator, so ``determining_equations``
 evaluates it once per elementary field (one unknown set to one) and reads
 the rows off its numerator: the row of (residual k, monomial m) holds, for
@@ -123,14 +123,8 @@ def field_from_text(text: str) -> VectorField:
     return VectorField(*(ex.diff(e, f"d_{v}") for v in BASE_VARS))
 
 
-@dataclass(frozen=True)
-class ProlongedField:
-    base: VectorField
-    jets: dict  # jet symbol name -> Expr
-
-
-def prolong1(V: VectorField) -> ProlongedField:
-    """First prolongation via the reduced formula.
+def prolong1(V: VectorField) -> dict:
+    """First prolongation via the reduced formula, as {jet name: Expr}.
 
     phi_u^d = D_d(phi_u) - u_x D_d(xi) - u_t D_d(tau); the second-order jet
     terms of the textbook formula cancel identically, which the test suite
@@ -146,7 +140,13 @@ def prolong1(V: VectorField) -> ProlongedField:
         for d in ("t", "x"):
             val = JET_SPACE.total_derivative(coeff, d) - ux * dxi[d] - ut * dtau[d]
             jets[JET_SPACE.jet(u, d)] = val
-    return ProlongedField(base=V, jets=jets)
+    return jets
+
+
+def _prolonged(V: VectorField) -> dict:
+    """{variable: nonzero coefficient of pr V}, base variables first."""
+    return {v: c for v, c in {**V.coefficients(), **prolong1(V)}.items()
+            if not c.is_zero()}
 
 
 @dataclass(frozen=True)
@@ -219,33 +219,35 @@ def _unknown_priority(ansatz: Ansatz) -> list:
 
 # a process works with a few systems: two closures, symbolic or fixed k, kappa
 @functools.lru_cache(maxsize=8)
-def _on_shell(sys: PDESystem) -> ex.ClearedSubstitution:
-    """The substitution of the time jets by the quasilinear solved form,
-    built once per system and shared by every condition on it, products of
-    numerators included."""
+def _on_shell(sys: PDESystem) -> tuple:
+    """The parts of the symmetry condition on one system, shared by every
+    condition on it: ``(cleared, partials)``.  ``cleared`` substitutes the
+    time jets by the quasilinear solved form; ``partials[k]`` maps each base
+    variable and jet to the nonzero partial of residual k cleared of its
+    monomial denominators (1/rho, 1/n)."""
     qf = fluid.quasilinear_time_form(sys)
-    return ex.ClearedSubstitution({tj: qf[tj] for tj in TIME_JETS})
-
-
-def _condition(V: VectorField, sys: PDESystem,
-               cleared: ex.ClearedSubstitution) -> list:
-    """The on-shell symmetry condition of V, one Expr per residual.
-
-    The first prolongation of V acts on each residual cleared of its
-    monomial denominators (1/rho, 1/n); the action is cleared in turn and
-    its time jets are substituted over their shared denominator.  The
-    action is quadratic in the time jets.
-    """
-    coeffs = {**V.coefficients(), **prolong1(V).jets}
-    out = []
+    cleared = ex.ClearedSubstitution({tj: qf[tj] for tj in TIME_JETS})
+    partials = []
     for res in sys.residuals:
         res = res * ex.denominator(res)
-        act = ex.ZERO
-        for var, coeff in coeffs.items():
-            if not coeff.is_zero():
-                d = ex.diff(res, var)
-                if not d.is_zero():
-                    act = act + coeff * d
+        partials.append({v: d for v in BASE_VARS + fluid.JETS
+                         if not (d := ex.diff(res, v)).is_zero()})
+    return cleared, tuple(partials)
+
+
+def _condition(V: VectorField, sys: PDESystem) -> list:
+    """The on-shell symmetry condition of V, one Expr per residual.
+
+    The first prolongation of V acts on each cleared residual through its
+    partials (``_on_shell``); the action is cleared in turn and its time
+    jets are substituted over their shared denominator.  The action is
+    quadratic in the time jets.
+    """
+    cleared, partials = _on_shell(sys)
+    coeffs = _prolonged(V)
+    out = []
+    for dres in partials:
+        act = sum((c * dres[v] for v, c in coeffs.items() if v in dres), ex.ZERO)
         if not act.is_zero():
             if not ex.denominator(act).equivalent(ex.ONE):
                 act = act * ex.denominator(act)
@@ -261,10 +263,9 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
     Rows are listed per residual, sorted by monomial, with exact duplicates
     dropped.  A condition with a denominator raises ValueError.
     """
-    cleared = _on_shell(sys)
     conditions = []
     for name, V in zip(ansatz.unknowns(), ansatz.elementary_fields()):
-        cond = _condition(V, sys, cleared)
+        cond = _condition(V, sys)
         if any(ex.denominator(c) != ex.ONE for c in cond):
             raise ValueError(f"symmetry condition of {name} has a denominator")
         conditions.append((name, cond))
@@ -323,7 +324,6 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     if ansatz is None:
         ansatz = Ansatz(degree=1)
     sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=Fraction(lam)))
-    cleared = _on_shell(sys)
     fields = ansatz.elementary_fields()
     priority = _unknown_priority(ansatz)
     rng = random.Random(_SEED)
@@ -335,7 +335,7 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
         for vec in ex.nullspace(rows, priority, modulus=prime):
             values = {u: ex.rational_reconstruction(v, prime) for u, v in vec.items()}
             if None in values.values() or not all(
-                    c.is_zero() for c in _condition(ansatz.assemble(values), sys, cleared)):
+                    c.is_zero() for c in _condition(ansatz.assemble(values), sys)):
                 break
             vectors.append(values)
         else:
@@ -367,15 +367,8 @@ def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
     d(cleared residual k)/d var at P, with the time jets on shell.  Points
     where a denominator vanishes are skipped.
     """
-    cleared = _on_shell(sys)
-    variables = BASE_VARS + fluid.JETS
-    partials = []
-    for res in sys.residuals:
-        res = res * ex.denominator(res)
-        partials.append({v: d for v in variables
-                         if not (d := ex.diff(res, v)).is_zero()})
-    coeffs = [{v: c for v, c in {**V.coefficients(), **prolong1(V).jets}.items()
-               if not c.is_zero()} for V in fields]
+    cleared, partials = _on_shell(sys)
+    coeffs = [_prolonged(V) for V in fields]
     rows = []
     for values, exps in points:
         try:
@@ -406,7 +399,7 @@ def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     residuals are returned cleared of the (nonzero) characteristic
     determinant, which does not affect the zero test.
     """
-    return _condition(V, sys, _on_shell(sys))
+    return _condition(V, sys)
 
 
 def coordinates(V: VectorField, basis: Sequence[VectorField],
@@ -429,10 +422,9 @@ def coordinates(V: VectorField, basis: Sequence[VectorField],
     return out
 
 
-def in_span(V: VectorField, basis: Sequence[VectorField],
-            ansatz: Ansatz = None) -> bool:
+def in_span(V: VectorField, basis: Sequence[VectorField]) -> bool:
     """Exact membership of V in the rational span of a basis (affine fields)."""
-    return coordinates(V, basis, ansatz) is not None
+    return coordinates(V, basis) is not None
 
 
 def span_equal(basis1: Sequence[VectorField], basis2: Sequence[VectorField]) -> bool:

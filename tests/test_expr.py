@@ -2,6 +2,7 @@
 collection, row reduction and nullspace, parsing, compilation."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -233,6 +234,94 @@ def test_rref_matches_sympy():
             assert rows == full
 
     check()
+
+
+def _random_pair(rng, sympy, depth):
+    """A seeded random expression built twice, as (Expr, sympy expression),
+    over x, y, z with exp/sinh/cosh of k*x and integer powers."""
+    if depth == 0 or rng.random() < 0.25:
+        kind = rng.randrange(3)
+        if kind == 0:
+            name = rng.choice("xyz")
+            return ex.sym(name), sympy.Symbol(name)
+        if kind == 1:
+            c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            return ex.number(c), sympy.Rational(c.numerator, c.denominator)
+        k = rng.choice((-2, -1, 1, 2))
+        fn = rng.choice(("exp", "sinh", "cosh"))
+        return (getattr(ex, fn)(k * ex.sym("x")),
+                getattr(sympy, fn)(k * sympy.Symbol("x")))
+    a, sa = _random_pair(rng, sympy, depth - 1)
+    op = rng.choice("+-*/^")
+    if op == "^":
+        k = rng.randint(-2, 3) if not a.is_zero() else rng.randint(0, 3)
+        return a ** k, sa ** k
+    b, sb = _random_pair(rng, sympy, depth - 1)
+    if op == "/" and b.is_zero():
+        op = "*"
+    fn = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+          "/": operator.truediv}[op]
+    return fn(a, b), fn(sa, sb)
+
+
+def test_diff_subs_and_zero_test_match_sympy():
+    """Differential test against sympy.  exp(x) is transcendental over
+    Q(x, y, z), so with exp(x) read as an independent value X both sides
+    become rational functions: derivatives and substitutions are compared
+    exactly at rational points, and the zero test against sympy's cancel."""
+    sympy = pytest.importorskip("sympy")
+    x, y, z, big_x = sympy.symbols("x y z X")
+
+    def rational(s):
+        return sympy.cancel(s.rewrite(sympy.exp).subs(sympy.exp(x), big_x))
+
+    def agree(e, s, rng):
+        """Both sides at two random rational points; points where either
+        side has a pole are skipped.  Returns the number compared."""
+        r = rational(s)
+        compared = 0
+        for _ in range(2):
+            vals = {v: Fraction(rng.randint(-40, 40), rng.randint(1, 9))
+                    for v in ("x", "y", "z", "X")}
+            try:
+                got = ex.evaluate(e, {v: vals[v] for v in "xyz"}, {"x": vals["X"]})
+            except ex.DomainError:
+                continue
+            want = r.subs({sympy.Symbol(v): sympy.Rational(c.numerator, c.denominator)
+                           for v, c in vals.items()})
+            if not want.is_Rational:
+                continue
+            assert got == Fraction(int(want.p), int(want.q))
+            compared += 1
+        return compared
+
+    rng = random.Random(2024)
+    compared = 0
+    for _ in range(15):
+        e, s = _random_pair(rng, sympy, 3)
+        f, sf = _random_pair(rng, sympy, 2)
+        g, sg = _random_pair(rng, sympy, 2)
+        for name in "xyz":
+            compared += agree(ex.diff(e, name), sympy.diff(s, sympy.Symbol(name)), rng)
+        compared += agree(ex.subs(e, {"y": f, "z": g}),
+                          s.subs({y: sf, z: sg}, simultaneous=True), rng)
+        # true identities, and the same identities perturbed
+        lhs = [(e + f) * (e - f), ex.diff(e * f, "x"), ex.cosh(2 * ex.sym("x")),
+               ex.subs(e * f, {"z": g})]
+        rhs = [e * e - f * f, ex.diff(e, "x") * f + e * ex.diff(f, "x"),
+               ex.cosh(ex.sym("x")) ** 2 + ex.sinh(ex.sym("x")) ** 2,
+               ex.subs(e, {"z": g}) * ex.subs(f, {"z": g})]
+        slhs = [(s + sf) * (s - sf), sympy.diff(s * sf, x), sympy.cosh(2 * x),
+                (s * sf).subs(z, sg)]
+        srhs = [s * s - sf * sf, sympy.diff(s, x) * sf + s * sympy.diff(sf, x),
+                sympy.cosh(x) ** 2 + sympy.sinh(x) ** 2, s.subs(z, sg) * sf.subs(z, sg)]
+        bump = ex.sym("y") / 7
+        for a, b, sa, sb in zip(lhs, rhs, slhs, srhs):
+            assert rational(sa - sb) == 0
+            assert a.equivalent(b) and (a - b).is_zero()
+            assert rational(sa + y / 7 - sb) != 0
+            assert not (a + bump).equivalent(b) and not (a + bump - b).is_zero()
+    assert compared >= 100
 
 
 _PRIME = 2 ** 61 - 1

@@ -369,3 +369,25 @@ def test_normalize_element_is_a_function_of_the_span(theory):
                 assert c[0] == c[1] == 0.0, w  # translations absorbed
             elif theory == "eckart":
                 assert c[3] in (-1.0, 0.0, 1.0), w  # the listed families
+
+
+def test_generators_are_classified_once_per_algebra(monkeypatch):
+    """adjoint_action, adjoint_table_entry and normalize_element read each
+    generator's closed form from its algebra: however many calls, the
+    classification runs at most dim times per algebra."""
+    calls = []
+    closed_form = la._closed_form
+    monkeypatch.setattr(la, "_closed_form",
+                        lambda mat: calls.append(mat) or closed_form(mat))
+    rng = random.Random(31)
+    for alg in (la.table_algebra("eckart"), la.full_algebra()):
+        calls.clear()
+        for _ in range(30):
+            i = rng.randrange(alg.dim)
+            w = [Fraction(rng.randint(-5, 5), rng.randint(1, 3))
+                 for _ in range(alg.dim)]
+            la.adjoint_action(alg, Fraction(1, 3), i, w)
+            la.adjoint_table_entry(alg, i, rng.randrange(alg.dim))
+            if any(w):
+                la.normalize_element(alg, w)
+        assert 0 < len(calls) <= alg.dim

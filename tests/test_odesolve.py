@@ -43,8 +43,7 @@ def test_determinism_bit_identical():
 def test_event_bracketing_width():
     # crossing of u = 1/2 during exponential decay at t = ln 2
     delta = 1e-6
-    ev = od.EventSpec(guards=(lambda t, u: u[0] - 0.5,), names=("half",),
-                      delta=delta)
+    ev = od.EventSpec(guards=(lambda t, u: u[0] - 0.5,), names=("half",))
     cfg = od.SolverConfig(span=2.0, rtol=1e-9, atol=1e-12)
     tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg, ev)
     assert tr.termination == "event"
@@ -64,12 +63,11 @@ def test_step_failure_reported_not_raised():
 
 
 @pytest.mark.parametrize("field, value", [
-    ("rtol", math.nan), ("atol", math.inf), ("initial_step", 0.0),
-    ("initial_step", math.nan), ("max_step", -1.0), ("max_step", math.inf),
+    ("rtol", math.nan), ("atol", math.inf), ("max_step", -1.0), ("max_step", math.inf),
     ("span", 0.0), ("span", math.nan)])
 def test_solver_config_rejects_non_finite_or_degenerate_settings(field, value):
     # a nan rtol made every error norm 0 (every step accepted); a zero
-    # initial step took max_steps zero-length steps before failing
+    # max_step would take max_steps zero-length steps before failing
     with pytest.raises(ValueError, match=field):
         od.SolverConfig(**{field: value})
 
@@ -454,3 +452,16 @@ def test_guard_raising_at_the_located_event_ends_in_that_event():
     assert tr.termination == "event" and tr.event_name == "g"
     assert math.isnan(tr.event_value)
     assert tr.ts[-1] == pytest.approx(math.log(1 / 0.55), abs=2e-3)
+
+
+def test_guard_raising_at_the_start_reads_nan_and_still_fires_later():
+    """A guard undefined at the start point reads nan there, as at a step
+    end, instead of raising out of integrate; it fires once it is defined
+    and crosses."""
+    guard = _crossing_guard((0.9, math.inf))
+    cfg = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
+    tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg,
+                      od.EventSpec((guard,), ("g",)))
+    assert guard.raised[0] == 0.0
+    assert tr.termination == "event" and tr.event_name == "g"
+    assert tr.ts[-1] == pytest.approx(math.log(2.0), abs=2e-3)

@@ -12,13 +12,13 @@ from fluidsym.fluid import JET_SPACE
 
 def test_prolongation_of_dilatation():
     pr = sm.prolong1(sm.v_dilation())
-    assert pr.jets["psi_x"] == -ex.sym("psi_x")
-    assert pr.jets["n_t"] == -2 * ex.sym("n_t")
+    assert pr["psi_x"] == -ex.sym("psi_x")
+    assert pr["n_t"] == -2 * ex.sym("n_t")
 
 
 def test_prolongation_of_translation_vanishes():
     pr = sm.prolong1(sm.v_time())
-    assert all(v.is_zero() for v in pr.jets.values())
+    assert all(v.is_zero() for v in pr.values())
 
 
 def test_prolongation_linearity():
@@ -29,9 +29,9 @@ def test_prolongation_linearity():
         a, b = Fraction(rng.randint(-3, 3)), Fraction(rng.randint(-3, 3))
         left = sm.prolong1(V.scale(ex.number(a)) + W.scale(ex.number(b)))
         pv, pw = sm.prolong1(V), sm.prolong1(W)
-        for jet in left.jets:
-            expect = a * pv.jets[jet] + b * pw.jets[jet]
-            assert left.jets[jet].equivalent(expect)
+        for jet in left:
+            expect = a * pv[jet] + b * pw[jet]
+            assert left[jet].equivalent(expect)
 
 
 def _random_affine_field(rng):
@@ -63,7 +63,7 @@ def test_second_order_terms_cancel_in_reduced_prolongation():
                 full = JET_SPACE.total_derivative(inner, d)
                 full = full + V.xi * ex.sym(JET_SPACE.jet(u, "x", d))
                 full = full + V.tau * ex.sym(JET_SPACE.jet(u, "t", d))
-                assert (full - pr.jets[JET_SPACE.jet(u, d)]).is_zero()
+                assert (full - pr[JET_SPACE.jet(u, d)]).is_zero()
 
 
 def test_degree_zero_ansatz_yields_translations_only():
@@ -136,7 +136,7 @@ def test_determining_rows_are_linear_and_reproducible(eckart_system):
 
 def test_determining_rows_reject_a_condition_with_a_denominator(
         eckart_system, monkeypatch):
-    def condition(V, sys, cleared):
+    def condition(V, sys):
         return [ex.ONE / (ex.ONE + ex.sym("t"))] * len(sys.residuals)
 
     monkeypatch.setattr(sm, "_condition", condition)
@@ -257,3 +257,25 @@ def test_degree_two_ansatz_gives_the_same_five_generators():
 def test_on_shell_substitution_is_built_once_per_system(eckart_system_symbolic):
     same = fluid.build_system(eckart_system_symbolic.params)
     assert sm._on_shell(same) is sm._on_shell(eckart_system_symbolic)
+
+
+def test_evaluated_rows_agree_with_the_symbolic_condition(eckart_system_symbolic):
+    """Both read the parts built by ``_on_shell``: each evaluated row of
+    (residual k, point P) is proportional to the conditions of the
+    elementary fields, residual k, evaluated at P."""
+    sys = eckart_system_symbolic
+    ansatz = sm.Ansatz(degree=1)
+    fields, unknowns = ansatz.elementary_fields(), ansatz.unknowns()
+    points = sm._sample_points(random.Random(7), 2)
+    rows = sm._evaluated_rows(sys, fields, unknowns, points)
+    assert len(rows) == len(points) * len(sys.residuals)
+    conditions = [sm._condition(V, sys) for V in fields]
+    for p, (values, exps) in enumerate(points):
+        for k in range(len(sys.residuals)):
+            row = rows[p * len(sys.residuals) + k]
+            cond = [ex.evaluate(c[k], values, exps) for c in conditions]
+            assert row
+            u0 = next(iter(row))
+            ratio = cond[unknowns.index(u0)] / row[u0]
+            assert ratio
+            assert cond == [ratio * row.get(u, 0) for u in unknowns]
