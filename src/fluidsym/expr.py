@@ -408,16 +408,6 @@ def number(v) -> Expr:
     return Expr.number(v)
 
 
-def normalize(e: Expr) -> Expr:
-    """Canonical form of an expression.
-
-    Arithmetic in this module normalizes eagerly, so every Expr is already
-    canonical and this is the identity; it exists as the explicit contract
-    (idempotent, decidable structural equality of results).
-    """
-    return Expr._normalized(dict(e.num), dict(e.den))
-
-
 def numerator(e: Expr) -> Expr:
     return Expr(dict(e.num), {_ONE_MONO: Fraction(1)})
 
@@ -522,13 +512,13 @@ def _poly_diff(p: dict, name: str) -> Expr:
     return out + slow if not slow.is_zero() else out
 
 
-def diff(e: Expr, s) -> Expr:
-    """Exact partial derivative treating all other symbols as constants."""
-    name = s if isinstance(s, str) else _symbol_name(s)
-    num_d = _poly_diff(e.num, name)
+def diff(e: Expr, s: str) -> Expr:
+    """Exact partial derivative by the symbol named s, treating all other
+    symbols as constants."""
+    num_d = _poly_diff(e.num, s)
     if len(e.den) == 1 and _ONE_MONO in e.den:
         return num_d / e.den[_ONE_MONO]
-    den_d = _poly_diff(e.den, name)
+    den_d = _poly_diff(e.den, s)
     den = Expr(dict(e.den), {_ONE_MONO: Fraction(1)})
     if den_d.is_zero():
         return num_d / den
@@ -536,26 +526,13 @@ def diff(e: Expr, s) -> Expr:
     return (num_d * den - num * den_d) / (den * den)
 
 
-def _symbol_name(e: Expr) -> str:
-    if len(e.num) == 1 and len(e.den) == 1 and _ONE_MONO in e.den:
-        (mono, coeff), = e.num.items()
-        atoms, exparg = mono
-        if coeff == 1 and exparg is None and len(atoms) == 1 \
-                and atoms[0][0][0] == "s" and atoms[0][1] == 1:
-            return atoms[0][0][1]
-    raise ValueError("expected a bare symbol")
-
-
 # -- substitution ------------------------------------------------------------
 
 
-def subs(e: Expr, bindings: Mapping) -> Expr:
-    """Simultaneous substitution followed by normalization."""
-    table = {}
-    for k, v in bindings.items():
-        name = k if isinstance(k, str) else _symbol_name(k)
-        table[name] = _coerce(v)
-    return _subs_table(e, table)
+def subs(e: Expr, bindings: Mapping[str, object]) -> Expr:
+    """Simultaneous substitution {symbol name: value} followed by
+    normalization."""
+    return _subs_table(e, {name: _coerce(v) for name, v in bindings.items()})
 
 
 def _subs_table(e: Expr, table: Mapping[str, Expr]) -> Expr:

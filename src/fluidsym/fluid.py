@@ -35,7 +35,6 @@ __all__ = [
     "quasilinear_time_form",
     "quasilinear_space_form",
     "solve_for_jets",
-    "heat_flux_constraint",
     "residual_at",
 ]
 
@@ -139,20 +138,6 @@ def build_system(params: FluidParams) -> PDESystem:
     return PDESystem(residuals=(d1, d2, d3, d4), params=params)
 
 
-def _clear_row(coeffs, rhs):
-    """Multiply a row equation by its distinct denominators, making every
-    entry polynomial (denominator one)."""
-    entries = list(coeffs) + [rhs]
-    seen = set()
-    mult = ex.ONE
-    for e in entries:
-        d = ex.denominator(e)
-        if d.key() not in seen and not d.equivalent(ex.ONE):
-            seen.add(d.key())
-            mult = mult * d
-    return [e * mult for e in coeffs], rhs * mult
-
-
 def _det(matrix):
     """Determinant by cofactor expansion; entries are Exprs."""
     size = len(matrix)
@@ -173,15 +158,12 @@ def solve_for_jets(residuals, jets) -> tuple:
     """Solve residuals affine in the given jets for those jets.
 
     Each residual gives the row (d r/d jet, -r at zero jets), read off one
-    collect in the jets; the rows are cleared of denominators and solved
-    exactly by Cramer's rule.  Returns ({jet: Expr}, determinant Expr of the
-    cleared coefficient matrix).
+    collect in the jets, and the rows are solved exactly by Cramer's rule.
+    Returns ({jet: Expr}, determinant Expr of the coefficient matrix).
     """
     parts = [ex.collect(r, jets) for r in residuals]
-    cleared = [_clear_row([p.get(((j, 1),), ex.ZERO) for j in jets],
-                          -p.get((), ex.ZERO)) for p in parts]
-    mat = [cs for cs, _ in cleared]
-    rhs = [r for _, r in cleared]
+    mat = [[p.get(((j, 1),), ex.ZERO) for j in jets] for p in parts]
+    rhs = [-p.get((), ex.ZERO) for p in parts]
     det = _det(mat)
     if det.is_zero():
         raise ValueError("characteristic degeneracy: singular coefficient matrix")
@@ -208,20 +190,6 @@ def quasilinear_space_form(sys: PDESystem) -> dict:
     out, det = solve_for_jets(sys.residuals, SPACE_JETS)
     out["_det"] = det
     return out
-
-
-def heat_flux_constraint(sys: PDESystem) -> Expr:
-    """Solve the heat-flow residual for q (Eckart diagnostic).
-
-    For lam = 0 the heat-flow equation carries no q_t, so it fixes q
-    algebraically in terms of the remaining first derivatives.
-    """
-    d4 = sys.residuals[3]
-    a = ex.diff(d4, "q")
-    if a.is_zero():
-        raise ValueError("residual does not determine q")
-    b = ex.subs(d4, {"q": ex.ZERO})
-    return -b / a
 
 
 def residual_at(sys: PDESystem, state: FluidState, jets: Mapping[str, float]) -> tuple:

@@ -46,7 +46,6 @@ __all__ = [
     "ReducedSystem",
     "UnsupportedReductionError",
     "closed_form_case4",
-    "invariants_of",
     "reduced_system",
     "supported_cases",
     "symbolic_check_reduction",
@@ -93,7 +92,7 @@ class ReducedSystem:
     independent: str  # 't', 'x' or 'y'
     states: tuple  # state symbol names, order fixed
     rhs: dict  # state -> Expr in (independent, states)
-    determinant: Expr  # clearing determinant of the jet solve
+    determinant: Expr  # determinant of the jet solve's coefficient matrix
     singular: tuple  # denominator expressions bounding integration
     first_integrals: dict  # name -> Expr in (independent, states)
     invariant_set: InvariantSet | None  # None for cases 1-2
@@ -195,37 +194,6 @@ def verify_invariant(V: VectorField, e: Expr) -> Expr:
     return V.apply(e)
 
 
-def invariants_of(V: VectorField, a_value: Fraction | None = None) -> InvariantSet:
-    """Invariants for catalog generators (closed-form characteristic
-    integration is catalogued per generator, not computed for arbitrary
-    fields)."""
-    a = ex.sym("a") if a_value is None else ex.number(a_value)
-    t, x, psi, n, rho, q = ex.syms("t x psi n rho q")
-    try:
-        target = sm._field_to_vector(V, sm.Ansatz(degree=1))
-    except ValueError:
-        raise UnsupportedReductionError(
-            "generator is not in the reduction catalog: " + V.text())
-    # pure field scaling: five invariants, but no similarity reduction
-    scaling = sm._field_to_vector(sm.v_scaling(), sm.Ansatz(degree=1))
-    if target == scaling:
-        return InvariantSet(sm.v_scaling(), None,
-                            {"t": t, "x": x, "psi": psi, "n": n,
-                             "theta": q / rho},
-                            {"psi": psi, "n": n},
-                            ())
-    for case in _CATALOG:
-        inv = _case_invariants(case, a)
-        try:
-            gen_vec = sm._field_to_vector(inv.generator, sm.Ansatz(degree=1))
-        except ValueError:
-            continue
-        if gen_vec == target:
-            return inv
-    raise UnsupportedReductionError(
-        "generator is not in the reduction catalog: " + V.text())
-
-
 def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
                            inst_t: Fraction | None) -> tuple:
     """Residuals with the invariant ansatz substituted.
@@ -290,13 +258,15 @@ def reduced_system(case: int, theory: str,
     for name, text in entry.first_integrals.items():
         e = ex.parse(text)
         integrals[name] = e if a is None else ex.subs(e, {"a": a})
+    # each factor made monic; a monomial becomes the constant 1, which
+    # vanishes nowhere and is dropped
     seen = set()
     uniq = []
     for s in singular:
         lead = ex.Expr({ex._leading_mono(s.num): s.num[ex._leading_mono(s.num)]},
                        {ex._ONE_MONO: Fraction(1)}) if s.num else ex.ONE
         monic = s / lead
-        if monic.key() not in seen:
+        if not monic.is_rational() and monic.key() not in seen:
             seen.add(monic.key())
             uniq.append(monic)
     inv = _case_invariants(case, a)

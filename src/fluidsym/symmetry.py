@@ -223,37 +223,29 @@ def _on_shell(sys: PDESystem) -> tuple:
     """The parts of the symmetry condition on one system, shared by every
     condition on it: ``(cleared, partials)``.  ``cleared`` substitutes the
     time jets by the quasilinear solved form; ``partials[k]`` maps each base
-    variable and jet to the nonzero partial of residual k cleared of its
-    monomial denominators (1/rho, 1/n)."""
+    variable and jet to the nonzero partial of residual k.  The residuals
+    have no denominator: their monomial divisors (1/rho, 1/n) are negative
+    powers."""
     qf = fluid.quasilinear_time_form(sys)
     cleared = ex.ClearedSubstitution({tj: qf[tj] for tj in TIME_JETS})
-    partials = []
-    for res in sys.residuals:
-        res = res * ex.denominator(res)
-        partials.append({v: d for v in BASE_VARS + fluid.JETS
-                         if not (d := ex.diff(res, v)).is_zero()})
-    return cleared, tuple(partials)
+    partials = tuple({v: d for v in BASE_VARS + fluid.JETS
+                      if not (d := ex.diff(res, v)).is_zero()}
+                     for res in sys.residuals)
+    return cleared, partials
 
 
 def _condition(V: VectorField, sys: PDESystem) -> list:
     """The on-shell symmetry condition of V, one Expr per residual.
 
-    The first prolongation of V acts on each cleared residual through its
-    partials (``_on_shell``); the action is cleared in turn and its time
-    jets are substituted over their shared denominator.  The action is
-    quadratic in the time jets.
+    The first prolongation of V acts on each residual through its partials
+    (``_on_shell``), and the action's time jets are substituted over their
+    shared denominator.  The action is quadratic in the time jets.
     """
     cleared, partials = _on_shell(sys)
     coeffs = _prolonged(V)
-    out = []
-    for dres in partials:
-        act = sum((c * dres[v] for v, c in coeffs.items() if v in dres), ex.ZERO)
-        if not act.is_zero():
-            if not ex.denominator(act).equivalent(ex.ONE):
-                act = act * ex.denominator(act)
-            act = cleared(act, 2)
-        out.append(act)
-    return out
+    acts = (sum((c * dres[v] for v, c in coeffs.items() if v in dres), ex.ZERO)
+            for dres in partials)
+    return [cleared(act, 2) for act in acts]
 
 
 def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
@@ -364,7 +356,7 @@ def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
 
     The entry of field V_i is its condition evaluated at P: the sum over
     the base variables and jets of coeff_var(pr V_i)(P) times
-    d(cleared residual k)/d var at P, with the time jets on shell.  Points
+    d(residual k)/d var at P, with the time jets on shell.  Points
     where a denominator vanishes are skipped.
     """
     cleared, partials = _on_shell(sys)
@@ -396,8 +388,9 @@ def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     """On-shell residual of the symmetry condition, one Expr per equation.
 
     All residuals structurally zero iff V generates a point symmetry.  The
-    residuals are returned cleared of the (nonzero) characteristic
-    determinant, which does not affect the zero test.
+    residuals are returned multiplied by the square of the (nonzero) shared
+    denominator of the solved time jets, which does not affect the zero
+    test.
     """
     return _condition(V, sys)
 

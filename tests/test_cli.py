@@ -440,8 +440,8 @@ _PINNED_REDUCTIONS = [
     for case in cases] + [["4", "eckart", "-a", "-2/3"],
                           ["5", "eckart", "-a", "1/2"],
                           ["6", "eckart", "-a", "3/2"]]
-_PINNED_REDUCE_SHA256 = ("7c4bae792764f233cc1566f415182217"
-                         "41cbaec931e767dd30899506774371b3")
+_PINNED_REDUCE_SHA256 = ("9a9b8531514af21745ef38b62ccd8208"
+                         "4fe7aeda751aed9b029fffaf890489e0")
 
 
 def test_reduce_output_is_pinned(runner, tmp_path):

@@ -105,12 +105,6 @@ def test_heat_flow_has_no_qt_without_relaxation(eckart_system):
     assert ex.diff(eckart_system.residuals[3], "q_t").is_zero()
 
 
-def test_heat_flux_constraint_solves_heat_flow(eckart_system):
-    qc = fluid.heat_flux_constraint(eckart_system)
-    res = ex.subs(eckart_system.residuals[3], {"q": qc})
-    assert res.is_zero()
-
-
 def test_relaxation_coefficient_of_q_jets():
     sys = fluid.build_system(FluidParams(lam=Fraction(1)))
     coeff = ex.diff(sys.residuals[3], "q_x")

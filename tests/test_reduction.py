@@ -12,7 +12,7 @@ from fluidsym import expr as ex, fluid, reduction as rd, symmetry as sm
 
 
 def test_dilatation_invariants():
-    inv = rd.invariants_of(sm.v_dilation())
+    inv = rd._case_invariants(3, None)
     assert inv.invariants["y"].equivalent(ex.sym("x") / ex.sym("t"))
     assert inv.invariants["alpha"].equivalent(ex.sym("n") * ex.sym("t"))
     for e in inv.invariants.values():
@@ -21,7 +21,7 @@ def test_dilatation_invariants():
 
 def test_traveling_frame_invariants():
     gen = sm.v_time() + sm.v_space().scale(ex.number(2))
-    inv = rd.invariants_of(gen, a_value=Fraction(2))
+    inv = rd._case_invariants(4, ex.number(2))
     y = inv.invariants["y"]
     assert y.equivalent(ex.sym("x") - 2 * ex.sym("t"))
     assert rd.verify_invariant(gen, y).is_zero()
@@ -29,16 +29,9 @@ def test_traveling_frame_invariants():
 
 def test_scaling_invariants():
     gen = sm.v_scaling() + sm.v_time() + sm.v_space().scale(ex.number(1))
-    inv = rd.invariants_of(gen, a_value=Fraction(1))
+    inv = rd._case_invariants(6, ex.number(1))
     assert rd.verify_invariant(gen, inv.invariants["theta"]).is_zero()
     assert rd.verify_invariant(gen, inv.invariants["sigma"]).is_zero()
-
-
-def test_unsupported_generator_rejected():
-    V = sm.VectorField(ex.sym("x") ** 2, ex.ZERO, ex.ZERO, ex.ZERO,
-                       ex.ZERO, ex.ZERO)
-    with pytest.raises(rd.UnsupportedReductionError):
-        rd.invariants_of(V)
 
 
 def test_mixed_scaling_annihilation_corrected_and_stated():
@@ -148,6 +141,37 @@ def test_singular_loci_are_reported():
     assert any(abs(a - b) > 1e-12 for a, b in zip(vals, vals2))
 
 
+def test_singular_factors_are_never_constants():
+    """A monomial denominator or determinant is nonzero wherever the right-hand
+    sides are defined; its monic form is 1 and no guard is built for it."""
+    runs = [(theory, case, None) for theory in ("eckart", "israel-stewart")
+            for case in rd.supported_cases(theory)]
+    runs += [("eckart", case, Fraction(a)) for case in (4, 5, 6) for a in (1, -1)]
+    for theory, case, a in runs:
+        rs = rd.reduced_system(case, theory, a_value=a)
+        assert not any(s.is_rational() for s in rs.singular), (theory, case, a)
+
+
+def test_residuals_have_no_denominator():
+    """The jet solve and the symmetry condition read the residuals as they
+    are: every division in them is by a monomial, which the kernel keeps as
+    a negative power, so no denominator is ever left to clear."""
+    for lam in (Fraction(0), Fraction(1)):
+        for k, kappa in ((None, None), (Fraction(2), Fraction(3, 5))):
+            sys = fluid.build_system(fluid.FluidParams(k=k, kappa=kappa, lam=lam))
+            assert all(ex.denominator(r) == ex.ONE for r in sys.residuals)
+    for lam in (Fraction(0), Fraction(1)):
+        sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
+        for case in range(1, 7):
+            entry = rd._CATALOG[case]
+            group = [None] if entry.default_a is None else [
+                ex.number(Fraction(a)) for a in (-1, Fraction(-2, 3), Fraction(1, 2), 3, 0)]
+            for a in group:
+                for inst_t in {entry.inst_t, None}:
+                    res, _ = rd._substituted_residuals(sys, case, a, inst_t)
+                    assert all(ex.denominator(r) == ex.ONE for r in res), (lam, case, a)
+
+
 def test_invariants_functionally_independent():
     """The exact Jacobian of the case-3 invariants has full rank 5."""
     rng = random.Random(123)
@@ -215,15 +239,6 @@ def test_machine_reduction_residuals_vanish_on_case4_flow():
     st = fluid.FluidState(psi=u[0], n=u[1], rho=u[2], q=u[3])
     res = fluid.residual_at(sys, st, jets)
     assert max(abs(r) for r in res) < 1e-12
-
-
-def test_pure_scaling_invariants():
-    inv = rd.invariants_of(sm.v_scaling())
-    assert inv.similarity_variable is None
-    theta = inv.invariants["theta"]
-    assert theta.equivalent(ex.sym("q") / ex.sym("rho"))
-    for e in inv.invariants.values():
-        assert rd.verify_invariant(sm.v_scaling(), e).is_zero()
 
 
 @pytest.mark.parametrize("theory, fixture", [
