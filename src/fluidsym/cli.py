@@ -6,6 +6,7 @@ from __future__ import annotations
 import csv
 import importlib.resources
 import math
+import os
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -40,6 +41,19 @@ class _Finite(click.FloatRange):
         return rv
 
 
+class _OutputPath(click.Path):
+    """A file to write whose directory exists: a bad path fails when the
+    options are parsed, before any work."""
+
+    def convert(self, value, param, ctx):
+        folder = os.path.dirname(super().convert(value, param, ctx)) or "."
+        if not os.path.isdir(folder):
+            self.fail(f"directory {folder!r} does not exist.", param, ctx)
+        return value
+
+
+_OUT = _OutputPath(dir_okay=False)
+_IN_FILE = click.Path(exists=True, dir_okay=False)
 _FLOAT = _Finite()
 _POSITIVE = _Finite(min=0, min_open=True)
 _VELOCITY = _Finite(min=-1, max=1, min_open=True, max_open=True)
@@ -69,19 +83,36 @@ def _fraction(text: str, param_hint: str) -> Fraction:
                                  param_hint=param_hint)
 
 
+def _entries(path, param_hint: str, parse) -> list:
+    """parse(line) for each line of a UTF-8 file but blanks and '#' comments;
+    a line that is not UTF-8 or that parse rejects is a usage error."""
+    out = []
+    for no, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
+        try:
+            line = line.decode("utf-8").strip()
+            if line and not line.startswith("#"):
+                out.append(parse(line))
+        except (ValueError, ZeroDivisionError) as err:  # UnicodeDecodeError is a ValueError
+            raise click.BadParameter(f"{path}, line {no}: {err}", param_hint=param_hint)
+    return out
+
+
+def _key_value(keys):
+    """The parser of a flat `key = value` line whose key is one of keys."""
+    def parse(line: str) -> tuple:
+        key, eq, val = (s.strip() for s in line.partition("="))
+        if not eq:
+            raise ValueError(f"expected 'key = value', got {line!r}")
+        if key not in keys:
+            raise ValueError(f"unknown key {key!r} (expected {' or '.join(keys)})")
+        return key, val
+    return parse
+
+
 def _params_from_file(path: str | None, theory: str) -> fluid.FluidParams:
     """k and kappa from a parameter file; lambda comes from the theory."""
     kw = {"lam": _lam(theory)}
-    for line in Path(path).read_text().splitlines() if path else ():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise click.UsageError(f"bad parameter line: {line!r}")
-        key, val = (s.strip() for s in line.split("=", 1))
-        if key not in ("k", "kappa"):
-            raise click.BadParameter(f"unknown key {key!r} (expected k or kappa)",
-                                     param_hint="--params")
+    for key, val in _entries(path, "--params", _key_value(("k", "kappa"))) if path else ():
         kw[key] = _fraction(val, f"--params ({key})")
     try:
         return fluid.FluidParams(**kw)
@@ -103,7 +134,7 @@ def main():
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
 @click.option("--ansatz-degree", type=click.IntRange(min=0), default=1,
               show_default=True)
-@click.option("--dump-determining", type=click.Path(), default=None,
+@click.option("--dump-determining", type=_OUT, default=None,
               help="Write the determining linear forms to a file.")
 def symmetries(theory, ansatz_degree, dump_determining):
     """Solve the determining equations and print a generator basis."""
@@ -192,7 +223,7 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
 @click.option("--check", is_flag=True, help="Run the symbolic residual check.")
 @click.option("-a", "a_value", type=str, default=None,
               help="Group parameter a for cases 4, 5, 6 (rational).")
-@click.option("--dump-expr", type=click.Path(), default=None,
+@click.option("--dump-expr", type=_OUT, default=None,
               help="Write the right-hand sides to a file in the parseable "
                    "expression text format.")
 def reduce(case_no, theory, check, a_value, dump_expr):
@@ -248,8 +279,8 @@ def reduce(case_no, theory, check, a_value, dump_expr):
               help="Integration orientation (default: catalog orientation).")
 @click.option("--blowup-delta", type=_UNIT, default=1e-6, show_default=True,
               help="1 - v^2 threshold for the blow-up event, in (0, 1).")
-@click.option("--params", "params_file", type=click.Path(exists=True), default=None)
-@click.option("--out", type=click.Path(), default=None, help="CSV output path.")
+@click.option("--params", "params_file", type=_IN_FILE, default=None)
+@click.option("--out", type=_OUT, default=None, help="CSV output path.")
 @click.option("-a", "a_value", type=str, default=None)
 def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
           blowup_delta, params_file, out, a_value):
@@ -338,7 +369,7 @@ def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta):
               help="Heat-flux seed (default: per-case study value).")
 @click.option("--horizon", type=_POSITIVE, default=None,
               help="Classification horizon in scaled time.")
-@click.option("--params", "params_file", type=click.Path(exists=True), default=None)
+@click.option("--params", "params_file", type=_IN_FILE, default=None)
 def critical(case_no, theory, lo, hi, tol, q0, horizon, params_file):
     """Bisect the critical initial velocity of a reduced family."""
     if lo >= hi:
@@ -409,27 +440,17 @@ def _goldens_dir(override=None):
     return Path(importlib.resources.files("fluidsym") / "goldens")
 
 
-def load_golden_cells(path: Path) -> dict:
-    cells = {}
-    for line in path.read_text().splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, val = (s.strip() for s in line.split("=", 1))
-        cells[key] = val
-    return cells
-
-
 def _check_tables(goldens: Path, report):
     ok = True
     for theory, fname in (("eckart", "eckart"), ("israel-stewart", "israel_stewart")):
         alg = la.table_algebra(theory)
+        cells = {f"V{i + 1},V{j + 1}": (i, j)
+                 for i in range(alg.dim) for j in range(alg.dim)}
         for kind, entry in (("commutator", la.commutator_table_entry),
                             ("adjoint", la.adjoint_table_entry)):
-            golden = load_golden_cells(goldens / f"{kind}_table_{fname}.txt")
-            for key, expected in golden.items():
-                i, j = (int(p[1:]) - 1 for p in key.split(","))
-                got = entry(alg, i, j)
+            path = goldens / f"{kind}_table_{fname}.txt"
+            for key, expected in _entries(path, "--goldens-dir", _key_value(cells)):
+                got = entry(alg, *cells[key])
                 if got.replace(" ", "") != expected.replace(" ", ""):
                     report(f"FAIL {kind} table ({theory}) cell [{key}]: "
                            f"got '{got}', golden '{expected}'")
@@ -460,10 +481,8 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
         check(f"computed basis equals golden and every generator is certified"
               f" exactly at symbolic k, kappa ({theory})", pinned and certified,
               f"equals golden: {pinned}; certified: {certified}")
-        golden_lines = [
-            ln for ln in (goldens / f"generator_basis_{stem}.txt")
-            .read_text().splitlines() if ln.strip() and not ln.startswith("#")]
-        golden = [sm.field_from_text(ln) for ln in golden_lines]
+        golden = _entries(goldens / f"generator_basis_{stem}.txt", "--goldens-dir",
+                          sm.field_from_text)
         same = sm.span_equal(basis, golden)
         contains = all(sm.in_span(g, basis) for g in golden)
         detail = (f"computed dim {len(basis)}, reference dim {len(golden)};"
@@ -520,7 +539,7 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
 
 
 @main.command()
-@click.option("--goldens-dir", type=click.Path(exists=True), default=None,
+@click.option("--goldens-dir", type=click.Path(exists=True, file_okay=False),
               help="Override the golden fixtures directory.")
 def verify(goldens_dir):
     """Run the one-shot verification battery (exit 0 only if everything,

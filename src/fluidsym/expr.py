@@ -8,9 +8,10 @@ arguments.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
-The form is normalized but not canonical: no polynomial gcd is taken, so
-numerator and denominator may share a factor and one rational function can
-have several representations.  ``==`` and ``key()`` compare structure.  The exact tests are ``is_zero()`` (the
+Normalizing divides both sides once by the denominator's monomial content
+(a one-term denominator becomes 1), but takes no polynomial gcd, so the form
+is not canonical: numerator and denominator may share a factor and one
+rational function can have several representations.  ``==`` and ``key()`` compare structure.  The exact tests are ``is_zero()`` (the
 numerator polynomial is empty) and ``equivalent()`` (cross-multiplication).
 
 ``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
@@ -153,12 +154,15 @@ def _leading_mono(p: dict):
     return max(p, key=_mono_sort_key)
 
 
+def _mono_inv(m):
+    """1 / m as a Laurent monomial."""
+    atoms, exparg = m
+    return tuple((a, -e) for a, e in atoms), None if exparg is None else -exparg
+
+
 def _mono_div(m1, m2):
     """m1 / m2 as a Laurent monomial (always defined)."""
-    atoms2, e2 = m2
-    inv_atoms = tuple((a, -e) for a, e in atoms2)
-    inv_exp = None if e2 is None else -e2
-    return _mono_mul(m1, (inv_atoms, inv_exp))
+    return _mono_mul(m1, _mono_inv(m2))
 
 
 def _poly_try_div(num: dict, den: dict, max_steps: int):
@@ -212,19 +216,16 @@ class Expr:
             raise SingularSubstitutionError("zero denominator")
         if not num:
             return Expr({}, {_ONE_MONO: Fraction(1)})
-        # strip the common Laurent-monomial content of the denominator
+        # one division by the denominator's monomial content; a one-term
+        # denominator becomes the unit, and the unit is not even copied
+        mono = _common_mono(den)
+        c = next(iter(den.values())) if len(den) == 1 else Fraction(1)
+        if mono != _ONE_MONO or c != 1:
+            inv = {_mono_inv(mono): 1 / c}
+            num = _poly_mul(num, inv)
+            den = _poly_mul(den, inv)
         if len(den) == 1:
-            (m, c), = den.items()
-            inv = (tuple((a, -e) for a, e in m[0]), None if m[1] is None else -m[1])
-            num = _poly_mul(num, {inv: 1 / c})
-            return Expr(num, {_ONE_MONO: Fraction(1)})
-        # factor a common monomial out of the denominator terms
-        common = _common_mono(den)
-        if common != _ONE_MONO:
-            inv = (tuple((a, -e) for a, e in common[0]),
-                   None if common[1] is None else -common[1])
-            den = _poly_mul(den, {inv: Fraction(1)})
-            num = _poly_mul(num, {inv: Fraction(1)})
+            return Expr(num, den)
         # cheap exact-division attempt, only for small operands: catches the
         # frequent case where the denominator divides the numerator outright
         if len(den) <= 8 and len(num) <= 64:
@@ -414,6 +415,15 @@ def numerator(e: Expr) -> Expr:
 
 def denominator(e: Expr) -> Expr:
     return Expr(dict(e.den), {_ONE_MONO: Fraction(1)})
+
+
+def monic(e: Expr) -> Expr:
+    """e divided by the leading term of its numerator, coefficient included:
+    a monomial becomes 1, and zero stays zero."""
+    if not e.num:
+        return e
+    lead = _leading_mono(e.num)
+    return e / Expr({lead: e.num[lead]}, {_ONE_MONO: Fraction(1)})
 
 
 def sym(name: str) -> Expr:

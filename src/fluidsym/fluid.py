@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Mapping
 
 from . import expr as ex
-from .expr import Expr, JetSpace
+from .expr import JetSpace
 
 __all__ = [
     "FluidParams",
@@ -64,14 +64,6 @@ class FluidParams:
         if not (0 <= self.lam <= 1):
             raise ValueError("lam must lie in [0, 1]")
 
-    @property
-    def k_expr(self) -> Expr:
-        return ex.sym("k") if self.k is None else ex.number(self.k)
-
-    @property
-    def kappa_expr(self) -> Expr:
-        return ex.sym("kappa") if self.kappa is None else ex.number(self.kappa)
-
 
 @dataclass(frozen=True)
 class FluidState:
@@ -97,10 +89,6 @@ class PDESystem:
     residuals: tuple  # four Expr values, quasilinear in the eight jets
     params: FluidParams
 
-    @property
-    def lam(self) -> Fraction:
-        return self.params.lam
-
 
 def build_system(params: FluidParams) -> PDESystem:
     """Assemble the four normalized residuals."""
@@ -108,8 +96,8 @@ def build_system(params: FluidParams) -> PDESystem:
     s = ex.sinh(psi)
     c = ex.cosh(psi)
     j = {name: ex.sym(name) for name in JETS}
-    k = params.k_expr
-    kappa = params.kappa_expr
+    k = ex.sym("k") if params.k is None else ex.number(params.k)
+    kappa = ex.sym("kappa") if params.kappa is None else ex.number(params.kappa)
     lam = ex.number(params.lam)
 
     p_plus_rho = rho * 4 / 3  # p = rho/3

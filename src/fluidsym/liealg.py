@@ -43,9 +43,6 @@ class AlgebraElement:
     def __post_init__(self):
         object.__setattr__(self, "coefficients", tuple(self.coefficients))
 
-    def is_zero(self) -> bool:
-        return all(not c for c in self.coefficients)
-
 
 @dataclass(frozen=True)
 class LieAlgebra:
@@ -90,11 +87,8 @@ class LieAlgebra:
     def named_indices(self) -> tuple:
         """Basis positions of the time and space translations and the
         dilatation, None for any the basis lacks; resolved once per algebra."""
-        ansatz = sm.Ansatz(degree=1)
-        vecs = [sm._field_to_vector(b, ansatz) for b in self.basis]
-        named = (sm._field_to_vector(g, ansatz)
-                 for g in (sm.v_time(), sm.v_space(), sm.v_dilation()))
-        return tuple(vecs.index(v) if v in vecs else None for v in named)
+        return tuple(self.basis.index(g) if g in self.basis else None
+                     for g in (sm.v_time(), sm.v_space(), sm.v_dilation()))
 
 
 def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:

@@ -93,7 +93,7 @@ class ReducedSystem:
     states: tuple  # state symbol names, order fixed
     rhs: dict  # state -> Expr in (independent, states)
     determinant: Expr  # determinant of the jet solve's coefficient matrix
-    singular: tuple  # denominator expressions bounding integration
+    singular: tuple  # the determinant made monic, unless it is constant
     first_integrals: dict  # name -> Expr in (independent, states)
     invariant_set: InvariantSet | None  # None for cases 1-2
     lam: Fraction
@@ -236,9 +236,7 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
 def reduced_system(case: int, theory: str,
                    a_value: Fraction | None = None) -> ReducedSystem:
     """Mechanically derived explicit first-order reduction for one case."""
-    if theory not in SUPPORTED:
-        raise UnsupportedReductionError(f"unknown theory '{theory}'")
-    if case not in SUPPORTED[theory]:
+    if case not in supported_cases(theory):
         reason = UNSUPPORTED_REASON.get(
             (theory, case), "no reduction is catalogued for this combination")
         raise UnsupportedReductionError(
@@ -251,28 +249,18 @@ def reduced_system(case: int, theory: str,
     res, jets = _substituted_residuals(sys, case, a, entry.inst_t)
     sol, det = fluid.solve_for_jets(res, list(jets.values()))
     rhs = {s: sol[jet] for s, jet in jets.items()}
-    singular = [ex.denominator(r) for r in rhs.values()
-                if not ex.denominator(r).equivalent(ex.ONE)]
-    singular.append(det)
+    # Cramer's rule divides by det alone, so det = 0 is the whole singular
+    # locus; a monomial det is monic 1 and vanishes nowhere
+    locus = ex.monic(det)
     integrals = {}
     for name, text in entry.first_integrals.items():
         e = ex.parse(text)
         integrals[name] = e if a is None else ex.subs(e, {"a": a})
-    # each factor made monic; a monomial becomes the constant 1, which
-    # vanishes nowhere and is dropped
-    seen = set()
-    uniq = []
-    for s in singular:
-        lead = ex.Expr({ex._leading_mono(s.num): s.num[ex._leading_mono(s.num)]},
-                       {ex._ONE_MONO: Fraction(1)}) if s.num else ex.ONE
-        monic = s / lead
-        if not monic.is_rational() and monic.key() not in seen:
-            seen.add(monic.key())
-            uniq.append(monic)
     inv = _case_invariants(case, a)
     return ReducedSystem(case=case, theory=theory, independent=entry.independent,
                          states=tuple(jets), rhs=rhs, determinant=det,
-                         singular=tuple(uniq), first_integrals=integrals,
+                         singular=() if locus.is_rational() else (locus,),
+                         first_integrals=integrals,
                          invariant_set=None if inv.similarity_variable is None else inv,
                          lam=lam, direction=entry.direction,
                          start=entry.start)

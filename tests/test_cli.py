@@ -261,6 +261,72 @@ def test_usage_error_goldens_dir_without_goldens(runner, tmp_path):
     assert "missing golden file" in res.output
 
 
+def _goldens_with(tmp_path, name, old, new):
+    """A copy of the shipped goldens with the first `old` in one file
+    replaced by `new`."""
+    for f in Path(cli._goldens_dir()).glob("*.txt"):
+        shutil.copy(f, tmp_path / f.name)
+    target = tmp_path / name
+    target.write_text(target.read_text().replace(old, new, 1))
+    return str(tmp_path)
+
+
+def _not_utf8(tmp_path):
+    p = tmp_path / "params.txt"
+    p.write_bytes(b"k = \xff\n")
+    return str(p)
+
+
+_MISSING = "missing-dir/out.txt"
+
+# (arguments from tmp_path, text the usage message must hold, whether the
+# error must come before any work)
+_BAD_INPUT_FILES = {
+    "goldens-line-without-equals": (lambda d: ["verify", "--goldens-dir", _goldens_with(
+        d, "commutator_table_eckart.txt", "V1,V3 = V1", "V1,V3 V1")],
+        "commutator_table_eckart.txt, line 5", False),
+    "goldens-cell-outside-the-algebra": (lambda d: ["verify", "--goldens-dir", _goldens_with(
+        d, "adjoint_table_israel_stewart.txt", "V1,V1 = V1", "V9,V1 = 0")],
+        "adjoint_table_israel_stewart.txt, line 3", False),
+    "goldens-unparsable-generator": (lambda d: ["verify", "--goldens-dir", _goldens_with(
+        d, "generator_basis_eckart.txt", "d_x", "d_t +* x")],
+        "generator_basis_eckart.txt, line 3", False),
+    "goldens-dir-is-a-file": (lambda d: ["verify", "--goldens-dir", str(
+        Path(cli._goldens_dir()) / "commutator_table_eckart.txt")], "--goldens-dir", True),
+    "params-is-a-directory": (lambda d: _SOLVE + ["--v0", "0.5", "--params", str(d)],
+                              "--params", True),
+    "params-not-utf8": (lambda d: _SOLVE + ["--v0", "0.5", "--params", _not_utf8(d)],
+                        "--params", True),
+    "solve-out-in-missing-directory": (
+        lambda d: _SOLVE + ["--v0", "0.5", "--out", str(d / _MISSING)], "--out", True),
+    "reduce-dump-expr-in-missing-directory": (
+        lambda d: ["reduce", "--case", "1", "--theory", "eckart", "--dump-expr",
+                   str(d / _MISSING)], "--dump-expr", True),
+    "symmetries-dump-determining-in-missing-directory": (
+        lambda d: ["symmetries", "--theory", "eckart", "--dump-determining",
+                   str(d / _MISSING)], "--dump-determining", True),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUT_FILES))
+def test_usage_error_bad_input_file(runner, tmp_path, monkeypatch, case):
+    """An unreadable or malformed input file, or an output path that cannot
+    be written, exits 2 with a message naming the option or the file and
+    line, and no traceback; a bad path is rejected before any work."""
+    make_args, expected, before_work = _BAD_INPUT_FILES[case]
+    if before_work:
+        def work(*args, **kwargs):
+            raise AssertionError("work started before the path was checked")
+        for module, name in ((cli.rd, "reduced_system"), (cli.sm, "solve_determining"),
+                             (cli.sm, "determining_equations")):
+            monkeypatch.setattr(module, name, work)
+    res = runner.invoke(main, make_args(tmp_path))
+    assert res.exit_code == 2, res.output
+    assert isinstance(res.exception, SystemExit), res.exception
+    assert expected in res.output
+    assert "Usage:" in res.output
+
+
 def test_golden_tables_check_passes():
     lines = []
     ok = cli._check_tables(cli._goldens_dir(), lines.append)

@@ -152,6 +152,22 @@ def test_singular_factors_are_never_constants():
         assert not any(s.is_rational() for s in rs.singular), (theory, case, a)
 
 
+def test_right_hand_side_denominators_lie_on_the_singular_locus():
+    """Cramer's rule divides by the determinant alone: every right-hand
+    side's denominator, made monic, is a constant or the one singular
+    factor, so the determinant gives the whole singular locus."""
+    runs = [(theory, case, a) for theory in ("eckart", "israel-stewart")
+            for case in rd.supported_cases(theory)
+            for a in ([None] if rd._CATALOG[case].default_a is None else
+                      [None] + [Fraction(v) for v in ("-2", "-1", "-2/3", "1/2", "1", "3")])]
+    for theory, case, a in runs:
+        rs = rd.reduced_system(case, theory, a_value=a)
+        assert len(rs.singular) <= 1, (theory, case, a)
+        for s, rhs in rs.rhs.items():
+            den = ex.monic(ex.denominator(rhs))
+            assert den.is_rational() or (den,) == rs.singular, (theory, case, a, s)
+
+
 def test_residuals_have_no_denominator():
     """The jet solve and the symmetry condition read the residuals as they
     are: every division in them is by a monomial, which the kernel keeps as
