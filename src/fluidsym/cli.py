@@ -153,10 +153,13 @@ def symmetries(theory, ansatz_degree, dump_determining):
     click.echo(_basis_text(theory, basis), nl=False)
 
 
+def _basis_lines(basis) -> list:
+    return [f"V{i} = {V.text()}" for i, V in enumerate(basis, start=1)]
+
+
 def _basis_text(theory, basis) -> str:
-    lines = [f"# {theory}: {len(basis)}-dimensional point-symmetry algebra"]
-    lines += [f"V{i} = {V.text()}" for i, V in enumerate(basis, start=1)]
-    return "\n".join(lines) + "\n"
+    header = f"# {theory}: {len(basis)}-dimensional point-symmetry algebra"
+    return "\n".join([header] + _basis_lines(basis)) + "\n"
 
 
 def _emit_table(alg, kind, fmt):
@@ -476,8 +479,9 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
                                                         lam=_lam(theory)))
         certified = all(r.is_zero() for V in basis
                         for r in sm.verify_symmetry(V, symbolic))
-        pinned = (_basis_text(theory, sm.canonical_presentation(basis))
-                  == (goldens / f"generator_basis_computed_{stem}.txt").read_text())
+        pinned = (_basis_lines(sm.canonical_presentation(basis))
+                  == _entries(goldens / f"generator_basis_computed_{stem}.txt",
+                              "--goldens-dir", str))
         check(f"computed basis equals golden and every generator is certified"
               f" exactly at symbolic k, kappa ({theory})", pinned and certified,
               f"equals golden: {pinned}; certified: {certified}")

@@ -1,10 +1,14 @@
 """Exact symbolic expression kernel.
 
 An expression is a ratio of two Laurent polynomials with rational
-coefficients over a set of atoms.  An atom is either a named symbol or a
+coefficients over a set of atoms.  A coefficient is an ``int`` when it is
+integral and a ``Fraction`` otherwise, never a float; every division of
+coefficients goes through ``_div``.  An atom is either a named symbol or a
 ``ln(...)`` application; ``exp(...)`` factors are carried separately inside
 each monomial so that products of exponentials merge by adding their
-arguments.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
+arguments.  The sum of two exp arguments is computed once (``_exp_sum``, a
+bounded cache) and the one result is shared by every monomial that carries
+it.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
@@ -23,6 +27,7 @@ multiplied through by ``D**d``, so the denominators never multiply.
 from __future__ import annotations
 
 import ast
+import functools
 import math
 import operator
 from fractions import Fraction
@@ -82,6 +87,27 @@ def _mono_sort_key(mono) -> tuple:
 
 
 _ONE_MONO = ((), None)
+_UNIT = {_ONE_MONO: 1}
+
+
+def _exact(c):
+    """The coefficient c (an int or a Fraction) as an int when it is
+    integral."""
+    return c if type(c) is int or c.denominator != 1 else c.numerator
+
+
+def _div(a, b):
+    """The exact quotient of two coefficients: an int when it is integral,
+    else a Fraction, never a float."""
+    return _exact(Fraction(a, b))
+
+
+@functools.lru_cache(maxsize=4096)
+def _exp_sum(e1, e2):
+    """The exp argument e1 + e2, shared by every product that forms it, or
+    None when the sum is zero."""
+    s = e1 + e2
+    return None if s.is_zero() else s
 
 
 def _mono_mul(m1, m2):
@@ -106,8 +132,7 @@ def _mono_mul(m1, m2):
     elif e2 is None:
         exparg = e1
     else:
-        s = e1 + e2
-        exparg = None if s.is_zero() else s
+        exparg = _exp_sum(e1, e2)
     return (atoms, exparg)
 
 
@@ -118,7 +143,7 @@ def _poly_add(p1: dict, p2: dict) -> dict:
     for m, c in p2.items():
         nc = out.get(m, 0) + c
         if nc:
-            out[m] = nc
+            out[m] = _exact(nc)
         else:
             out.pop(m, None)
     return out
@@ -127,23 +152,26 @@ def _poly_add(p1: dict, p2: dict) -> dict:
 def _poly_mul(p1: dict, p2: dict) -> dict:
     if not p1 or not p2:
         return {}
+    if p2 == _UNIT:
+        return dict(p1)
+    if p1 == _UNIT:
+        return dict(p2)
     out: dict = {}
     for m1, c1 in p1.items():
         for m2, c2 in p2.items():
             m = _mono_mul(m1, m2)
-            c = c1 * c2
-            nc = out.get(m, 0) + c
+            nc = out.get(m, 0) + c1 * c2
             if nc:
-                out[m] = nc
+                out[m] = _exact(nc)
             else:
                 out.pop(m, None)
     return out
 
 
-def _poly_scale(p: dict, c: Fraction) -> dict:
+def _poly_scale(p: dict, c) -> dict:
     if not c:
         return {}
-    return {m: cc * c for m, cc in p.items()}
+    return {m: _exact(cc * c) for m, cc in p.items()}
 
 
 def _poly_neg(p: dict) -> dict:
@@ -179,8 +207,8 @@ def _poly_try_div(num: dict, den: dict, max_steps: int):
             return quo
         rlead = _leading_mono(rem)
         qm = _mono_div(rlead, lead)
-        qc = rem[rlead] / lead_c
-        quo[qm] = quo.get(qm, 0) + qc
+        qc = _div(rem[rlead], lead_c)
+        quo[qm] = _exact(quo.get(qm, 0) + qc)
         rem = _poly_add(rem, _poly_mul({qm: -qc}, den))
     return None
 
@@ -201,27 +229,27 @@ class Expr:
 
     @staticmethod
     def number(value) -> "Expr":
-        c = Fraction(value)
+        c = _exact(Fraction(value))
         num = {_ONE_MONO: c} if c else {}
-        return Expr(num, {_ONE_MONO: Fraction(1)})
+        return Expr(num, {_ONE_MONO: 1})
 
     @staticmethod
     def symbol(name: str) -> "Expr":
         mono = (((("s", name), 1),), None)
-        return Expr({mono: Fraction(1)}, {_ONE_MONO: Fraction(1)})
+        return Expr({mono: 1}, {_ONE_MONO: 1})
 
     @staticmethod
     def _normalized(num: dict, den: dict) -> "Expr":
         if not den:
             raise SingularSubstitutionError("zero denominator")
         if not num:
-            return Expr({}, {_ONE_MONO: Fraction(1)})
+            return Expr({}, {_ONE_MONO: 1})
         # one division by the denominator's monomial content; a one-term
         # denominator becomes the unit, and the unit is not even copied
         mono = _common_mono(den)
-        c = next(iter(den.values())) if len(den) == 1 else Fraction(1)
+        c = next(iter(den.values())) if len(den) == 1 else 1
         if mono != _ONE_MONO or c != 1:
-            inv = {_mono_inv(mono): 1 / c}
+            inv = {_mono_inv(mono): _div(1, c)}
             num = _poly_mul(num, inv)
             den = _poly_mul(den, inv)
         if len(den) == 1:
@@ -231,12 +259,13 @@ class Expr:
         if len(den) <= 8 and len(num) <= 64:
             quo = _poly_try_div(num, den, max_steps=len(num) + 4)
             if quo is not None:
-                return Expr(quo, {_ONE_MONO: Fraction(1)})
+                return Expr(quo, {_ONE_MONO: 1})
         # make the denominator monic on its leading monomial
         lc = den[_leading_mono(den)]
         if lc != 1:
-            den = _poly_scale(den, 1 / lc)
-            num = _poly_scale(num, 1 / lc)
+            inv_lc = _div(1, lc)
+            den = _poly_scale(den, inv_lc)
+            num = _poly_scale(num, inv_lc)
         return Expr(num, den)
 
     # -- canonical key, equality, hashing ---------------------------------
@@ -283,7 +312,7 @@ class Expr:
             raise ValueError("expression is not a plain rational constant")
         if not self.num:
             return Fraction(0)
-        return self.num[_ONE_MONO] / self.den[_ONE_MONO]
+        return Fraction(_div(self.num[_ONE_MONO], self.den[_ONE_MONO]))
 
     def atoms(self) -> set:
         """Names of plain symbols occurring anywhere in the expression."""
@@ -410,11 +439,11 @@ def number(v) -> Expr:
 
 
 def numerator(e: Expr) -> Expr:
-    return Expr(dict(e.num), {_ONE_MONO: Fraction(1)})
+    return Expr(dict(e.num), {_ONE_MONO: 1})
 
 
 def denominator(e: Expr) -> Expr:
-    return Expr(dict(e.den), {_ONE_MONO: Fraction(1)})
+    return Expr(dict(e.den), {_ONE_MONO: 1})
 
 
 def monic(e: Expr) -> Expr:
@@ -423,7 +452,7 @@ def monic(e: Expr) -> Expr:
     if not e.num:
         return e
     lead = _leading_mono(e.num)
-    return e / Expr({lead: e.num[lead]}, {_ONE_MONO: Fraction(1)})
+    return e / Expr({lead: e.num[lead]}, {_ONE_MONO: 1})
 
 
 def sym(name: str) -> Expr:
@@ -448,7 +477,7 @@ def exp(arg) -> Expr:
         if exparg is None and len(atoms) == 1 and atoms[0][0][0] == "ln" \
                 and atoms[0][1] == 1 and coeff.denominator == 1:
             return atoms[0][0][1] ** int(coeff)
-    return Expr({((), arg): Fraction(1)}, {_ONE_MONO: Fraction(1)})
+    return Expr({((), arg): 1}, {_ONE_MONO: 1})
 
 
 def ln(arg) -> Expr:
@@ -465,7 +494,7 @@ def ln(arg) -> Expr:
             return exparg
     atom = ("ln", arg)
     mono = (((atom, 1),), None)
-    return Expr({mono: Fraction(1)}, {_ONE_MONO: Fraction(1)})
+    return Expr({mono: 1}, {_ONE_MONO: 1})
 
 
 def sinh(arg) -> Expr:
@@ -503,22 +532,21 @@ def _poly_diff(p: dict, name: str) -> Expr:
                     m = (tuple(new_atoms), exparg)
                     nc = fast.get(m, 0) + c * e
                     if nc:
-                        fast[m] = nc
+                        fast[m] = _exact(nc)
                     else:
                         fast.pop(m, None)
             else:  # ln(u): chain term e * mono * u' / (u * ln(u))
                 du = diff(a[1], name)
                 if not du.is_zero():
-                    base = Expr({(atoms, exparg): c}, {_ONE_MONO: Fraction(1)})
-                    latom = Expr({(((a, 1),), None): Fraction(1)},
-                                 {_ONE_MONO: Fraction(1)})
+                    base = Expr({(atoms, exparg): c}, {_ONE_MONO: 1})
+                    latom = Expr({(((a, 1),), None): 1}, {_ONE_MONO: 1})
                     slow = slow + base * e * du / (a[1] * latom)
         if exparg is not None:
             darg = diff(exparg, name)
             if not darg.is_zero():
-                base = Expr({(atoms, exparg): c}, {_ONE_MONO: Fraction(1)})
+                base = Expr({(atoms, exparg): c}, {_ONE_MONO: 1})
                 slow = slow + base * darg
-    out = Expr(fast, {_ONE_MONO: Fraction(1)})
+    out = Expr(fast, {_ONE_MONO: 1})
     return out + slow if not slow.is_zero() else out
 
 
@@ -529,10 +557,10 @@ def diff(e: Expr, s: str) -> Expr:
     if len(e.den) == 1 and _ONE_MONO in e.den:
         return num_d / e.den[_ONE_MONO]
     den_d = _poly_diff(e.den, s)
-    den = Expr(dict(e.den), {_ONE_MONO: Fraction(1)})
+    den = Expr(dict(e.den), {_ONE_MONO: 1})
     if den_d.is_zero():
         return num_d / den
-    num = Expr(dict(e.num), {_ONE_MONO: Fraction(1)})
+    num = Expr(dict(e.num), {_ONE_MONO: 1})
     return (num_d * den - num * den_d) / (den * den)
 
 
@@ -817,7 +845,7 @@ def collect(e: Expr, basis: Iterable[str]) -> dict:
     the requested sense and NonPolynomialError is raised.
     """
     basis = set(basis)
-    den_syms = Expr(dict(e.den), {_ONE_MONO: Fraction(1)}).atoms()
+    den_syms = Expr(dict(e.den), {_ONE_MONO: 1}).atoms()
     if basis & den_syms:
         raise NonPolynomialError(
             f"denominator contains basis symbols: {sorted(basis & den_syms)}")
@@ -841,12 +869,12 @@ def collect(e: Expr, basis: Iterable[str]) -> dict:
         groups.setdefault(key, {})
         g = groups[key]
         g[mono] = g.get(mono, 0) + c
-    den = Expr(dict(e.den), {_ONE_MONO: Fraction(1)})
+    den = Expr(dict(e.den), {_ONE_MONO: 1})
     out = {}
     for key, poly in groups.items():
-        poly = {m: c for m, c in poly.items() if c}
+        poly = {m: _exact(c) for m, c in poly.items() if c}
         if poly:
-            out[key] = Expr(poly, {_ONE_MONO: Fraction(1)}) / den
+            out[key] = Expr(poly, {_ONE_MONO: 1}) / den
     return out
 
 

@@ -118,9 +118,18 @@ class VectorField:
 
 
 def field_from_text(text: str) -> VectorField:
-    """Parse the d_var component notation emitted by VectorField.text()."""
+    """Parse the d_var component notation emitted by VectorField.text().
+
+    A text that is not linear in d_t, ..., d_q, or whose field lies outside
+    the affine ansatz class (such as ``d_t*d_x``), raises ValueError.
+    """
     e = ex.parse(text)
-    return VectorField(*(ex.diff(e, f"d_{v}") for v in BASE_VARS))
+    names = [f"d_{v}" for v in BASE_VARS]
+    V = VectorField(*(ex.diff(e, d) for d in names))
+    if not (e - sum((c * ex.sym(d) for c, d in zip(V._tuple(), names)), ex.ZERO)).is_zero():
+        raise ValueError(f"not a linear combination of {', '.join(names)}")
+    _field_to_vector(V, Ansatz())
+    return V
 
 
 def prolong1(V: VectorField) -> dict:
@@ -268,7 +277,7 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
         for name, cond in conditions:
             for (atoms, exparg), c in cond[k].num.items():
                 key = (atoms, exparg.key() if exparg is not None else None)
-                groups.setdefault(key, {})[name] = c
+                groups.setdefault(key, {})[name] = Fraction(c)
         for key in sorted(groups, key=str):
             row = groups[key]
             sig = tuple(sorted((u, str(v)) for u, v in row.items()))

@@ -271,6 +271,14 @@ def _goldens_with(tmp_path, name, old, new):
     return str(tmp_path)
 
 
+def _goldens_appended(tmp_path, name, data: bytes):
+    """A copy of the shipped goldens with bytes appended to one file."""
+    goldens = _goldens_with(tmp_path, name, "", "")
+    with open(tmp_path / name, "ab") as fh:
+        fh.write(data)
+    return goldens
+
+
 def _not_utf8(tmp_path):
     p = tmp_path / "params.txt"
     p.write_bytes(b"k = \xff\n")
@@ -290,6 +298,12 @@ _BAD_INPUT_FILES = {
         "adjoint_table_israel_stewart.txt, line 3", False),
     "goldens-unparsable-generator": (lambda d: ["verify", "--goldens-dir", _goldens_with(
         d, "generator_basis_eckart.txt", "d_x", "d_t +* x")],
+        "generator_basis_eckart.txt, line 3", False),
+    "goldens-computed-basis-not-utf8": (lambda d: ["verify", "--goldens-dir", _goldens_appended(
+        d, "generator_basis_computed_eckart.txt", b"\xff")],
+        "generator_basis_computed_eckart.txt, line 7", False),
+    "goldens-generator-outside-the-ansatz": (lambda d: ["verify", "--goldens-dir", _goldens_with(
+        d, "generator_basis_eckart.txt", "d_x", "d_t*d_x")],
         "generator_basis_eckart.txt, line 3", False),
     "goldens-dir-is-a-file": (lambda d: ["verify", "--goldens-dir", str(
         Path(cli._goldens_dir()) / "commutator_table_eckart.txt")], "--goldens-dir", True),

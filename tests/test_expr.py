@@ -705,3 +705,99 @@ def test_normalize_is_idempotent_identity():
     for _ in range(10):
         e = _random_expr(rng)
         assert ex.Expr._normalized(dict(e.num), dict(e.den)) == e
+
+
+def _coefficients(e):
+    """Every coefficient of e, of its exp arguments and of its ln arguments."""
+    for poly in (e.num, e.den):
+        for (atoms, exparg), c in poly.items():
+            yield c
+            for a, _ in atoms:
+                if a[0] == "ln":
+                    yield from _coefficients(a[1])
+            if exparg is not None:
+                yield from _coefficients(exparg)
+
+
+def _exact_coefficient(c) -> bool:
+    """An int, or a Fraction that is not integral; never a float."""
+    return type(c) is int or (type(c) is Fraction and c.denominator != 1)
+
+
+def test_every_coefficient_is_an_int_or_a_non_integral_fraction():
+    """The kernel's coefficient contract: whatever + - * /, **, diff, subs,
+    exp, ln and collect produce from rational inputs, every coefficient is
+    an int, or a Fraction only when it is not integral, and never a float."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    rational = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 4))
+    term = st.tuples(rational,
+                     st.lists(st.tuples(st.sampled_from(("x", "n")), st.integers(-2, 2)),
+                              max_size=2),
+                     rational, st.booleans())
+
+    def build(terms):
+        e = ex.ZERO
+        for c, factors, a, with_ln in terms:
+            mono = ex.number(c) * ex.exp(a * ex.sym("psi"))
+            for name, k in factors:
+                mono = mono * ex.sym(name) ** k
+            if with_ln:
+                mono = mono * ex.ln(ex.sym("n") + Fraction(1, 2))
+            e = e + mono
+        return e
+
+    expr = st.lists(term, min_size=1, max_size=3).map(build)
+
+    @hypothesis.settings(max_examples=80, deadline=None, database=None)
+    @hypothesis.given(a=expr, b=expr, k=st.integers(-2, 3))
+    def check(a, b, k):
+        out = [a + b, a - b, a * b, -a, ex.diff(a, "psi"), ex.diff(a, "x"),
+               ex.diff(a / (b + 1) if not (b + 1).is_zero() else a, "n"), ex.exp(a)]
+        out += ex.collect(a, ["x"]).values()
+        if not b.is_zero():
+            out += [a / b, b ** -1, ex.ln(b), b ** Fraction(1, 2)]
+        if not a.is_zero() or k >= 0:
+            out.append(a ** k)
+        try:
+            out.append(ex.subs(a, {"x": b, "psi": Fraction(1, 3)}))
+        except ex.SingularSubstitutionError:
+            pass
+        for e in out:
+            assert all(_exact_coefficient(c) for c in _coefficients(e)), ex.to_text(e)
+
+    check()
+
+
+def test_exact_values_are_fractions():
+    psi, x = ex.syms("psi x")
+    for e in (ex.number(4), ex.number(6) / 3, ex.ZERO, ex.number(Fraction(1, 2)),
+              ex.parse("(6*x)/(2*x)")):
+        assert type(e.as_fraction()) is Fraction
+    assert (ex.number(6) / 3).as_fraction() == 2
+    for e, value in ((ex.number(3), 3), (2 * x, 6), (ex.exp(2 * psi) / 3, 3),
+                     (x / 2, Fraction(3, 2))):
+        v = ex.evaluate(e, {"x": Fraction(3)}, {"psi": Fraction(3)})
+        assert type(v) is Fraction and v == value
+
+
+def test_exp_argument_sums_are_shared_and_equal_fresh_sums():
+    """A product of exponentials carries the one shared sum of their
+    arguments, equal to a freshly built e1 + e2 in == and in text."""
+    pairs = [("2*psi + ln(n)", "x - psi/3"), ("psi", "psi"), ("psi/2", "-psi/2"),
+             ("ln(rho) - x", "3*x + psi")]
+    for t1, t2 in pairs:
+        e1, e2 = ex.parse(t1), ex.parse(t2)
+        fresh = e1 + e2
+        shared = ex._exp_sum(e1, e2)
+        if fresh.is_zero():
+            assert shared is None
+            assert ex.exp(e1) * ex.exp(e2) == ex.ONE
+            continue
+        assert shared == fresh and ex.to_text(shared) == ex.to_text(fresh)
+        assert ex._exp_sum(ex.parse(t1), ex.parse(t2)) is shared
+        product = ex.exp(e1) * ex.exp(e2)
+        ((_, arg),) = product.num
+        assert arg is shared
+        assert product == ex.exp(fresh)
+        assert ex.to_text(product) == ex.to_text(ex.exp(fresh))
