@@ -20,8 +20,13 @@ numerator polynomial is empty) and ``equivalent()`` (cross-multiplication).
 
 ``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
 common denominator ``D``.  It assumes the target expression has degree at
-most ``d`` in those jets and a jet-free denominator, and returns the result
-multiplied through by ``D**d``, so the denominators never multiply.
+most ``d`` in those jets (by default its own degree) and a jet-free
+denominator, and returns the result multiplied through by ``D**d``, so the
+denominators never multiply.
+
+``evaluate`` gives the exact value at a rational point, or with a prime
+``modulus`` that value reduced mod the prime, computed in ints mod p
+throughout; ``rref`` and ``nullspace`` take the same ``modulus``.
 """
 
 from __future__ import annotations
@@ -612,8 +617,10 @@ class ClearedSubstitution:
     multiplied by the others.  Calling the instance on an expression of
     degree at most ``d`` in the jets, with a jet-free denominator, returns
     the substituted expression multiplied through by ``D**d``; it has no
-    jets left and no new denominator.  Any other expression raises
-    NonPolynomialError.  Products of numerators are cached per instance.
+    jets left and no new denominator.  Without ``d`` the expression's own
+    degree in the jets is used, the least power of ``D`` that clears it.
+    Any other expression raises NonPolynomialError.  Products of numerators
+    are cached per instance.
     """
 
     def __init__(self, jet_map: Mapping[str, Expr]):
@@ -635,8 +642,10 @@ class ClearedSubstitution:
                 self.numerators[jet] = num
         self._factors: dict = {}
 
-    def __call__(self, e: Expr, degree: int) -> Expr:
+    def __call__(self, e: Expr, degree: int = None) -> Expr:
         parts = collect(e, list(self.numerators))
+        if degree is None:
+            degree = max((sum(k for _, k in key) for key in parts), default=0)
         out = ZERO
         for key, coeff in parts.items():
             deg = sum(k for _, k in key)
@@ -689,7 +698,7 @@ def evalf(e: Expr, env: Mapping[str, float]) -> float:
 
 
 def evaluate(e: Expr, point: Mapping[str, Fraction],
-             exps: Mapping[str, Fraction]) -> Fraction:
+             exps: Mapping[str, Fraction], modulus: int = None) -> Fraction | int:
     """Exact value of ``e`` at a rational point.
 
     Every symbol takes its value from ``point``.  An exp factor must have an
@@ -697,41 +706,61 @@ def evaluate(e: Expr, point: Mapping[str, Fraction],
     takes the value ``exps[s]**c``: exp(s) is an independent value, not a
     function of ``point[s]``.  An ln atom, any other exp argument, a pole or
     a vanishing denominator raises DomainError.
+
+    With a prime ``modulus`` the value is computed over the integers mod
+    that prime and returned as an int in [0, modulus): every rational
+    coefficient and value r/s maps to r * s^-1, so the result is the exact
+    value reduced mod the prime.  A value's denominator, a base under a
+    negative power or the expression's denominator that is 0 mod the prime
+    raises DomainError, as a pole does.
     """
-    def poly_val(p: dict) -> Fraction:
-        total = Fraction(0)
+    if modulus is None:
+        def power(base, k):
+            if k >= 0:
+                return base ** k
+            if not base:
+                raise DomainError("pole: zero raised to negative power")
+            return Fraction(base) ** k
+    else:
+        def power(base, k):
+            base = _residue(base, modulus)
+            if k == 1:
+                return base
+            if not base and k < 0:
+                raise DomainError("pole mod p: zero raised to negative power")
+            return pow(base, k, modulus)
+
+    def poly_val(p: dict):
+        total = 0
         for (atoms, exparg), c in p.items():
-            v = c
+            v = c if modulus is None else _residue(c, modulus)
             for a, k in atoms:
                 if a[0] != "s":
                     raise DomainError("cannot evaluate an ln atom exactly")
                 if a[1] not in point:
                     raise DomainError(f"no value provided for symbol '{a[1]}'")
-                v *= _power(point[a[1]], k)
+                v *= power(point[a[1]], k)
             if exparg is not None:
-                v *= _exp_value(exparg, exps)
+                v *= power(*_exp_power(exparg, exps))
             total += v
-        return total
+        return Fraction(total) if modulus is None else total % modulus
 
     den = poly_val(e.den)
     if not den:
         raise DomainError("denominator evaluates to zero")
-    return poly_val(e.num) / den
+    if modulus is None:
+        return poly_val(e.num) / den
+    return poly_val(e.num) * pow(den, -1, modulus) % modulus
 
 
-def _power(base: Fraction, k: int) -> Fraction:
-    if not base and k < 0:
-        raise DomainError("pole: zero raised to negative power")
-    return base ** k
-
-
-def _exp_value(arg: Expr, exps: Mapping[str, Fraction]) -> Fraction:
-    if len(arg.num) == 1 and arg.den == {_ONE_MONO: 1}:
+def _exp_power(arg: Expr, exps: Mapping[str, Fraction]) -> tuple:
+    """``(exps[s], c)`` for the exp argument ``c*s``, c an integer."""
+    if len(arg.num) == 1 and arg.den == _UNIT:
         ((atoms, exparg), c), = arg.num.items()
         if exparg is None and len(atoms) == 1 and atoms[0][1] == 1 \
                 and atoms[0][0][0] == "s" and atoms[0][0][1] in exps \
-                and c.denominator == 1:
-            return _power(Fraction(exps[atoms[0][0][1]]), int(c))
+                and type(c) is int:
+            return exps[atoms[0][0][1]], c
     raise DomainError(f"cannot evaluate exp({to_text(arg)}) exactly")
 
 
@@ -939,8 +968,16 @@ def rref(matrix: Iterable[Sequence[Fraction]], ncols: int,
 
 
 def _residue(v, modulus: int) -> int:
-    v = Fraction(v)
-    return v.numerator * pow(v.denominator, -1, modulus) % modulus
+    """v mod a prime, an int in [0, modulus); DomainError if the
+    denominator of v is 0 mod that prime."""
+    if type(v) is int:
+        return v % modulus
+    if type(v) is not Fraction:
+        v = Fraction(v)
+    den = v.denominator % modulus
+    if not den:
+        raise DomainError("denominator is 0 mod p")
+    return v.numerator * pow(den, -1, modulus) % modulus
 
 
 def _reduced(row: list, modulus: int | None) -> list:
@@ -963,13 +1000,14 @@ def nullspace(rows: Sequence[Mapping[str, Fraction]], unknowns: Sequence[str],
     """
     cols = list(unknowns)
     index = {u: i for i, u in enumerate(cols)}
+    entry = Fraction if modulus is None else functools.partial(_residue, modulus=modulus)
     mat = []
     for row in rows:
-        vec = [Fraction(0)] * len(cols)
+        vec = [entry(0)] * len(cols)
         for name, c in row.items():
             if name not in index:
                 raise KeyError(f"row references unknown '{name}'")
-            vec[index[name]] = Fraction(c)
+            vec[index[name]] = entry(c)
         mat.append(vec)
     reduced, pivots = rref(mat, len(cols), modulus)
     zero, one = (Fraction(0), Fraction(1)) if modulus is None else (0, 1)

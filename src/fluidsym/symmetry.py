@@ -15,16 +15,17 @@ each unknown, the coefficient of m in residual k's condition of that
 unknown's field.
 
 ``solve_determining`` never expands those rows.  It evaluates the condition
-of every elementary field at random integer points, with exp(psi) an
-independent value and the time jets on shell, takes the nullspace of the
-evaluated rows mod a 61-bit prime, reconstructs the rationals and certifies
-each vector exactly at symbolic k and kappa.  Each evaluated row is a
-consequence of the determining system and rank mod p never exceeds rank
-over Q, so the mod-p nullity is an upper bound on the dimension; the
-certificates supply as many independent symmetries, so the certified
-vectors span the algebra.  A failed reconstruction or certificate means a
-retry, never a wrong basis; randomness (Schwartz-Zippel) enters only the
-expected number of retries.
+of every elementary field at random integer points mod a 61-bit prime, with
+exp(psi) an independent value and the time jets on shell, takes the
+nullspace of the evaluated rows mod the same prime, reconstructs the
+rationals and certifies each vector exactly at symbolic k and kappa, with
+each condition cleared only to its own degree in the time jets.  Each
+evaluated row is the reduction mod p of a consequence of the determining
+system and rank mod p never exceeds rank over Q, so the mod-p nullity is an
+upper bound on the dimension; the certificates supply as many independent
+symmetries, so the certified vectors span the algebra.  A failed
+reconstruction or certificate means a retry, never a wrong basis;
+randomness (Schwartz-Zippel) enters only the expected number of retries.
 """
 
 from __future__ import annotations
@@ -243,18 +244,20 @@ def _on_shell(sys: PDESystem) -> tuple:
     return cleared, partials
 
 
-def _condition(V: VectorField, sys: PDESystem) -> list:
+def _condition(V: VectorField, sys: PDESystem, degree: int = None) -> list:
     """The on-shell symmetry condition of V, one Expr per residual.
 
     The first prolongation of V acts on each residual through its partials
     (``_on_shell``), and the action's time jets are substituted over their
-    shared denominator.  The action is quadratic in the time jets.
+    shared denominator D, multiplied by D**degree.  The action is at most
+    quadratic in the time jets, and linear when tau and xi are free of the
+    fields; without ``degree`` each action is cleared to its own degree.
     """
     cleared, partials = _on_shell(sys)
     coeffs = _prolonged(V)
     acts = (sum((c * dres[v] for v, c in coeffs.items() if v in dres), ex.ZERO)
             for dres in partials)
-    return [cleared(act, 2) for act in acts]
+    return [cleared(act, degree) for act in acts]
 
 
 def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
@@ -262,11 +265,13 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
     the symmetry algebra within the ansatz class.
 
     Rows are listed per residual, sorted by monomial, with exact duplicates
-    dropped.  A condition with a denominator raises ValueError.
+    dropped.  A condition with a denominator raises ValueError.  Every
+    condition is cleared by the same D**2, since a row combines the
+    conditions of different fields.
     """
     conditions = []
     for name, V in zip(ansatz.unknowns(), ansatz.elementary_fields()):
-        cond = _condition(V, sys)
+        cond = _condition(V, sys, 2)
         if any(ex.denominator(c) != ex.ONE for c in cond):
             raise ValueError(f"symmetry condition of {name} has a denominator")
         conditions.append((name, cond))
@@ -304,14 +309,17 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
 
     Takes the closure parameter lam; k and kappa stay symbolic.  Each
     attempt evaluates the symmetry condition of every elementary field at
-    random integer points (``_evaluated_rows``), takes the nullspace of
-    those rows mod a 61-bit prime in ``_unknown_priority`` order,
-    reconstructs its rational entries and certifies every vector exactly
-    with ``_condition`` at symbolic k and kappa.
+    random integer points mod the attempt's 61-bit prime
+    (``_evaluated_rows``), takes the nullspace of those rows mod the same
+    prime in ``_unknown_priority`` order, reconstructs its rational entries
+    and certifies every vector exactly with ``_condition`` at symbolic k
+    and kappa.
 
     The result is exact.  Every evaluated row is a consequence of the
-    determining system, and the rank of integer rows mod p is at most their
-    rank over Q, so the mod-p nullity bounds the algebra's dimension from
+    determining system, and each mod-p row is the reduction of the rational
+    row at the same point (a point where a denominator is 0 mod p is
+    skipped).  The rank of rational rows reduced mod p is at most their rank
+    over Q, so the mod-p nullity bounds the algebra's dimension from
     above.  The reconstructed vectors are independent (each has a one on its
     own free column), so when all of them certify they span the algebra.
     The basis returned is the span's unique reduced basis for this column
@@ -331,7 +339,7 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     for attempt, prime in enumerate(_PRIMES):
         count = -(-len(fields) // 4) + _EXTRA_POINTS * (attempt + 1)
         rows = _evaluated_rows(sys, fields, ansatz.unknowns(),
-                               _sample_points(rng, count))
+                               _sample_points(rng, count), prime)
         vectors = []
         for vec in ex.nullspace(rows, priority, modulus=prime):
             values = {u: ex.rational_reconstruction(v, prime) for u, v in vec.items()}
@@ -355,18 +363,20 @@ def _sample_points(rng: random.Random, count: int) -> list:
     """``count`` random points ``(values, exps)``: integer values for t, x,
     the fields, the x-jets, k and kappa, and exps holding exp(psi)."""
     names = BASE_VARS + fluid.SPACE_JETS + ("k", "kappa")
-    return [({v: Fraction(rng.randint(1, _RANGE)) for v in names},
-             {"psi": Fraction(rng.randint(1, _RANGE))}) for _ in range(count)]
+    return [({v: rng.randint(1, _RANGE) for v in names},
+             {"psi": rng.randint(1, _RANGE)}) for _ in range(count)]
 
 
 def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
-                    points: list) -> list:
-    """Integer rows {unknown: value}, one per (residual k, point P).
+                    points: list, prime: int) -> list:
+    """Rows {unknown: value mod prime}, one per (residual k, point P).
 
-    The entry of field V_i is its condition evaluated at P: the sum over
-    the base variables and jets of coeff_var(pr V_i)(P) times
-    d(residual k)/d var at P, with the time jets on shell.  Points
-    where a denominator vanishes are skipped.
+    The entry of field V_i is its condition evaluated at P mod the prime:
+    the sum over the base variables and jets of coeff_var(pr V_i)(P) times
+    d(residual k)/d var at P, with the time jets on shell.  Each entry is
+    the exact rational value reduced mod the prime (``ex.evaluate`` with a
+    modulus).  Points where a denominator or a base under a negative power
+    vanishes mod the prime are skipped.
     """
     cleared, partials = _on_shell(sys)
     coeffs = [_prolonged(V) for V in fields]
@@ -374,32 +384,33 @@ def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
     for values, exps in points:
         try:
             at = dict(values)
-            den = ex.evaluate(cleared.denominator, at, exps)
+            den = ex.evaluate(cleared.denominator, at, exps, modulus=prime)
             if not den:
                 continue
+            inv = pow(den, -1, prime)
             for tj in TIME_JETS:
-                at[tj] = ex.evaluate(cleared.numerators[tj], at, exps) / den
-            dres = [{v: ex.evaluate(d, at, exps) for v, d in p.items()}
+                num = ex.evaluate(cleared.numerators[tj], at, exps, modulus=prime)
+                at[tj] = num * inv % prime
+            dres = [{v: ex.evaluate(d, at, exps, modulus=prime) for v, d in p.items()}
                     for p in partials]
-            pr = [{v: ex.evaluate(c, at, exps) for v, c in cs.items()}
+            pr = [{v: ex.evaluate(c, at, exps, modulus=prime) for v, c in cs.items()}
                   for cs in coeffs]
         except ex.DomainError:
             continue
         for d in dres:
-            row = {u: sum(c * d[v] for v, c in cv.items() if v in d)
+            row = {u: sum(c * d[v] for v, c in cv.items() if v in d) % prime
                    for u, cv in zip(unknowns, pr)}
-            scale = math.lcm(*(c.denominator for c in row.values()))
-            rows.append({u: int(c * scale) for u, c in row.items() if c})
+            rows.append({u: c for u, c in row.items() if c})
     return rows
 
 
 def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     """On-shell residual of the symmetry condition, one Expr per equation.
 
-    All residuals structurally zero iff V generates a point symmetry.  The
-    residuals are returned multiplied by the square of the (nonzero) shared
-    denominator of the solved time jets, which does not affect the zero
-    test.
+    All residuals structurally zero iff V generates a point symmetry.  Each
+    residual is returned multiplied by D**d, D the (nonzero) shared
+    denominator of the solved time jets and d the action's degree in the
+    time jets, which does not affect the zero test.
     """
     return _condition(V, sys)
 

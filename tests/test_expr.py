@@ -377,38 +377,48 @@ def test_rational_reconstruction_bounds():
     assert ex.rational_reconstruction(0, _PRIME) == 0
 
 
+_EVAL_NAMES = ("t", "x", "n", "rho")
+
+
+def _evaluation_terms(st, max_size):
+    """Strategy for a sum of terms (num, den, factors, c), each the rational
+    num/den times the named factors times exp(c*psi); ``_evaluation_sum``
+    builds it."""
+    term = st.tuples(st.integers(-6, 6), st.integers(1, 4),
+                     st.lists(st.sampled_from(_EVAL_NAMES), max_size=3),
+                     st.integers(-2, 2))
+    return st.lists(term, min_size=1, max_size=max_size)
+
+
+def _evaluation_sum(terms):
+    e = ex.ZERO
+    for num, den, factors, c in terms:
+        mono = ex.number(Fraction(num, den)) * ex.exp(c * ex.sym("psi"))
+        for f in factors:
+            mono = mono * ex.sym(f)
+        e = e + mono
+    return e
+
+
 def test_evaluate_matches_evalf():
     """Differential test of the exact point evaluator against evalf: exp(c*psi)
     takes the value E**c at the point where psi = ln E."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
-    names = ("t", "x", "n", "rho")
-    term = st.tuples(st.integers(-6, 6), st.integers(1, 4),
-                     st.lists(st.sampled_from(names), max_size=3),
-                     st.integers(-2, 2))
-
-    def build(terms):
-        e = ex.ZERO
-        for num, den, factors, c in terms:
-            mono = ex.number(Fraction(num, den)) * ex.exp(c * ex.sym("psi"))
-            for f in factors:
-                mono = mono * ex.sym(f)
-            e = e + mono
-        return e
 
     @hypothesis.settings(max_examples=150, deadline=None, database=None)
     @hypothesis.given(
-        num=st.lists(term, min_size=1, max_size=4),
-        den=st.lists(term, min_size=1, max_size=3),
+        num=_evaluation_terms(st, 4),
+        den=_evaluation_terms(st, 3),
         values=st.lists(st.integers(1, 5).map(lambda v: v * (-1) ** v),
                         min_size=4, max_size=4),
         e_value=st.integers(1, 5),
     )
     def check(num, den, values, e_value):
-        denominator = build(den)
+        denominator = _evaluation_sum(den)
         hypothesis.assume(not denominator.is_zero())
-        e = build(num) / denominator
-        point = {n: Fraction(v) for n, v in zip(names, values)}
+        e = _evaluation_sum(num) / denominator
+        point = {n: Fraction(v) for n, v in zip(_EVAL_NAMES, values)}
         exps = {"psi": Fraction(e_value)}
         env = {**{n: float(v) for n, v in point.items()}, "psi": math.log(e_value)}
         try:
@@ -418,6 +428,49 @@ def test_evaluate_matches_evalf():
             assert ex.evaluate(ex.denominator(e), point, exps) == 0
             return
         assert float(exact) == pytest.approx(ex.evalf(e, env), rel=1e-9, abs=1e-9)
+
+    check()
+
+
+@pytest.mark.parametrize("prime", [2 ** 61 - 1, 13])
+def test_evaluate_mod_p_is_the_exact_value_reduced(prime):
+    """Differential test of ``evaluate(..., modulus=p)`` against the exact
+    value reduced mod p.  It raises DomainError exactly when the exact
+    denominator, a base under a negative power (a symbol's value or exp(psi))
+    or a coefficient's denominator is 0 mod p.  Values from -30 to 30 hit
+    0 mod 13 often."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    def reduced(c: Fraction) -> int:
+        return c.numerator * pow(c.denominator, -1, prime) % prime
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(
+        num=_evaluation_terms(st, 4),
+        den=_evaluation_terms(st, 3),
+        values=st.lists(st.integers(-30, 30), min_size=4, max_size=4),
+        e_value=st.integers(1, 30),
+    )
+    def check(num, den, values, e_value):
+        denominator = _evaluation_sum(den)
+        hypothesis.assume(not denominator.is_zero())
+        e = _evaluation_sum(num) / denominator
+        point = {n: Fraction(v) for n, v in zip(_EVAL_NAMES, values)}
+        exps = {"psi": Fraction(e_value)}
+        monos = [*e.num.items(), *e.den.items()]
+        bases = [point[a[1]] for (atoms, _), _ in monos for a, k in atoms if k < 0]
+        bases += [exps["psi"] for (_, arg), _ in monos
+                  if arg is not None and ex.diff(arg, "psi").as_fraction() < 0]
+        pole = any(b % prime == 0 for b in bases) or any(
+            Fraction(c).denominator % prime == 0 for _, c in monos)
+        if pole or ex.evaluate(ex.denominator(e), point, exps).numerator % prime == 0:
+            with pytest.raises(ex.DomainError):
+                ex.evaluate(e, point, exps, modulus=prime)
+            return
+        got = ex.evaluate(e, point, exps, modulus=prime)
+        assert type(got) is int and 0 <= got < prime
+        assert got == reduced(ex.evaluate(e, point, exps))
 
     check()
 

@@ -136,7 +136,7 @@ def test_determining_rows_are_linear_and_reproducible(eckart_system):
 
 def test_determining_rows_reject_a_condition_with_a_denominator(
         eckart_system, monkeypatch):
-    def condition(V, sys):
+    def condition(V, sys, degree=None):
         return [ex.ONE / (ex.ONE + ex.sym("t"))] * len(sys.residuals)
 
     monkeypatch.setattr(sm, "_condition", condition)
@@ -260,22 +260,49 @@ def test_on_shell_substitution_is_built_once_per_system(eckart_system_symbolic):
 
 
 def test_evaluated_rows_agree_with_the_symbolic_condition(eckart_system_symbolic):
-    """Both read the parts built by ``_on_shell``: each evaluated row of
-    (residual k, point P) is proportional to the conditions of the
-    elementary fields, residual k, evaluated at P."""
+    """Both read the parts built by ``_on_shell``: each row of (residual k,
+    point P), evaluated mod p, is proportional mod p to the conditions of
+    the elementary fields (all cleared by the same D**2), residual k,
+    evaluated exactly at P and reduced mod p."""
     sys = eckart_system_symbolic
     ansatz = sm.Ansatz(degree=1)
     fields, unknowns = ansatz.elementary_fields(), ansatz.unknowns()
     points = sm._sample_points(random.Random(7), 2)
-    rows = sm._evaluated_rows(sys, fields, unknowns, points)
+    prime = sm._PRIMES[0]
+    rows = sm._evaluated_rows(sys, fields, unknowns, points, prime)
     assert len(rows) == len(points) * len(sys.residuals)
-    conditions = [sm._condition(V, sys) for V in fields]
+    conditions = [sm._condition(V, sys, 2) for V in fields]
     for p, (values, exps) in enumerate(points):
         for k in range(len(sys.residuals)):
             row = rows[p * len(sys.residuals) + k]
             cond = [ex.evaluate(c[k], values, exps) for c in conditions]
-            assert row
+            cond = [c.numerator * pow(c.denominator, -1, prime) % prime for c in cond]
+            assert row and all(0 < c < prime for c in row.values())
             u0 = next(iter(row))
-            ratio = cond[unknowns.index(u0)] / row[u0]
+            ratio = cond[unknowns.index(u0)] * pow(row[u0], -1, prime) % prime
             assert ratio
-            assert cond == [ratio * row.get(u, 0) for u in unknowns]
+            assert cond == [ratio * row.get(u, 0) % prime for u in unknowns]
+
+
+@pytest.mark.parametrize("closure", ["eckart_system_symbolic",
+                                     "israel_stewart_system_symbolic"])
+def test_own_degree_clearing_agrees_with_degree_two(closure, request):
+    """A condition cleared by D**d, d the action's degree in the time jets,
+    is zero exactly when the one cleared by D**2 is, and times D**(2 - d)
+    is that one."""
+    sys = request.getfixturevalue(closure)
+    cleared, partials = sm._on_shell(sys)
+    named = [sm.v_time(), sm.v_space(), sm.v_dilation(), sm.v_scaling(),
+             sm.v_lorentz_boost(), sm.v_rapidity_shift()]
+    degrees = set()
+    for V in sm.Ansatz(degree=1).elementary_fields() + named:
+        pr = {**V.coefficients(), **sm.prolong1(V)}
+        for dres, own, full in zip(partials, sm._condition(V, sys),
+                                   sm._condition(V, sys, 2)):
+            act = sum((pr[v] * d for v, d in dres.items()), ex.ZERO)
+            d = max((sum(k for _, k in key)
+                     for key in ex.collect(act, fluid.TIME_JETS)), default=0)
+            degrees.add(d)
+            assert own.is_zero() == full.is_zero()
+            assert (own * cleared.denominator ** (2 - d)).equivalent(full)
+    assert degrees == {0, 1, 2}
