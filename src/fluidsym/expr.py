@@ -771,12 +771,32 @@ def compile_exprs(exprs: Sequence[Expr], arg_names: Sequence[str]):
     arg_names; ln/exp map to math.log/math.exp.
 
     Subexpressions are hoisted: each distinct exp, ln, power and denominator
-    is computed once per call into a local, and every term multiplies the
-    same float factors in the same left-to-right order as term-by-term
-    evaluation, with sums in the same order.  The results are bit-identical
-    to that evaluation, and a pole or overflow still raises
-    ZeroDivisionError or OverflowError.
+    is computed once per call into a local.  A term c*f1*...*fk is the
+    product chain |c|, f1, ..., fk, multiplied left to right, with |c| a
+    float literal (dropped when it is 1.0) and the sign of c folded into the
+    sum: a later term is added or subtracted, a first one negated.  Chain
+    prefixes are shared: one counting pass over the terms of all numerators
+    and distinct denominators finds every prefix of two or more operands
+    that several terms start with, and each term multiplies the local of its
+    longest shared prefix by its remaining factors.  The terms of exp and ln
+    arguments share no prefixes.
+
+    The results are bit-identical to term-by-term evaluation, which
+    multiplies each term's factors left to right from c and adds the terms
+    in order: a shared prefix is the same partial product, computed once;
+    converting an integral c to float and folding a Fraction p/q give the
+    doubles that int * float and p/q give; 1.0 * x == x; and round-to-
+    nearest is sign-symmetric, so (-c) * x == -(c * x) and a + (-b) == a - b.
+    A pole or overflow still raises ZeroDivisionError or OverflowError when
+    the function is called, also for a coefficient too large for a float.
     """
+    return _compile(exprs, arg_names)
+
+
+def _compile(exprs: Sequence[Expr], params: Sequence):
+    """compile_exprs with parameters ``params``: a name is one float
+    argument, a sequence of names one argument unpacked into those names."""
+    arg_names = [n for p in params for n in ([p] if isinstance(p, str) else p)]
     missing = set()
     for e in exprs:
         missing |= (e.atoms() - set(arg_names))
@@ -784,34 +804,81 @@ def compile_exprs(exprs: Sequence[Expr], arg_names: Sequence[str]):
         raise ValueError(f"unbound symbols in compiled expression: {sorted(missing)}")
     names = {n: f"_a{i}" for i, n in enumerate(arg_names)}
     hoisted = {}  # code -> local name, in first-use order
+    shared = {}  # product chain prefix -> number of terms that start with it
 
     def local(code: str) -> str:
         if code not in hoisted:
             hoisted[code] = f"_v{len(hoisted)}"
         return hoisted[code]
 
-    def mono(m, c: Fraction) -> str:
+    def chain(m, c) -> tuple:
+        """(c < 0, the operands of the term's product chain)."""
         atoms, exparg = m
-        parts = [f"{c.numerator}" if c.denominator == 1
-                 else f"({c.numerator}/{c.denominator})"]
+        try:
+            lit = repr(float(abs(c)))
+        except OverflowError:  # raised again when the function is called
+            lit = (f"{abs(c.numerator)}" if c.denominator == 1
+                   else f"({abs(c.numerator)}/{c.denominator})")
+        ops = [] if lit == "1.0" and (atoms or exparg is not None) else [lit]
         for a, k in atoms:
             base = names[a[1]] if a[0] == "s" else local(f"_log({code(a[1])})")
-            parts.append(base if k == 1 else local(f"{base}**({k})"))
+            ops.append(base if k == 1 else local(f"{base}**({k})"))
         if exparg is not None:
-            parts.append(local(f"_exp({code(exparg)})"))
-        return "*".join(parts)
+            ops.append(local(f"_exp({code(exparg)})"))
+        return c < 0, tuple(ops)
+
+    def product(ops: tuple, uses: int = 1) -> str:
+        # through the longest prefix that more than `uses` terms start with
+        j = next((j for j in range(len(ops), 1, -1)
+                  if shared.get(ops[:j], 0) > uses), 0)
+        if j:
+            ops = (local(product(ops[:j], shared[ops[:j]])),) + ops[j:]
+        return "*".join(ops)
+
+    def total(terms) -> str:
+        out = ""
+        for negative, ops in terms:
+            if out:
+                out += " - " if negative else " + "
+            elif negative:
+                out = "-"
+            out += product(ops)
+        return out or "0.0"
+
+    def ratio(num: str, den) -> str:
+        if den is None:
+            return f"({num})"
+        return f"(({num})/{local(f'({total(den)})')})"
+
+    def sides(e: Expr) -> tuple:
+        num = [chain(m, c) for m, c in e.num.items()]
+        if len(e.den) == 1 and e.den.get(_ONE_MONO) == 1:
+            return num, None
+        return num, tuple(chain(m, c) for m, c in e.den.items())
 
     def code(e: Expr) -> str:
-        num = " + ".join(mono(m, c) for m, c in e.num.items()) or "0.0"
-        if len(e.den) == 1 and e.den.get(_ONE_MONO) == 1:
-            return f"({num})"
-        den = " + ".join(mono(m, c) for m, c in e.den.items())
-        return f"(({num})/{local(f'({den})')})"
+        # an exp or ln argument, compiled while the terms are collected,
+        # before any prefix is counted
+        num, den = sides(e)
+        return ratio(total(num), den)
 
-    body = ", ".join(code(e) for e in exprs)
+    parts = [sides(e) for e in exprs]
+    dens = dict.fromkeys(den for _, den in parts if den is not None)
+    for sums in [num for num, _ in parts] + list(dens):
+        for _, ops in sums:
+            for j in range(2, len(ops) + 1):
+                shared[ops[:j]] = shared.get(ops[:j], 0) + 1
+    body = "".join(f"{ratio(total(num), den)}, " for num, den in parts)
+    head, unpack = [], []
+    for p in params:
+        if isinstance(p, str):
+            head.append(names[p])
+        else:
+            head.append(f"_s{len(head)}")
+            unpack.append(f"    [{', '.join(names[n] for n in p)}] = {head[-1]}\n")
     lines = [f"    {name} = {c}\n" for c, name in hoisted.items()]
-    src = (f"def _compiled({', '.join(names[n] for n in arg_names)}):\n"
-           + "".join(lines) + f"    return ({body},)\n")
+    src = (f"def _compiled({', '.join(head)}):\n" + "".join(unpack)
+           + "".join(lines) + f"    return ({body})\n")
     scope = {"_exp": math.exp, "_log": math.log}
     exec(src, scope)
     return scope["_compiled"]

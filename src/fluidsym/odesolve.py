@@ -6,11 +6,16 @@ step-size control on the embedded error estimate, event localisation by
 bisection on the dense output, and deterministic float arithmetic
 (identical inputs give identical samples).
 
-The step is generated Python code, straight-line for each state size and
-built on first use, with the same sums in the same order as a loop over the
-tableau.  The pair is FSAL ("first same as last"): stage 7 is f(t + h, u5),
-so an accepted step's last stage is the next step's first, and a step costs
-six right-hand-side evaluations.
+The step and the dense output are generated Python code, straight-line for
+each state size and built on first use, with the same sums in the same
+order as a loop over the tableau or the state components; each unpacks its
+vectors into locals once.  The pair is FSAL ("first same as last"): stage 7
+is f(t + h, u5), so an accepted step's last stage is the next step's first,
+and a step costs six right-hand-side evaluations.
+
+``compile_rhs`` returns the function that ``expr`` generates for a reduced
+system, with the signature rhs(t, u) of every right-hand side: the step
+calls it directly, with no wrapper in between.
 
 ``default_events`` builds the guards of a reduced system as one name ->
 guard table: velocity blow-up, collapse of the density-like states, and the
@@ -117,7 +122,7 @@ def _step_source(n: int) -> str:
     pair is FSAL), so stage 7 is evaluated at u5 itself.
     """
     ms = range(n)
-    body = [f"u{m} = u[{m}]" for m in ms]
+    body = [f"{', '.join(f'u{m}' for m in ms)}, = u"]
 
     def sums(start, row, tag):
         # row[j] multiplies stage k{j + 1}
@@ -127,11 +132,14 @@ def _step_source(n: int) -> str:
                            + [f"{name} * k{j}_{m}" for j, name in terms])
                 for m in ms]
 
+    def unpack(s):
+        body.append(f"{', '.join(f'k{s}_{m}' for m in ms)}, = k{s}")
+
     def stage(s, arg):
         body.append(f"k{s} = f(t + {_C[s - 1]!r} * h, [{', '.join(arg)}])")
-        body.extend(f"k{s}_{m} = k{s}[{m}]" for m in ms)
+        unpack(s)
 
-    body.extend(f"k1_{m} = k1[{m}]" for m in ms)
+    unpack(1)
     for s in range(2, 7):
         stage(s, sums("u{}", _A[s - 1], f"a{s}_"))
     u5 = sums("u{}", _B5, "b")
@@ -154,46 +162,50 @@ def _step_source(n: int) -> str:
             + "".join(f"    {line}\n" for line in body))
 
 
-_STEPS: dict = {}  # state size -> generated step function
+def _dense_source(n: int) -> str:
+    """Python source of the cubic Hermite interpolant for states of size n.
+
+    Each component is a + h*theta*p + theta^2 * (3d - h(2p + q))
+    + theta^3 * (-2d + h(p + q)), with a and b the step's end values, p and
+    q its end derivatives (the pair is FSAL: stage 7 is the right-end
+    derivative) and d = b - a.  That is O(h^4) dense output, below the step
+    error at practical tolerances.
+    """
+    ms = range(n)
+    body = ["t2 = theta * theta", "t3 = t2 * theta", "ht = h * theta"]
+    for x, seq in (("a", "u"), ("b", "u5"), ("p", "ks[0]"), ("q", "ks[6]")):
+        body.append(f"{', '.join(f'{x}{m}' for m in ms)}, = {seq}")
+    body.extend(f"d{m} = b{m} - a{m}" for m in ms)
+    out = [f"a{m} + ht * p{m} + t2 * (3.0 * d{m} - h * (2.0 * p{m} + q{m}))"
+           f" + t3 * (-2.0 * d{m} + h * (p{m} + q{m}))" for m in ms]
+    body.append(f"return [{', '.join(out)}]")
+    return ("def _dense(u, u5, ks, h, theta):\n"
+            + "".join(f"    {line}\n" for line in body))
 
 
-def _step_function(n: int) -> Callable:
-    """The Dormand-Prince step for states of size n, generated on first use.
+_GENERATED: dict = {}  # state size -> (step, dense)
+
+
+def _step_functions(n: int) -> tuple:
+    """The Dormand-Prince step and its dense output for states of size n,
+    generated on first use.
 
     step(f, t, u, h, k1, atol, rtol) -> (u5, norm, ks): the 5th-order
     solution, the embedded error estimate's max norm scaled by
     atol + rtol * max(|u|, |u5|) (nan when u5 or the estimate is not
     finite), and the seven stage derivatives, of which ks[6] = f(t + h, u5)
-    is the next step's k1.
+    is the next step's k1.  dense(u, u5, ks, h, theta) -> the state at the
+    step fraction theta.
     """
-    step = _STEPS.get(n)
-    if step is None:
+    fns = _GENERATED.get(n)
+    if fns is None:
         scope = {"nan": math.nan}
-        exec(_step_source(n), scope)
-        step = _STEPS[n] = scope["_step"]
-    return step
+        exec(_step_source(n) + _dense_source(n), scope)
+        fns = _GENERATED[n] = scope["_step"], scope["_dense"]
+    return fns
 
 
-def _dense(u, u5, ks, h, theta):
-    """Cubic Hermite interpolant over one step.
-
-    Uses the derivative at both step ends (the pair is FSAL: stage 7 is the
-    right-end derivative), giving O(h^4) dense output, below the step error
-    at practical tolerances.
-    """
-    t2 = theta * theta
-    t3 = t2 * theta
-    ht = h * theta
-    out = []
-    for a, b, p, q in zip(u, u5, ks[0], ks[6]):
-        d = b - a
-        out.append(a + ht * p
-                   + t2 * (3.0 * d - h * (2.0 * p + q))
-                   + t3 * (-2.0 * d + h * (p + q)))
-    return out
-
-
-def _locate(guard: Callable, t, u, u5, ks, h) -> float:
+def _locate(guard: Callable, dense: Callable, t, u, u5, ks, h) -> float:
     """Bisect the dense output of one step for the guard's crossing.
 
     Returns the step fraction of the crossed end of the final bracket, which
@@ -204,7 +216,7 @@ def _locate(guard: Callable, t, u, u5, ks, h) -> float:
     while (hi_th - lo_th) * abs(h) > 1e-6:
         mid = 0.5 * (lo_th + hi_th)
         try:
-            crossed = not guard(t + mid * h, _dense(u, u5, ks, h, mid)) > 0.0
+            crossed = not guard(t + mid * h, dense(u, u5, ks, h, mid)) > 0.0
         except _UNDEFINED:
             crossed = True
         if crossed:
@@ -226,9 +238,11 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
               ev: EventSpec = EventSpec(), t0: float = 0.0) -> Trajectory:
     """Adaptive integration with dense output and event localisation.
 
-    rhs(t, u) -> sequence of derivatives.  Step failures (error control
-    underflow, non-finite right-hand sides or an exhausted step budget)
-    terminate the trajectory with reason 'step-failure' instead of raising.
+    rhs(t, u) -> sequence of derivatives, one per state component; a
+    right-hand side of another length raises TypeError.  Step failures
+    (error control underflow, non-finite right-hand sides or an exhausted
+    step budget) terminate the trajectory with reason 'step-failure' instead
+    of raising.
     """
     sgn = 1.0 if cfg.direction >= 0 else -1.0
     t_end = t0 + sgn * cfg.span
@@ -245,7 +259,10 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         k1 = list(rhs(t, u))
     except _UNDEFINED:
         return traj
-    step = _step_function(len(u))
+    if len(k1) != len(u):
+        raise TypeError(f"rhs returned {len(k1)} derivatives for a state of "
+                        f"size {len(u)}")
+    step, dense = _step_functions(len(u))
     g_prev = _guard_values(ev.guards, t, u)
     while (t_end - t) * sgn > 1e-14 * max(1.0, abs(t_end)):
         if traj.n_steps >= cfg.max_steps:
@@ -269,12 +286,12 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         g_new = _guard_values(ev.guards, t_new, u5)
         for i, (a, b) in enumerate(zip(g_prev, g_new)):
             if a > 0.0 >= b:  # a nan guard value compares false: no crossing
-                theta_e = _locate(ev.guards[i], t, u, u5, ks, h)
+                theta_e = _locate(ev.guards[i], dense, t, u, u5, ks, h)
                 te = t + theta_e * h
-                ue = _dense(u, u5, ks, h, theta_e)
+                ue = dense(u, u5, ks, h, theta_e)
                 while (te - next_sample) * sgn > 0:
                     ts.append(next_sample)
-                    states.append(_dense(u, u5, ks, h, (next_sample - t) / h))
+                    states.append(dense(u, u5, ks, h, (next_sample - t) / h))
                     next_sample += sample_dt
                 ts.append(te)
                 states.append(ue)
@@ -289,7 +306,7 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             theta = (next_sample - t) / h
             if 0.0 <= theta <= 1.0:
                 ts.append(next_sample)
-                states.append(_dense(u, u5, ks, h, theta))
+                states.append(dense(u, u5, ks, h, theta))
             next_sample += sample_dt
         t, u, g_prev, k1 = t_new, u5, g_new, ks[6]
         h = h * min(5.0, max(0.2, 0.9 * (norm + 1e-16) ** -0.2))
@@ -307,7 +324,7 @@ def fixed_step_integrate(rhs: Callable, u0: Sequence[float], t0: float,
     h = (t_end - t0) / nsteps
     u = [float(v) for v in u0]
     t = t0
-    step = _step_function(len(u))
+    step, _ = _step_functions(len(u))
     k1 = list(rhs(t, u))
     for _ in range(nsteps):
         # the error norm is not used; unit tolerances keep it well defined
@@ -327,16 +344,11 @@ def _bind_params(e: ex.Expr, params: fluid.FluidParams) -> ex.Expr:
 def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
     """Compile a reduced system's right-hand sides to a float function.
 
-    Returns rhs(t, u) over the state vector in rs.states order.
+    Returns the generated function rhs(t, u) -> tuple of floats itself, over
+    the state vector u in rs.states order, which its first line unpacks.
     """
     exprs = [_bind_params(rs.rhs[s], params) for s in rs.states]
-    args = [rs.independent] + list(rs.states)
-    fn = ex.compile_exprs(exprs, args)
-
-    def rhs(t, u):
-        return fn(t, *u)
-
-    return rhs
+    return ex._compile(exprs, [rs.independent, rs.states])
 
 
 def scaled_time_factor(params: fluid.FluidParams, n0: float, psi0: float) -> float:
@@ -365,13 +377,13 @@ def default_events(rs: ReducedSystem, params: fluid.FluidParams,
     for i, s in enumerate(rs.states):
         if s in ("n", "rho", "alpha", "beta", "w", "sigma"):
             table[f"{s}-collapse"] = lambda t, u, i=i: u[i] - 1e-12
-    args = [rs.independent] + list(rs.states)
     for i, den in enumerate(rs.singular):
-        fn = ex.compile_exprs([_bind_params(den, params)], args)
+        fn = ex._compile([_bind_params(den, params)],
+                         [rs.independent, rs.states])
 
         def singular(t, u, fn=fn):
             try:
-                return abs(fn(t, *u)[0]) - 1e-10
+                return abs(fn(t, u)[0]) - 1e-10
             except _UNDEFINED:
                 return math.nan
 

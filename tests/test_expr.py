@@ -752,6 +752,53 @@ def test_compiled_poles_and_overflow_still_raise():
         assert tr.termination == "step-failure"
 
 
+def test_compiled_constants_are_floats():
+    out = ex.compile_exprs([ex.number(2), ex.number(1), ex.number(Fraction(-1, 3)),
+                            ex.ZERO], ["t"])(0.5)
+    assert out == (2.0, 1.0, -1 / 3, 0.0)
+    assert all(type(v) is float for v in out)
+
+
+def test_compiled_coefficient_too_large_for_a_float_raises_when_called():
+    x = ex.sym("x")
+    for c in (10 ** 400, -10 ** 400, Fraction(10 ** 400, 3)):
+        fn = ex.compile_exprs([1 + ex.number(c) * x], ["x"])
+        with pytest.raises(OverflowError):
+            fn(0.5)
+    tiny = Fraction(1, 10 ** 400)
+    assert ex.compile_exprs([ex.number(tiny) * x], ["x"])(0.5) == (0.0,)
+
+
+_CATALOG_PAIRS = [("eckart", case) for case in range(1, 7)] + [
+    ("israel-stewart", 1), ("israel-stewart", 2)]
+
+
+@pytest.mark.parametrize("theory, case", _CATALOG_PAIRS)
+def test_compiled_systems_equal_term_by_term_evaluation(theory, case):
+    """Differential test on the catalogued reduced systems: the compiled
+    right-hand sides and every singular-locus guard equal term-by-term
+    evaluation (==, no tolerance) at seeded states, q < 0 and y != 0 among
+    them."""
+    params = FluidParams(lam=Fraction(0 if theory == "eckart" else 1))
+    rs = rd.reduced_system(case, theory)
+    rhs = od.compile_rhs(rs, params)
+    events = od.default_events(rs, params)
+    guards = dict(zip(events.names, events.guards))
+    singular = [(guards[f"singular-locus-{i}"], od._bind_params(den, params))
+                for i, den in enumerate(rs.singular)]
+    exprs = [od._bind_params(rs.rhs[s], params) for s in rs.states]
+    rng = random.Random(2020 + case)
+    for k in range(40):
+        t = rng.choice((-1, 1)) * rng.uniform(0.1, 3.0)
+        u = [rng.uniform(-1.5, 1.5)] + [rng.uniform(0.1, 3.0)
+                                         for _ in rs.states[1:]]
+        u[-1] *= -1 if k % 2 else 0.2
+        env = dict(zip((rs.independent,) + tuple(rs.states), [t] + u))
+        assert rhs(t, u) == tuple(_term_by_term(e, env) for e in exprs)
+        for guard, den in singular:
+            assert guard(t, u) == abs(_term_by_term(den, env)) - 1e-10
+
+
 def test_normalize_is_idempotent_identity():
     import random as _r
     rng = _r.Random(29)

@@ -132,7 +132,7 @@ def test_generated_step_matches_the_tableau_loop_bit_for_bit():
         return [float(v).hex() for v in values]
 
     for n in range(1, 7):
-        step = od._step_function(n)
+        step, _ = od._step_functions(n)
         w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
 
         def f(t, u):
@@ -152,6 +152,57 @@ def test_generated_step_matches_the_tableau_loop_bit_for_bit():
             assert norm.hex() == _scaled_norm(u, ref_u5, ref_err, atol, rtol).hex()
             # FSAL: the last stage is the derivative at the step's end
             assert bits(ks[6]) == bits(f(t + h, u5))
+
+
+def _hermite_loop(u, u5, ks, h, theta):
+    """Reference for the generated dense output: the cubic Hermite
+    interpolant as a loop over the components."""
+    t2 = theta * theta
+    t3 = t2 * theta
+    ht = h * theta
+    out = []
+    for a, b, p, q in zip(u, u5, ks[0], ks[6]):
+        d = b - a
+        out.append(a + ht * p
+                   + t2 * (3.0 * d - h * (2.0 * p + q))
+                   + t3 * (-2.0 * d + h * (p + q)))
+    return out
+
+
+def test_generated_dense_output_matches_the_hermite_loop_bit_for_bit():
+    rng = random.Random(20261019)
+
+    def draw(n):
+        return [rng.uniform(-3.0, 3.0) for _ in range(n)]
+
+    for n in range(1, 7):
+        _, dense = od._step_functions(n)
+        for _ in range(40):
+            u, u5 = draw(n), draw(n)
+            ks = [tuple(draw(n)) for _ in range(7)]
+            h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
+            theta = rng.choice((0.0, 1.0, rng.random()))
+            out = dense(u, u5, ks, h, theta)
+            assert type(out) is list
+            assert [v.hex() for v in out] == \
+                [v.hex() for v in _hermite_loop(u, u5, ks, h, theta)]
+
+
+@pytest.mark.parametrize("rhs, u0", [
+    (lambda t, u: [-u[0], 5.0], [1.0]),
+    (lambda t, u: [-u[0]], [1.0, 2.0]),
+])
+def test_a_right_hand_side_of_the_wrong_length_raises(rhs, u0):
+    with pytest.raises(TypeError, match=f"state of size {len(u0)}"):
+        od.integrate(rhs, u0, od.SolverConfig(span=1.0))
+
+
+def test_compile_rhs_returns_the_generated_function():
+    rs, _, rhs = _case1_rhs("eckart")
+    assert rhs.__closure__ is None and rhs.__code__.co_argcount == 2
+    u = [0.3, 1.1, 0.9, -0.2]
+    assert rhs(0.5, u) == rhs(0.5, tuple(u))
+    assert len(rhs(0.5, u)) == len(rs.states)
 
 
 def _counted(rhs):
