@@ -198,22 +198,44 @@ def _mono_div(m1, m2):
     return _mono_mul(m1, _mono_inv(m2))
 
 
+def _exponent_spans(p: dict) -> dict:
+    """{atom: its largest minus its smallest exponent over the terms of p},
+    an atom absent from a term counting as exponent 0 there."""
+    seen: dict = {}  # atom -> (least, greatest, number of terms with it)
+    for atoms, _ in p:
+        for a, e in atoms:
+            lo, hi, n = seen.get(a, (e, e, 0))
+            seen[a] = (min(lo, e), max(hi, e), n + 1)
+    return {a: (hi - lo if n == len(p) else max(hi, 0) - min(lo, 0))
+            for a, (lo, hi, n) in seen.items()}
+
+
 def _poly_try_div(num: dict, den: dict, max_steps: int):
     """Exact polynomial division in at most max_steps steps; returns the
-    quotient dict or None on failure."""
+    quotient dict or None on failure.  An atom's exponent span in p*q is
+    its span in p plus its span in q (the Newton polytope of a product is
+    the Minkowski sum of the factors', Ostrowski 1921; these polynomials
+    form a domain), so a den whose span exceeds num's in some atom cannot
+    divide it and is rejected before any step."""
     if not num:
         return {}
-    lead = _leading_mono(den)
+    spans = _exponent_spans(num)
+    if any(spans.get(a, 0) < s for a, s in _exponent_spans(den).items()):
+        return None
+    sort_key = functools.lru_cache(maxsize=None)(_mono_sort_key)  # each key once
+    lead = max(den, key=sort_key)
     lead_c = den[lead]
     rem = dict(num)
     quo: dict = {}
     for _ in range(max_steps):
         if not rem:
             return quo
-        rlead = _leading_mono(rem)
+        rlead = max(rem, key=sort_key)
         qm = _mono_div(rlead, lead)
         qc = _div(rem[rlead], lead_c)
         quo[qm] = _exact(quo.get(qm, 0) + qc)
+        if not quo[qm]:  # a quotient term cancelled again
+            del quo[qm]
         rem = _poly_add(rem, _poly_mul({qm: -qc}, den))
     return None
 
@@ -579,25 +601,35 @@ def subs(e: Expr, bindings: Mapping[str, object]) -> Expr:
 
 
 def _subs_table(e: Expr, table: Mapping[str, Expr]) -> Expr:
+    """subs with a table of Exprs.  Each (atom, power) factor and each
+    substituted exp factor is computed once per call, in powers and exps."""
+    powers, exps = {}, {}  # (atom, power) or exp argument -> factor
+
     def poly_subs(p: dict) -> Expr:
         out = ZERO
         for (atoms, exparg), c in p.items():
             term = Expr.number(c)
             for a, k in atoms:
-                if a[0] == "s":
-                    repl = table.get(a[1])
-                    factor = repl if repl is not None else Expr.symbol(a[1])
-                else:
-                    factor = ln(_subs_table(a[1], table))
+                power = powers.get((a, k))
+                if power is None:
+                    if a[0] == "s":
+                        repl = table.get(a[1])
+                        factor = repl if repl is not None else Expr.symbol(a[1])
+                    else:
+                        factor = ln(_subs_table(a[1], table))
+                    power = powers[(a, k)] = factor ** abs(k)
                 if k >= 0:
-                    term = term * factor ** k
+                    term = term * power
                 else:
-                    if factor.is_zero():
+                    if power.is_zero():
                         raise SingularSubstitutionError(
                             f"substitution makes a denominator zero: {a}")
-                    term = term / factor ** (-k)
+                    term = term / power
             if exparg is not None:
-                term = term * exp(_subs_table(exparg, table))
+                factor = exps.get(exparg)
+                if factor is None:
+                    factor = exps[exparg] = exp(_subs_table(exparg, table))
+                term = term * factor
             out = out + term
         return out
 
@@ -972,17 +1004,6 @@ def collect(e: Expr, basis: Iterable[str]) -> dict:
         if poly:
             out[key] = Expr(poly, {_ONE_MONO: 1}) / den
     return out
-
-
-def collect_resum(parts: Mapping) -> Expr:
-    """Reassemble a collect() result; inverse of collect up to normalization."""
-    total = ZERO
-    for key, coeff in parts.items():
-        mono = ONE
-        for name, k in key:
-            mono = mono * Expr.symbol(name) ** k
-        total = total + mono * coeff
-    return total
 
 
 # -- exact linear algebra -------------------------------------------------------

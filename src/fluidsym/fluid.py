@@ -126,20 +126,26 @@ def build_system(params: FluidParams) -> PDESystem:
     return PDESystem(residuals=(d1, d2, d3, d4), params=params)
 
 
-def _det(matrix):
-    """Determinant by cofactor expansion; entries are Exprs."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    total = ex.ZERO
-    for j in range(size):
-        a = matrix[0][j]
-        if a.is_zero():
-            continue
-        minor = [row[:j] + row[j + 1:] for row in matrix[1:]]
-        term = a * _det(minor)
-        total = total + term if j % 2 == 0 else total - term
-    return total
+def _minor(rows, cols, memo):
+    """Determinant of the last len(cols) rows on the columns cols, in that
+    order, by cofactor expansion along its first row.  memo maps each
+    ordered column tuple to its minor, expanded once; being passed, not
+    closed over, it forms no reference cycle."""
+    got = memo.get(cols)
+    if got is None:
+        row = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            got = row[cols[0]]
+        else:
+            got = ex.ZERO
+            for p, c in enumerate(cols):
+                a = row[c]
+                if a.is_zero():
+                    continue
+                term = a * _minor(rows, cols[:p] + cols[p + 1:], memo)
+                got = got + term if p % 2 == 0 else got - term
+        memo[cols] = got
+    return got
 
 
 def solve_for_jets(residuals, jets) -> tuple:
@@ -147,18 +153,21 @@ def solve_for_jets(residuals, jets) -> tuple:
 
     Each residual gives the row (d r/d jet, -r at zero jets), read off one
     collect in the jets, and the rows are solved exactly by Cramer's rule.
+    The determinant and the numerators are row-0 cofactor expansions over
+    the columns of [A | b], sharing each minor of the same ordered columns.
     Returns ({jet: Expr}, determinant Expr of the coefficient matrix).
     """
     parts = [ex.collect(r, jets) for r in residuals]
-    mat = [[p.get(((j, 1),), ex.ZERO) for j in jets] for p in parts]
-    rhs = [-p.get((), ex.ZERO) for p in parts]
-    det = _det(mat)
+    rows = [[p.get(((j, 1),), ex.ZERO) for j in jets] + [-p.get((), ex.ZERO)]
+            for p in parts]
+    cols = tuple(range(len(jets)))
+    memo: dict = {}
+    det = _minor(rows, cols, memo)
     if det.is_zero():
         raise ValueError("characteristic degeneracy: singular coefficient matrix")
     sol = {}
     for j, jet in enumerate(jets):
-        mod = [row[:j] + [rhs[i]] + row[j + 1:] for i, row in enumerate(mat)]
-        sol[jet] = _det(mod) / det
+        sol[jet] = _minor(rows, cols[:j] + (len(jets),) + cols[j + 1:], memo) / det
     return sol, det
 
 

@@ -111,23 +111,6 @@ def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
     return LieAlgebra(basis=tuple(basis), constants=constants)
 
 
-def jacobi_defect(alg: LieAlgebra) -> Fraction:
-    """Max |cyclic sum| over all index triples; exactly zero for a Lie algebra."""
-    worst = Fraction(0)
-    d = alg.dim
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                for m in range(d):
-                    total = Fraction(0)
-                    for l in range(d):
-                        total += alg.c(j, k, l) * alg.c(i, l, m)
-                        total += alg.c(k, i, l) * alg.c(j, l, m)
-                        total += alg.c(i, j, l) * alg.c(k, l, m)
-                    worst = max(worst, abs(total))
-    return worst
-
-
 def derived_series(alg: LieAlgebra) -> list:
     """Dimensions of the derived series, computed on coordinates."""
     def span_close(vectors):

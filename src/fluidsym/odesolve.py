@@ -234,15 +234,22 @@ def _guard_values(guards: tuple, t, u) -> list:
         return [math.nan] * len(guards)
 
 
+def _check_size(size: int, u) -> None:
+    """TypeError unless a right-hand side of size components fits u."""
+    if size != len(u):
+        raise TypeError(f"rhs of size {size} for a state of size {len(u)}")
+
+
 def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
               ev: EventSpec = EventSpec(), t0: float = 0.0) -> Trajectory:
     """Adaptive integration with dense output and event localisation.
 
-    rhs(t, u) -> sequence of derivatives, one per state component; a
-    right-hand side of another length raises TypeError.  Step failures
-    (error control underflow, non-finite right-hand sides or an exhausted
-    step budget) terminate the trajectory with reason 'step-failure' instead
-    of raising.
+    rhs(t, u) -> sequence of derivatives, one per state component.  A
+    right-hand side of another length, or a start of another length than a
+    compiled right-hand side's ``states``, raises TypeError, checked once
+    at the first evaluation.  Step failures (error control underflow,
+    non-finite right-hand sides or an exhausted step budget) terminate the
+    trajectory with reason 'step-failure' instead of raising.
     """
     sgn = 1.0 if cfg.direction >= 0 else -1.0
     t_end = t0 + sgn * cfg.span
@@ -255,13 +262,12 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     next_sample = t0 + sample_dt
     h = sgn * min(1e-4, cfg.max_step)
     hmin = 1e-14 * max(1.0, abs(t_end - t0))
+    _check_size(len(getattr(rhs, "states", u)), u)
     try:
         k1 = list(rhs(t, u))
     except _UNDEFINED:
         return traj
-    if len(k1) != len(u):
-        raise TypeError(f"rhs returned {len(k1)} derivatives for a state of "
-                        f"size {len(u)}")
+    _check_size(len(k1), u)
     step, dense = _step_functions(len(u))
     g_prev = _guard_values(ev.guards, t, u)
     while (t_end - t) * sgn > 1e-14 * max(1.0, abs(t_end)):
@@ -320,12 +326,15 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
 def fixed_step_integrate(rhs: Callable, u0: Sequence[float], t0: float,
                          t_end: float, nsteps: int) -> list:
     """Classic-order reference integration with the 5th-order propagator and
-    constant steps; used for the observed-order study."""
+    constant steps; used for the observed-order study.  Sizes are checked
+    as in ``integrate``."""
     h = (t_end - t0) / nsteps
     u = [float(v) for v in u0]
     t = t0
-    step, _ = _step_functions(len(u))
+    _check_size(len(getattr(rhs, "states", u)), u)
     k1 = list(rhs(t, u))
+    _check_size(len(k1), u)
+    step, _ = _step_functions(len(u))
     for _ in range(nsteps):
         # the error norm is not used; unit tolerances keep it well defined
         u, _, ks = step(rhs, t, u, h, k1, 1.0, 1.0)
@@ -346,9 +355,12 @@ def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
 
     Returns the generated function rhs(t, u) -> tuple of floats itself, over
     the state vector u in rs.states order, which its first line unpacks.
+    ``integrate`` checks a start's length against its ``states``.
     """
     exprs = [_bind_params(rs.rhs[s], params) for s in rs.states]
-    return ex._compile(exprs, [rs.independent, rs.states])
+    rhs = ex._compile(exprs, [rs.independent, rs.states])
+    rhs.states = rs.states
+    return rhs
 
 
 def scaled_time_factor(params: fluid.FluidParams, n0: float, psi0: float) -> float:

@@ -268,15 +268,18 @@ def reduced_system(case: int, theory: str,
 
 def first_integral_defects(rs: ReducedSystem) -> dict:
     """d/dy of each first integral along the reduced flow; all zero when
-    the integral is exact."""
+    the integral is exact.  Over the shared denominator D of the right-hand
+    sides N_s/D (``ex.ClearedSubstitution``), dI/dy * D + sum_s dI/ds * N_s
+    is divided by D once."""
+    cleared = ex.ClearedSubstitution(rs.rhs)
     out = {}
     for name, I in rs.first_integrals.items():
-        ddy = ex.diff(I, rs.independent)
+        num = ex.diff(I, rs.independent) * cleared.denominator
         for s in rs.states:
             dI = ex.diff(I, s)
             if not dI.is_zero():
-                ddy = ddy + dI * rs.rhs[s]
-        out[name] = ddy
+                num = num + dI * cleared.numerators[s]
+        out[name] = num / cleared.denominator
     return out
 
 

@@ -82,12 +82,23 @@ def test_collect_rejects_nonpolynomial_basis_usage():
         ex.collect(ex.sym("x") / (1 + rho), ["rho"])
 
 
+def _collect_resum(parts) -> ex.Expr:
+    """Reassemble a collect() result; inverse of collect up to normalization."""
+    total = ex.ZERO
+    for key, coeff in parts.items():
+        mono = ex.ONE
+        for name, k in key:
+            mono = mono * ex.sym(name) ** k
+        total = total + mono * coeff
+    return total
+
+
 def test_collect_then_resum_roundtrip():
     rng = random.Random(7)
     for _ in range(20):
         e = _random_poly(rng)
         parts = ex.collect(e, ["psi_x", "n_x", "rho_x"])
-        assert ex.collect_resum(parts).equivalent(e)
+        assert _collect_resum(parts).equivalent(e)
 
 
 def test_cleared_substitution_reuses_shared_denominator():
@@ -163,6 +174,50 @@ def test_cleared_substitution_matches_subs():
         assert (got / cs.denominator ** degree).equivalent(ex.subs(e, jet_map))
 
     check()
+
+
+def test_exponent_spans_add_under_products(monkeypatch):
+    """The division's early exit is sound: for random Laurent polynomials p
+    and q with exp factors, every atom's exponent span in p*q is its span
+    in p plus its span in q (Ostrowski), and dividing p*q by q gets past
+    the span test to the first division step."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t, x, lt = ex.sym("t"), ex.sym("x"), ex.ln(ex.sym("t"))
+    term = st.tuples(st.integers(-3, 3).filter(bool), st.integers(-2, 2),
+                     st.integers(-2, 2), st.integers(0, 1), st.integers(-2, 2))
+    poly = st.lists(term, min_size=1, max_size=4).map(
+        lambda terms: sum((c * t ** i * x ** j * lt ** k * ex.exp(m * t)
+                           for c, i, j, k, m in terms), ex.ZERO))
+    steps = []
+    mono_div = ex._mono_div
+
+    def counted_mono_div(m1, m2):
+        steps.append((m1, m2))
+        return mono_div(m1, m2)
+
+    monkeypatch.setattr(ex, "_mono_div", counted_mono_div)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(p=poly, q=poly)
+    def check(p, q):
+        hypothesis.assume(not p.is_zero() and not q.is_zero())
+        assert p.den == q.den == {ex._ONE_MONO: 1}
+        pq = ex._poly_mul(p.num, q.num)
+        spans = [ex._exponent_spans(f) for f in (pq, p.num, q.num)]
+        for a in set().union(*spans):
+            assert spans[0].get(a, 0) == spans[1].get(a, 0) + spans[2].get(a, 0)
+        steps.clear()
+        quo = ex._poly_try_div(pq, q.num, max_steps=len(pq) + 4)
+        assert steps, "the span test rejected p*q / q"
+        assert quo is None or quo == p.num
+
+    check()
+    # an atom absent from a term counts as exponent 0 there
+    assert ex._exponent_spans((x ** 2 / t + 1).num) == {("s", "x"): 2, ("s", "t"): 1}
+    steps.clear()
+    assert ex._poly_try_div((x + 1).num, (x ** 2 + 1).num, max_steps=100) is None
+    assert not steps
 
 
 def test_nullspace_single_constraint():

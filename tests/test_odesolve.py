@@ -197,6 +197,28 @@ def test_a_right_hand_side_of_the_wrong_length_raises(rhs, u0):
         od.integrate(rhs, u0, od.SolverConfig(span=1.0))
 
 
+@pytest.mark.parametrize("u0", [[0.3, 1.0, 1.0], [0.3, 1.0, 1.0, 0.1, 0.0]])
+def test_a_start_of_the_wrong_length_for_a_compiled_rhs_raises(u0):
+    """The generated function would raise ValueError from its unpack, which
+    integrate would end as a silent step failure."""
+    rhs = _case1_rhs("eckart")[2]
+    with pytest.raises(TypeError, match=f"rhs of size 4 for a state of size {len(u0)}"):
+        od.integrate(rhs, u0, od.SolverConfig(span=1.0))
+
+
+@pytest.mark.parametrize("rhs, u0", [
+    (lambda t, u: [-u[0], 5.0], [1.0]),
+    (lambda t, u: [-u[0]], [1.0, 2.0]),
+    (None, [0.3, 1.0, 1.0]),
+])
+def test_fixed_step_integrate_checks_lengths(rhs, u0):
+    """A right-hand side of the wrong length, and (None) a start of the
+    wrong length for a compiled one, raise TypeError, not ValueError."""
+    rhs = rhs or _case1_rhs("eckart")[2]
+    with pytest.raises(TypeError, match=f"state of size {len(u0)}"):
+        od.fixed_step_integrate(rhs, u0, 0.0, 0.5, 4)
+
+
 def test_compile_rhs_returns_the_generated_function():
     rs, _, rhs = _case1_rhs("eckart")
     assert rhs.__closure__ is None and rhs.__code__.co_argcount == 2

@@ -2,6 +2,7 @@
 catalogued reduction."""
 
 import dataclasses
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -287,3 +288,117 @@ def test_catalog_generator_and_partials_match_the_invariants(case_no):
     y = inv.invariants["y"]
     for partial, var in zip(entry.partials(a), ("t", "x")):
         assert ex.subs(partial, {"y": y}).equivalent(ex.diff(y, var)), var
+
+
+def _raw(e: ex.Expr):
+    """The (num, den) item lists of e in dict order, nested exp and ln
+    arguments included: two Exprs give equal raws only if they were built
+    term for term in the same order."""
+    def poly(p):
+        return [([(("s", a[1]) if a[0] == "s" else ("ln", _raw(a[1])), k)
+                  for a, k in atoms],
+                 None if exparg is None else _raw(exparg), str(c))
+                for (atoms, exparg), c in p.items()]
+    return poly(e.num), poly(e.den)
+
+
+# the group parameters a the benchmark draws for cases 4-6
+_BENCHMARK_A = tuple(s * Fraction(p, q) for s in (-1, 1)
+                     for p, q in ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1)))
+_REDUCED_RAW_SHA256 = "8da79059e4697f27cdb1d0254d0c891493506fef972a3179eb50b87d9ce2caad"
+
+
+def test_reduced_system_raw_terms_are_pinned():
+    """Every right-hand side, determinant and singular factor of the 44
+    systems (the 8 shipped pairs at their default a, and cases 4-6 at each
+    benchmark a) is built term for term as before, in the same dict order."""
+    h = hashlib.sha256()
+    count = 0
+    for theory in ("eckart", "israel-stewart"):
+        for case in rd.supported_cases(theory):
+            for a in (None,) + (_BENCHMARK_A if case in (4, 5, 6) else ()):
+                rs = rd.reduced_system(case, theory, a_value=a)
+                items = ([_raw(rs.rhs[s]) for s in rs.states] + [_raw(rs.determinant)]
+                         + [_raw(f) for f in rs.singular])
+                h.update(repr((theory, case, a, items)).encode())
+                count += 1
+    assert count == 44
+    assert h.hexdigest() == _REDUCED_RAW_SHA256
+
+
+def _det(matrix):
+    """Reference determinant: plain cofactor expansion along the first row,
+    every minor expanded afresh."""
+    if len(matrix) == 1:
+        return matrix[0][0]
+    total = ex.ZERO
+    for j in range(len(matrix)):
+        a = matrix[0][j]
+        if a.is_zero():
+            continue
+        term = a * _det([row[:j] + row[j + 1:] for row in matrix[1:]])
+        total = total + term if j % 2 == 0 else total - term
+    return total
+
+
+def _cramer(residuals, jets) -> tuple:
+    """Reference solve: the determinant and each Cramer numerator expanded
+    separately; returns (solution, det)."""
+    parts = [ex.collect(r, jets) for r in residuals]
+    mat = [[p.get(((j, 1),), ex.ZERO) for j in jets] for p in parts]
+    rhs = [-p.get((), ex.ZERO) for p in parts]
+    det = _det(mat)
+    return {jet: _det([row[:j] + [rhs[i]] + row[j + 1:] for i, row in enumerate(mat)])
+            / det for j, jet in enumerate(jets)}, det
+
+
+def test_shared_minor_solve_matches_separate_expansions():
+    """Differential test: sharing the Cramer minors changes no term and no
+    dict order, for the 8 shipped pairs and both full time forms."""
+    for theory in ("eckart", "israel-stewart"):
+        lam = Fraction(theory == "israel-stewart")
+        sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
+        qf = fluid.quasilinear_time_form(sys)
+        ref_sol, ref_det = _cramer(sys.residuals, list(fluid.TIME_JETS))
+        assert [_raw(qf[j]) for j in fluid.TIME_JETS] + [_raw(qf["_det"])] == \
+            [_raw(ref_sol[j]) for j in fluid.TIME_JETS] + [_raw(ref_det)], theory
+        for case in rd.supported_cases(theory):
+            a = rd._group_parameter(case, None)
+            res, jets = rd._substituted_residuals(sys, case, a, rd._CATALOG[case].inst_t)
+            sol, det = fluid.solve_for_jets(res, list(jets.values()))
+            ref_sol, ref_det = _cramer(res, list(jets.values()))
+            assert list(sol) == list(ref_sol), (theory, case)
+            assert [_raw(v) for v in sol.values()] + [_raw(det)] == \
+                [_raw(v) for v in ref_sol.values()] + [_raw(ref_det)], (theory, case)
+
+
+def _defects_term_by_term(rs) -> dict:
+    """Reference: dI/dy + sum_s dI/ds * rhs_s, one addition per state."""
+    out = {}
+    for name, I in rs.first_integrals.items():
+        ddy = ex.diff(I, rs.independent)
+        for s in rs.states:
+            dI = ex.diff(I, s)
+            if not dI.is_zero():
+                ddy = ddy + dI * rs.rhs[s]
+        out[name] = ddy
+    return out
+
+
+@pytest.mark.parametrize("theory, case", [
+    (theory, case) for theory in ("eckart", "israel-stewart")
+    for case in rd.supported_cases(theory)])
+def test_first_integral_defects_over_one_denominator(theory, case):
+    """A perturbed integral has a nonzero defect, equivalent to the
+    term-by-term sum; the catalogued integrals stay exact."""
+    rs = rd.reduced_system(case, theory)
+    bump = ex.sym(rs.states[1]) * ex.sym(rs.independent) + ex.sym(rs.states[3])
+    perturbed = dataclasses.replace(rs, first_integrals={
+        **rs.first_integrals,
+        **{f"{name}+bump": I + bump for name, I in rs.first_integrals.items()}})
+    got = rd.first_integral_defects(perturbed)
+    ref = _defects_term_by_term(perturbed)
+    assert list(got) == list(ref)
+    for name, d in got.items():
+        assert d.equivalent(ref[name]), name
+        assert d.is_zero() == (name in rs.first_integrals), name
