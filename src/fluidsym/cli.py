@@ -553,6 +553,8 @@ def verify(goldens_dir):
         ok = run_verify_battery(goldens_dir=goldens_dir, report=lines.append)
     except FileNotFoundError as err:
         raise click.UsageError(f"missing golden file: {err.filename}")
+    except OSError as err:
+        raise click.UsageError(f"unreadable golden file: {err.filename}: {err.strerror}")
     for ln in sorted(lines, key=lambda s: s[4:]):
         click.echo(ln)
     click.echo("verify: " + ("OK" if ok else "FAILED (see lines above)"))

@@ -12,11 +12,14 @@ it.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
-Normalizing divides both sides once by the denominator's monomial content
-(a one-term denominator becomes 1), but takes no polynomial gcd, so the form
-is not canonical: numerator and denominator may share a factor and one
-rational function can have several representations.  ``==`` and ``key()`` compare structure.  The exact tests are ``is_zero()`` (the
-numerator polynomial is empty) and ``equivalent()`` (cross-multiplication).
+Normalizing takes two steps: it divides both sides once by the
+denominator's monomial content (a one-term denominator becomes 1), then makes
+a denominator of more than one term monic on its leading monomial.  It never
+divides one polynomial by another, so the form is not canonical: numerator
+and denominator may share a factor (``p*q/q`` keeps ``q``) and one rational
+function can have several representations.  ``==`` and ``key()`` compare
+structure.  The exact tests are ``is_zero()`` (a rational function is zero
+iff its numerator polynomial is) and ``equivalent()`` (cross-multiplication).
 
 ``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
 common denominator ``D``.  It assumes the target expression has degree at
@@ -193,53 +196,6 @@ def _mono_inv(m):
     return tuple((a, -e) for a, e in atoms), None if exparg is None else -exparg
 
 
-def _mono_div(m1, m2):
-    """m1 / m2 as a Laurent monomial (always defined)."""
-    return _mono_mul(m1, _mono_inv(m2))
-
-
-def _exponent_spans(p: dict) -> dict:
-    """{atom: its largest minus its smallest exponent over the terms of p},
-    an atom absent from a term counting as exponent 0 there."""
-    seen: dict = {}  # atom -> (least, greatest, number of terms with it)
-    for atoms, _ in p:
-        for a, e in atoms:
-            lo, hi, n = seen.get(a, (e, e, 0))
-            seen[a] = (min(lo, e), max(hi, e), n + 1)
-    return {a: (hi - lo if n == len(p) else max(hi, 0) - min(lo, 0))
-            for a, (lo, hi, n) in seen.items()}
-
-
-def _poly_try_div(num: dict, den: dict, max_steps: int):
-    """Exact polynomial division in at most max_steps steps; returns the
-    quotient dict or None on failure.  An atom's exponent span in p*q is
-    its span in p plus its span in q (the Newton polytope of a product is
-    the Minkowski sum of the factors', Ostrowski 1921; these polynomials
-    form a domain), so a den whose span exceeds num's in some atom cannot
-    divide it and is rejected before any step."""
-    if not num:
-        return {}
-    spans = _exponent_spans(num)
-    if any(spans.get(a, 0) < s for a, s in _exponent_spans(den).items()):
-        return None
-    sort_key = functools.lru_cache(maxsize=None)(_mono_sort_key)  # each key once
-    lead = max(den, key=sort_key)
-    lead_c = den[lead]
-    rem = dict(num)
-    quo: dict = {}
-    for _ in range(max_steps):
-        if not rem:
-            return quo
-        rlead = max(rem, key=sort_key)
-        qm = _mono_div(rlead, lead)
-        qc = _div(rem[rlead], lead_c)
-        quo[qm] = _exact(quo.get(qm, 0) + qc)
-        if not quo[qm]:  # a quotient term cancelled again
-            del quo[qm]
-        rem = _poly_add(rem, _poly_mul({qm: -qc}, den))
-    return None
-
-
 class Expr:
     """Immutable normalized rational expression."""
 
@@ -271,8 +227,8 @@ class Expr:
             raise SingularSubstitutionError("zero denominator")
         if not num:
             return Expr({}, {_ONE_MONO: 1})
-        # one division by the denominator's monomial content; a one-term
-        # denominator becomes the unit, and the unit is not even copied
+        # step 1, one division by the denominator's monomial content: a
+        # one-term denominator becomes the unit, which is not even copied
         mono = _common_mono(den)
         c = next(iter(den.values())) if len(den) == 1 else 1
         if mono != _ONE_MONO or c != 1:
@@ -281,13 +237,8 @@ class Expr:
             den = _poly_mul(den, inv)
         if len(den) == 1:
             return Expr(num, den)
-        # cheap exact-division attempt, only for small operands: catches the
-        # frequent case where the denominator divides the numerator outright
-        if len(den) <= 8 and len(num) <= 64:
-            quo = _poly_try_div(num, den, max_steps=len(num) + 4)
-            if quo is not None:
-                return Expr(quo, {_ONE_MONO: 1})
-        # make the denominator monic on its leading monomial
+        # step 2, the last: make the denominator monic on its leading
+        # monomial; no common factor is cancelled (module docstring)
         lc = den[_leading_mono(den)]
         if lc != 1:
             inv_lc = _div(1, lc)
@@ -796,11 +747,13 @@ def _exp_power(arg: Expr, exps: Mapping[str, Fraction]) -> tuple:
     raise DomainError(f"cannot evaluate exp({to_text(arg)}) exactly")
 
 
-def compile_exprs(exprs: Sequence[Expr], arg_names: Sequence[str]):
+def compile_exprs(exprs: Sequence[Expr], params: Sequence):
     """Compile expressions into one fast positional-argument function.
 
-    Returns f(*values) -> tuple of floats.  Symbols must all be listed in
-    arg_names; ln/exp map to math.log/math.exp.
+    Returns f(*args) -> tuple of floats.  A parameter is either a name, one
+    float argument, or a sequence of names, one argument unpacked into those
+    names.  Symbols must all be named in params; ln/exp map to
+    math.log/math.exp.
 
     Subexpressions are hoisted: each distinct exp, ln, power and denominator
     is computed once per call into a local.  A term c*f1*...*fk is the
@@ -822,12 +775,6 @@ def compile_exprs(exprs: Sequence[Expr], arg_names: Sequence[str]):
     A pole or overflow still raises ZeroDivisionError or OverflowError when
     the function is called, also for a coefficient too large for a float.
     """
-    return _compile(exprs, arg_names)
-
-
-def _compile(exprs: Sequence[Expr], params: Sequence):
-    """compile_exprs with parameters ``params``: a name is one float
-    argument, a sequence of names one argument unpacked into those names."""
     arg_names = [n for p in params for n in ([p] if isinstance(p, str) else p)]
     missing = set()
     for e in exprs:

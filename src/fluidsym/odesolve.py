@@ -358,7 +358,7 @@ def compile_rhs(rs: ReducedSystem, params: fluid.FluidParams):
     ``integrate`` checks a start's length against its ``states``.
     """
     exprs = [_bind_params(rs.rhs[s], params) for s in rs.states]
-    rhs = ex._compile(exprs, [rs.independent, rs.states])
+    rhs = ex.compile_exprs(exprs, [rs.independent, rs.states])
     rhs.states = rs.states
     return rhs
 
@@ -390,8 +390,8 @@ def default_events(rs: ReducedSystem, params: fluid.FluidParams,
         if s in ("n", "rho", "alpha", "beta", "w", "sigma"):
             table[f"{s}-collapse"] = lambda t, u, i=i: u[i] - 1e-12
     for i, den in enumerate(rs.singular):
-        fn = ex._compile([_bind_params(den, params)],
-                         [rs.independent, rs.states])
+        fn = ex.compile_exprs([_bind_params(den, params)],
+                              [rs.independent, rs.states])
 
         def singular(t, u, fn=fn):
             try:

@@ -279,6 +279,14 @@ def _goldens_appended(tmp_path, name, data: bytes):
     return goldens
 
 
+def _goldens_with_directory(tmp_path, name):
+    """A copy of the shipped goldens with one file replaced by a directory."""
+    goldens = _goldens_with(tmp_path, name, "", "")
+    (tmp_path / name).unlink()
+    (tmp_path / name).mkdir()
+    return goldens
+
+
 def _not_utf8(tmp_path):
     p = tmp_path / "params.txt"
     p.write_bytes(b"k = \xff\n")
@@ -305,6 +313,8 @@ _BAD_INPUT_FILES = {
     "goldens-generator-outside-the-ansatz": (lambda d: ["verify", "--goldens-dir", _goldens_with(
         d, "generator_basis_eckart.txt", "d_x", "d_t*d_x")],
         "generator_basis_eckart.txt, line 3", False),
+    "goldens-file-is-a-directory": (lambda d: ["verify", "--goldens-dir", _goldens_with_directory(
+        d, "commutator_table_eckart.txt")], "commutator_table_eckart.txt", False),
     "goldens-dir-is-a-file": (lambda d: ["verify", "--goldens-dir", str(
         Path(cli._goldens_dir()) / "commutator_table_eckart.txt")], "--goldens-dir", True),
     "params-is-a-directory": (lambda d: _SOLVE + ["--v0", "0.5", "--params", str(d)],

@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from fluidsym import expr as ex, fluid, reduction as rd, symmetry as sm
+from fluidsym import expr as ex, fluid, odesolve as od, reduction as rd, symmetry as sm
 
 
 def test_dilatation_invariants():
@@ -308,22 +308,43 @@ _BENCHMARK_A = tuple(s * Fraction(p, q) for s in (-1, 1)
 _REDUCED_RAW_SHA256 = "8da79059e4697f27cdb1d0254d0c891493506fef972a3179eb50b87d9ce2caad"
 
 
-def test_reduced_system_raw_terms_are_pinned():
+@pytest.fixture(scope="module")
+def pinned_systems():
+    """(theory, case, a, system) for the 44 pinned systems: the 8 shipped
+    pairs at their default a, and cases 4-6 at each benchmark a."""
+    return [(theory, case, a, rd.reduced_system(case, theory, a_value=a))
+            for theory in ("eckart", "israel-stewart")
+            for case in rd.supported_cases(theory)
+            for a in (None,) + (_BENCHMARK_A if case in (4, 5, 6) else ())]
+
+
+def test_reduced_system_raw_terms_are_pinned(pinned_systems):
     """Every right-hand side, determinant and singular factor of the 44
-    systems (the 8 shipped pairs at their default a, and cases 4-6 at each
-    benchmark a) is built term for term as before, in the same dict order."""
+    systems is built term for term as before, in the same dict order."""
     h = hashlib.sha256()
-    count = 0
-    for theory in ("eckart", "israel-stewart"):
-        for case in rd.supported_cases(theory):
-            for a in (None,) + (_BENCHMARK_A if case in (4, 5, 6) else ()):
-                rs = rd.reduced_system(case, theory, a_value=a)
-                items = ([_raw(rs.rhs[s]) for s in rs.states] + [_raw(rs.determinant)]
-                         + [_raw(f) for f in rs.singular])
-                h.update(repr((theory, case, a, items)).encode())
-                count += 1
-    assert count == 44
+    for theory, case, a, rs in pinned_systems:
+        items = ([_raw(rs.rhs[s]) for s in rs.states] + [_raw(rs.determinant)]
+                 + [_raw(f) for f in rs.singular])
+        h.update(repr((theory, case, a, items)).encode())
+    assert len(pinned_systems) == 44
     assert h.hexdigest() == _REDUCED_RAW_SHA256
+
+
+_BOUND_RAW_SHA256 = "5186d15a804c322d20eb57e9e8d9c10f6aa973cd821bc12d0215cb6f2cb2335b"
+
+
+def test_parameter_bound_raw_terms_are_pinned(pinned_systems):
+    """The right-hand sides and singular factors of the same 44 systems with
+    numeric k and kappa bound, as the integrator compiles them, are built
+    term for term as before, in the same dict order."""
+    h = hashlib.sha256()
+    for k, kappa in ((1, 1), (Fraction(1, 2), 2), (3, Fraction(3, 7))):
+        for theory, case, a, rs in pinned_systems:
+            params = fluid.FluidParams(k=Fraction(k), kappa=Fraction(kappa), lam=rs.lam)
+            items = [_raw(od._bind_params(e, params))
+                     for e in [rs.rhs[s] for s in rs.states] + list(rs.singular)]
+            h.update(repr((k, kappa, theory, case, a, items)).encode())
+    assert h.hexdigest() == _BOUND_RAW_SHA256
 
 
 def _det(matrix):
