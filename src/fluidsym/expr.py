@@ -12,6 +12,11 @@ it.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
+A monomial's atoms are strictly increasing by ``_atom_sort_key``, so
+monomials multiply by merging sorted lists.  Polynomials multiply in ints
+over the lcm of each factor's coefficient denominators, one division per
+term at the end; terms arise and cancel in the same order as term by term.
+
 Normalizing takes two steps: it divides both sides once by the
 denominator's monomial content (a one-term denominator becomes 1), then makes
 a denominator of more than one term monic on its leading monomial.  It never
@@ -86,10 +91,22 @@ def _atom_sort_key(atom) -> tuple:
     return (2, 0, atom[1].key())
 
 
+class _KeyTable(dict):
+    """atom -> its ``_atom_sort_key``, one key object per atom, so two atoms
+    are equal iff their keys are identical."""
+
+    def __missing__(self, atom):
+        key = self[atom] = _atom_sort_key(atom)
+        return key
+
+
+_ATOM_KEYS = _KeyTable()
+
+
 def _mono_sort_key(mono) -> tuple:
     atoms, exparg = mono
     degree = sum(e for _, e in atoms)
-    vec = tuple((_atom_sort_key(a), -e) for a, e in atoms)
+    vec = tuple((_ATOM_KEYS[a], -e) for a, e in atoms)
     ekey = exparg.key() if exparg is not None else ()
     return (degree, vec, ekey)
 
@@ -119,7 +136,7 @@ def _exp_sum(e1, e2):
 
 
 def _mono_mul(m1, m2):
-    """Multiply two monomials, merging exp factors by argument addition."""
+    """Multiply two monomials: merge their sorted atoms, add exp arguments."""
     atoms1, e1 = m1
     atoms2, e2 = m2
     if not atoms2:
@@ -127,14 +144,22 @@ def _mono_mul(m1, m2):
     elif not atoms1:
         atoms = atoms2
     else:
-        acc = dict(atoms1)
-        for a, e in atoms2:
-            ne = acc.get(a, 0) + e
-            if ne:
-                acc[a] = ne
+        keys, out, i, j = _ATOM_KEYS, [], 0, 0
+        n1, n2 = len(atoms1), len(atoms2)
+        while i < n1 and j < n2:
+            (a, e), (b, f) = atoms1[i], atoms2[j]
+            ka, kb = keys[a], keys[b]
+            if ka is kb:
+                if e + f:
+                    out.append((a, e + f))
+                i, j = i + 1, j + 1
+            elif ka < kb:
+                out.append(atoms1[i])
+                i += 1
             else:
-                del acc[a]
-        atoms = tuple(sorted(acc.items(), key=lambda it: _atom_sort_key(it[0])))
+                out.append(atoms2[j])
+                j += 1
+        atoms = (*out, *atoms1[i:], *atoms2[j:])
     if e1 is None:
         exparg = e2
     elif e2 is None:
@@ -157,22 +182,39 @@ def _poly_add(p1: dict, p2: dict) -> dict:
     return out
 
 
+def _scaled(p: dict) -> tuple:
+    """``(items, L)``: p's items with every coefficient multiplied by L, the
+    lcm of the coefficient denominators, so that each is an int."""
+    for c in p.values():
+        if type(c) is not int:
+            L = math.lcm(*[d.denominator for d in p.values()])
+            return [(m, d.numerator * (L // d.denominator)) for m, d in p.items()], L
+    return p.items(), 1
+
+
 def _poly_mul(p1: dict, p2: dict) -> dict:
+    """The product, accumulated in ints over the factors' common denominator."""
     if not p1 or not p2:
         return {}
     if p2 == _UNIT:
         return dict(p1)
     if p1 == _UNIT:
         return dict(p2)
+    items1, L1 = _scaled(p1)
+    items2, L2 = _scaled(p2)
     out: dict = {}
-    for m1, c1 in p1.items():
-        for m2, c2 in p2.items():
+    for m1, c1 in items1:
+        for m2, c2 in items2:
             m = _mono_mul(m1, m2)
             nc = out.get(m, 0) + c1 * c2
             if nc:
-                out[m] = _exact(nc)
+                out[m] = nc
             else:
                 out.pop(m, None)
+    L = L1 * L2
+    if L != 1:
+        for m, c in out.items():
+            out[m] = _div(c, L)
     return out
 
 
@@ -375,19 +417,12 @@ class Expr:
 
 def _common_mono(p: dict):
     """Greatest common Laurent monomial of all terms of p."""
-    atoms_min: dict = None
-    exp_common = None
-    first = True
-    for m in p:
-        atoms, exparg = m
-        d = dict(atoms)
-        if first:
-            atoms_min = d
-            exp_common = exparg
-            first = False
-            continue
+    (atoms, exp_common), *rest = p
+    atoms_min = dict(atoms)
+    for atoms, exparg in rest:
         if exp_common is not None and exp_common != exparg:
             exp_common = None
+        d = dict(atoms)
         for a in list(atoms_min):
             e = d.get(a)
             if e is None:
@@ -398,8 +433,8 @@ def _common_mono(p: dict):
                 atoms_min[a] = min(atoms_min[a], e)
                 if atoms_min[a] == 0:
                     del atoms_min[a]
-    atoms = tuple(sorted(atoms_min.items(), key=lambda it: _atom_sort_key(it[0])))
-    return (atoms, exp_common)
+    # only deletions: the first monomial's atoms stay sorted
+    return (tuple(atoms_min.items()), exp_common)
 
 
 def _coerce(value) -> Expr:

@@ -444,7 +444,9 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
     """Bisect the initial velocity separating decaying from blowing-up runs.
 
     run(v0) integrates the family member; classification at the endpoints
-    must differ (decaying at one end, blowing-up at the other).
+    must differ (decaying at one end, blowing-up at the other).  Bisection
+    stops once the bracket is no wider than tol or its ends are adjacent
+    floats.
     """
     tr_lo = run(lo)
     tr_hi = run(hi)
@@ -458,6 +460,8 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
     iterations = 0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if not lo < mid < hi:
+            break  # lo and hi are adjacent floats
         c_mid = classify_trajectory(run(mid))
         iterations += 1
         # an undecided run counts as blowing up, so the bracket keeps a
@@ -466,8 +470,6 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
             hi = mid
         else:
             lo = mid
-        if iterations > 200:
-            break
     return CriticalResult(v_critical=0.5 * (lo + hi), lo=lo, hi=hi,
                           lo_class=c_lo, hi_class=c_hi,
                           iterations=iterations)

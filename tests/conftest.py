@@ -6,7 +6,43 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from fluidsym import fluid, symmetry as sm  # noqa: E402
+from fluidsym import expr as ex, fluid, symmetry as sm  # noqa: E402
+
+
+def _raw(e: ex.Expr):
+    """The (num, den) item lists of e in dict order, nested exp and ln
+    arguments included: two Exprs give equal raws only if they were built
+    term for term in the same order."""
+    def poly(p):
+        return [([(("s", a[1]) if a[0] == "s" else ("ln", _raw(a[1])), k)
+                  for a, k in atoms],
+                 None if exparg is None else _raw(exparg), str(c))
+                for (atoms, exparg), c in p.items()]
+    return poly(e.num), poly(e.den)
+
+
+def _atoms_sorted(e: ex.Expr) -> bool:
+    """Whether every monomial of e, nested exp and ln arguments included,
+    lists its atoms strictly increasing by ``_atom_sort_key``."""
+    for atoms, exparg in (*e.num, *e.den):
+        keys = [ex._atom_sort_key(a) for a, _ in atoms]
+        if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
+            return False
+        if not all(_atoms_sorted(a[1]) for a, _ in atoms if a[0] == "ln"):
+            return False
+        if exparg is not None and not _atoms_sorted(exparg):
+            return False
+    return True
+
+
+@pytest.fixture(scope="session")
+def raw_terms():
+    return _raw
+
+
+@pytest.fixture(scope="session")
+def atoms_sorted():
+    return _atoms_sorted
 
 
 @pytest.fixture(scope="session")

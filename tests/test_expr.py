@@ -200,6 +200,124 @@ def test_division_never_cancels_a_common_factor():
     check()
 
 
+def _mono_mul_by_sorting(m1, m2):
+    """Reference for ``ex._mono_mul``: the atoms gathered in a dict, then
+    sorted by key."""
+    atoms1, e1 = m1
+    atoms2, e2 = m2
+    if not atoms2:
+        atoms = atoms1
+    elif not atoms1:
+        atoms = atoms2
+    else:
+        acc = dict(atoms1)
+        for a, e in atoms2:
+            ne = acc.get(a, 0) + e
+            if ne:
+                acc[a] = ne
+            else:
+                del acc[a]
+        atoms = tuple(sorted(acc.items(), key=lambda it: ex._atom_sort_key(it[0])))
+    if e1 is None:
+        exparg = e2
+    elif e2 is None:
+        exparg = e1
+    else:
+        exparg = ex._exp_sum(e1, e2)
+    return (atoms, exparg)
+
+
+def _poly_mul_term_by_term(p1, p2):
+    """Reference for ``ex._poly_mul``: each coefficient accumulated as an
+    int or a Fraction, one product at a time."""
+    if not p1 or not p2:
+        return {}
+    if p2 == ex._UNIT:
+        return dict(p1)
+    if p1 == ex._UNIT:
+        return dict(p2)
+    out = {}
+    for m1, c1 in p1.items():
+        for m2, c2 in p2.items():
+            m = _mono_mul_by_sorting(m1, m2)
+            nc = out.get(m, 0) + c1 * c2
+            if nc:
+                out[m] = ex._exact(nc)
+            else:
+                out.pop(m, None)
+    return out
+
+
+def _laurent_polys(st):
+    """Laurent polynomials in t, x, ln t, ln x and the non-canonical symbol
+    k, with int and Fraction coefficients and exp(c*t), exp(c*psi)
+    factors, some with few distinct monomials; never zero."""
+    t, x, k, psi = ex.syms("t x k psi")
+    lt, lx = ex.ln(t), ex.ln(x)
+    coeff = st.one_of(st.integers(-4, 4).filter(bool),
+                      st.fractions(-3, 3, max_denominator=6).filter(bool))
+    term = st.tuples(coeff, *[st.integers(-2, 2)] * 3, st.integers(0, 2),
+                     st.integers(0, 1), st.integers(-2, 2), st.integers(-1, 1))
+    sparse = st.lists(term, min_size=1, max_size=5).map(
+        lambda terms: sum((c * t ** i * x ** j * k ** kk * lt ** a * lx ** b
+                           * ex.exp(m * t + w * psi)
+                           for c, i, j, kk, a, b, m, w in terms), ex.ZERO))
+    # few monomials, so that products cancel and re-form terms
+    dense = st.lists(st.tuples(st.sampled_from([1, -1, Fraction(1, 2)]),
+                               st.integers(-1, 2), st.integers(0, 1),
+                               st.integers(0, 1)), min_size=2, max_size=6).map(
+        lambda terms: sum((c * t ** i * lt ** j * ex.exp(m * t)
+                           for c, i, j, m in terms), ex.ZERO))
+    return st.one_of(sparse, dense).filter(lambda e: not e.is_zero())
+
+
+def test_kernel_products_match_the_term_by_term_reference():
+    """Differential test: products accumulated in ints over one common
+    denominator, with monomials multiplied by merging their sorted atoms,
+    give the reference's items in the same order with the same coefficient
+    types; p*(q - p) and (p + q)*(p - q) make terms cancel."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(p=_laurent_polys(st), q=_laurent_polys(st))
+    def check(p, q):
+        for a, b in ((p, q), (p, q - p), (p + q, p - q), (q, ex.ONE / 3),
+                     (p / q, q)):
+            for f1 in (a.num, a.den):
+                for f2 in (b.num, b.den):
+                    new, old = ex._poly_mul(f1, f2), _poly_mul_term_by_term(f1, f2)
+                    assert list(new.items()) == list(old.items())
+                    assert [type(c) for c in new.values()] == \
+                        [type(c) for c in old.values()]
+                    for m1 in f1:
+                        for m2 in f2:
+                            assert ex._mono_mul(m1, m2) == _mono_mul_by_sorting(m1, m2)
+
+    check()
+
+
+def test_built_monomials_keep_their_atoms_sorted(atoms_sorted):
+    """Every monomial lists its atoms strictly increasing by sort key, which
+    the monomial product's merge relies on: checked on expressions built by
+    parse, diff, subs, products and quotients."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    t, x, rho = ex.syms("t x rho")
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(p=_laurent_polys(st), q=_laurent_polys(st),
+                      var=st.sampled_from(["t", "x", "k", "psi"]))
+    def check(p, q, var):
+        built = [p * q, p / q, ex.diff(p, var), ex.diff(p / q, var),
+                 ex.parse(ex.to_text(p)),
+                 ex.subs(p, {"t": rho * x, "k": ex.ln(rho) + t, "psi": 2 * x}),
+                 ex.subs(q, {"x": t ** 2})]
+        assert all(atoms_sorted(e) for e in built)
+
+    check()
+
+
 def test_nullspace_single_constraint():
     rows = [{"c1": Fraction(1), "c2": Fraction(1)}]
     basis = ex.nullspace(rows, ["c1", "c2"])

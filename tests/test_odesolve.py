@@ -428,6 +428,27 @@ def test_find_critical_bisects_relaxing_family():
     assert res.hi - res.lo <= 5e-3
 
 
+@pytest.mark.parametrize("tol", [1e-300, 0.0])
+def test_find_critical_stops_at_float_resolution(tol):
+    """Below float resolution the bracket cannot shrink: bisection stops
+    once its ends are adjacent floats, one run per halving."""
+    calls = []
+    decaying = od.Trajectory(ts=[0.0] * 6, states=[[0.1]] * 6,
+                             termination="reached-end")
+    blowing_up = od.Trajectory(ts=[0.0], states=[[3.0]], termination="event",
+                               event_name="v-blowup")
+
+    def run(v0):
+        calls.append(v0)
+        return blowing_up if v0 > 0.878729 else decaying
+
+    res = od.find_critical(run, 0.5, 0.9, tol=tol)
+    assert (res.lo_class, res.hi_class) == ("decaying", "blowing-up")
+    assert res.lo <= 0.878729 < res.hi == math.nextafter(res.lo, 1.0)
+    assert len(calls) == res.iterations + 2
+    assert res.iterations < 60  # 0.4 halves to one ulp of 0.88 in about 52
+
+
 def _crossing_guard(raise_band):
     """u - 1/2 as a guard that raises ValueError for u inside raise_band;
     the calls that raised are recorded on the guard."""

@@ -290,18 +290,6 @@ def test_catalog_generator_and_partials_match_the_invariants(case_no):
         assert ex.subs(partial, {"y": y}).equivalent(ex.diff(y, var)), var
 
 
-def _raw(e: ex.Expr):
-    """The (num, den) item lists of e in dict order, nested exp and ln
-    arguments included: two Exprs give equal raws only if they were built
-    term for term in the same order."""
-    def poly(p):
-        return [([(("s", a[1]) if a[0] == "s" else ("ln", _raw(a[1])), k)
-                  for a, k in atoms],
-                 None if exparg is None else _raw(exparg), str(c))
-                for (atoms, exparg), c in p.items()]
-    return poly(e.num), poly(e.den)
-
-
 # the group parameters a the benchmark draws for cases 4-6
 _BENCHMARK_A = tuple(s * Fraction(p, q) for s in (-1, 1)
                      for p, q in ((1, 3), (1, 2), (2, 3), (1, 1), (3, 2), (2, 1)))
@@ -318,22 +306,31 @@ def pinned_systems():
             for a in (None,) + (_BENCHMARK_A if case in (4, 5, 6) else ())]
 
 
-def test_reduced_system_raw_terms_are_pinned(pinned_systems):
+def test_reduced_system_raw_terms_are_pinned(pinned_systems, raw_terms):
     """Every right-hand side, determinant and singular factor of the 44
     systems is built term for term as before, in the same dict order."""
     h = hashlib.sha256()
     for theory, case, a, rs in pinned_systems:
-        items = ([_raw(rs.rhs[s]) for s in rs.states] + [_raw(rs.determinant)]
-                 + [_raw(f) for f in rs.singular])
+        items = ([raw_terms(rs.rhs[s]) for s in rs.states]
+                 + [raw_terms(rs.determinant)] + [raw_terms(f) for f in rs.singular])
         h.update(repr((theory, case, a, items)).encode())
     assert len(pinned_systems) == 44
     assert h.hexdigest() == _REDUCED_RAW_SHA256
 
 
+def test_reduced_system_monomials_keep_their_atoms_sorted(pinned_systems,
+                                                         atoms_sorted):
+    """Every monomial of the 44 systems lists its atoms strictly increasing
+    by sort key, which the monomial product's merge relies on."""
+    for theory, case, a, rs in pinned_systems:
+        exprs = list(rs.rhs.values()) + [rs.determinant] + list(rs.singular)
+        assert all(atoms_sorted(e) for e in exprs), (theory, case, a)
+
+
 _BOUND_RAW_SHA256 = "5186d15a804c322d20eb57e9e8d9c10f6aa973cd821bc12d0215cb6f2cb2335b"
 
 
-def test_parameter_bound_raw_terms_are_pinned(pinned_systems):
+def test_parameter_bound_raw_terms_are_pinned(pinned_systems, raw_terms):
     """The right-hand sides and singular factors of the same 44 systems with
     numeric k and kappa bound, as the integrator compiles them, are built
     term for term as before, in the same dict order."""
@@ -341,7 +338,7 @@ def test_parameter_bound_raw_terms_are_pinned(pinned_systems):
     for k, kappa in ((1, 1), (Fraction(1, 2), 2), (3, Fraction(3, 7))):
         for theory, case, a, rs in pinned_systems:
             params = fluid.FluidParams(k=Fraction(k), kappa=Fraction(kappa), lam=rs.lam)
-            items = [_raw(od._bind_params(e, params))
+            items = [raw_terms(od._bind_params(e, params))
                      for e in [rs.rhs[s] for s in rs.states] + list(rs.singular)]
             h.update(repr((k, kappa, theory, case, a, items)).encode())
     assert h.hexdigest() == _BOUND_RAW_SHA256
@@ -373,7 +370,7 @@ def _cramer(residuals, jets) -> tuple:
             / det for j, jet in enumerate(jets)}, det
 
 
-def test_shared_minor_solve_matches_separate_expansions():
+def test_shared_minor_solve_matches_separate_expansions(raw_terms):
     """Differential test: sharing the Cramer minors changes no term and no
     dict order, for the 8 shipped pairs and both full time forms."""
     for theory in ("eckart", "israel-stewart"):
@@ -381,16 +378,16 @@ def test_shared_minor_solve_matches_separate_expansions():
         sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
         qf = fluid.quasilinear_time_form(sys)
         ref_sol, ref_det = _cramer(sys.residuals, list(fluid.TIME_JETS))
-        assert [_raw(qf[j]) for j in fluid.TIME_JETS] + [_raw(qf["_det"])] == \
-            [_raw(ref_sol[j]) for j in fluid.TIME_JETS] + [_raw(ref_det)], theory
+        assert [raw_terms(qf[j]) for j in fluid.TIME_JETS] + [raw_terms(qf["_det"])] == \
+            [raw_terms(ref_sol[j]) for j in fluid.TIME_JETS] + [raw_terms(ref_det)], theory
         for case in rd.supported_cases(theory):
             a = rd._group_parameter(case, None)
             res, jets = rd._substituted_residuals(sys, case, a, rd._CATALOG[case].inst_t)
             sol, det = fluid.solve_for_jets(res, list(jets.values()))
             ref_sol, ref_det = _cramer(res, list(jets.values()))
             assert list(sol) == list(ref_sol), (theory, case)
-            assert [_raw(v) for v in sol.values()] + [_raw(det)] == \
-                [_raw(v) for v in ref_sol.values()] + [_raw(ref_det)], (theory, case)
+            assert [raw_terms(v) for v in sol.values()] + [raw_terms(det)] == \
+                [raw_terms(v) for v in ref_sol.values()] + [raw_terms(ref_det)], (theory, case)
 
 
 def _defects_term_by_term(rs) -> dict:

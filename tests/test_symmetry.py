@@ -306,3 +306,48 @@ def test_own_degree_clearing_agrees_with_degree_two(closure, request):
             assert own.is_zero() == full.is_zero()
             assert (own * cleared.denominator ** (2 - d)).equivalent(full)
     assert degrees == {0, 1, 2}
+
+
+@pytest.fixture(scope="module")
+def pinned_closures():
+    """(lam, k, kappa, system) for both closures, at symbolic k and kappa
+    and at k = 1/2, kappa = 2."""
+    return [(lam, k, kappa, fluid.build_system(
+                fluid.FluidParams(k=k, kappa=kappa, lam=Fraction(lam))))
+            for lam in (0, 1)
+            for k, kappa in ((None, None), (Fraction(1, 2), Fraction(2)))]
+
+
+_TIME_FORM_RAW_SHA256 = "0da8ff0baaf55424242ba345326d55113e2739adc5b413cd3b3682bd038a98b9"
+_RAPIDITY_SHIFT_RAW_SHA256 = "855a118d937aebb1be7ef24364505192d8ae38b1f89ab1890dc9bec18f4c3fc9"
+
+
+def test_quasilinear_time_form_raw_terms_are_pinned(pinned_closures, raw_terms):
+    """The solved time jets and the determinant of both closures are built
+    term for term as before, in the same dict order."""
+    h = hashlib.sha256()
+    for lam, k, kappa, sys in pinned_closures:
+        qf = fluid.quasilinear_time_form(sys)
+        items = [raw_terms(qf[j]) for j in fluid.TIME_JETS + ("_det",)]
+        h.update(repr((lam, k, kappa, items)).encode())
+    assert h.hexdigest() == _TIME_FORM_RAW_SHA256
+
+
+def test_rapidity_shift_residual_raw_terms_are_pinned(pinned_closures, raw_terms):
+    """The nonzero on-shell residuals of the non-symmetry d_psi are built
+    term for term as before, in the same dict order."""
+    h = hashlib.sha256()
+    for lam, k, kappa, sys in pinned_closures:
+        res = sm.verify_symmetry(sm.v_rapidity_shift(), sys)
+        items = [(i, raw_terms(r)) for i, r in enumerate(res) if not r.is_zero()]
+        assert items
+        h.update(repr((lam, k, kappa, items)).encode())
+    assert h.hexdigest() == _RAPIDITY_SHIFT_RAW_SHA256
+
+
+def test_time_form_monomials_keep_their_atoms_sorted(pinned_closures, atoms_sorted):
+    """Every monomial of both closures' time forms lists its atoms strictly
+    increasing by sort key, which the monomial product's merge relies on."""
+    for lam, k, kappa, sys in pinned_closures:
+        qf = fluid.quasilinear_time_form(sys)
+        assert all(atoms_sorted(e) for e in qf.values()), (lam, k, kappa)
