@@ -9,14 +9,13 @@ start ordinate and group parameter a.  The translations d_t and d_x are
 ordinary entries: their invariants are the fields themselves, and t or x is
 the independent variable.
 
-Every case takes one path.  ``reduced_system`` substitutes the invariant
-ansatz into the full PDE residuals by the chain rule and solves the result,
-which is affine in the state derivatives, for those derivatives.
-``symbolic_check_reduction`` substitutes the ansatz again with t kept
-symbolic, eliminates the state derivatives with the derived right-hand sides
-and normalizes: the residuals are zero exactly when the reduction holds for
-all t.  ``SUPPORTED`` is a fixed table; the check runs in ``verify`` and in
-the tests.
+Every case is derived once.  ``_derivation`` substitutes the invariant
+ansatz into the full PDE residuals by the chain rule, with t kept symbolic,
+and solves the result, which is affine in the state derivatives, for those
+derivatives.  ``symbolic_check_reduction`` replaces the state derivatives in
+the same symbolic residuals by the derived right-hand sides and normalizes:
+the residuals are zero exactly when the reduction holds for all t.
+``SUPPORTED`` is a fixed table; the check runs in ``verify`` and in the tests.
 
 Case numbering follows the one-dimensional subalgebra list:
   1  d_x: homogeneous states             (evolution in t)
@@ -174,10 +173,6 @@ def _catalog() -> dict:
 _CATALOG = _catalog()
 
 
-def _case_invariants(case: int, a: Expr | None) -> InvariantSet:
-    return _CATALOG[case].invariants(a)
-
-
 def _group_parameter(case: int, a_value: Fraction | None) -> Expr | None:
     """The group parameter a: a_value, else the entry's default.  None for a
     case that takes no a, where passing one is an error."""
@@ -195,17 +190,13 @@ def verify_invariant(V: VectorField, e: Expr) -> Expr:
 
 
 def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
-                           inst_t: Fraction | None) -> tuple:
-    """Residuals with the invariant ansatz substituted.
+                           inv: InvariantSet) -> tuple:
+    """Residuals with the invariant ansatz inv substituted, t kept symbolic.
 
     Returns (list of Exprs in (t, y, states, state jets), {state: jet name}),
-    each state jet taken along the entry's independent variable.  When
-    inst_t is given, the explicit scale variable t is instantiated at that
-    value (legitimate for deriving the reduced right-hand sides, whose
-    validity for all t is re-established by the symbolic check).
+    each state jet taken along the entry's independent variable.
     """
     entry = _CATALOG[case]
-    inv = _case_invariants(case, a)
     space = JetSpace((entry.independent,), inv.states)
     jets = {s: space.jet(s, entry.independent) for s in inv.states}
     y_t, y_x = entry.partials(a)
@@ -224,18 +215,14 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
             chain_x = chain_x + dU_ds * ex.sym(jet) * y_x
         bindings[f"{fname}_t"] = chain_t
         bindings[f"{fname}_x"] = chain_x
-    out = []
-    for res in sys.residuals:
-        sub = ex.subs(res, bindings)
-        if inst_t is not None:
-            sub = ex.subs(sub, {"t": ex.number(inst_t)})
-        out.append(sub)
-    return out, jets
+    return [ex.subs(res, bindings) for res in sys.residuals], jets
 
 
-def reduced_system(case: int, theory: str,
-                   a_value: Fraction | None = None) -> ReducedSystem:
-    """Mechanically derived explicit first-order reduction for one case."""
+def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
+    """Derive one reduction: build the system, substitute the invariant
+    ansatz and solve for the state jets.  Returns (ReducedSystem, the four
+    substituted residuals with t kept symbolic), which the symbolic check
+    reads."""
     if case not in supported_cases(theory):
         reason = UNSUPPORTED_REASON.get(
             (theory, case), "no reduction is catalogued for this combination")
@@ -243,11 +230,16 @@ def reduced_system(case: int, theory: str,
             f"case {case} is not supported for theory '{theory}': {reason}")
     entry = _CATALOG[case]
     a = _group_parameter(case, a_value)
+    inv = entry.invariants(a)
     lam = Fraction(0) if theory == "eckart" else Fraction(1)
     # keep k and kappa symbolic: numeric values are bound at compile time
     sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
-    res, jets = _substituted_residuals(sys, case, a, entry.inst_t)
-    sol, det = fluid.solve_for_jets(res, list(jets.values()))
+    res, jets = _substituted_residuals(sys, case, a, inv)
+    # instantiating t is legitimate for deriving the right-hand sides: the
+    # symbolic check re-establishes them for all t from res
+    solved = res if entry.inst_t is None else [
+        ex.subs(r, {"t": ex.number(entry.inst_t)}) for r in res]
+    sol, det = fluid.solve_for_jets(solved, list(jets.values()))
     rhs = {s: sol[jet] for s, jet in jets.items()}
     # Cramer's rule divides by det alone, so det = 0 is the whole singular
     # locus; a monomial det is monic 1 and vanishes nowhere
@@ -256,48 +248,53 @@ def reduced_system(case: int, theory: str,
     for name, text in entry.first_integrals.items():
         e = ex.parse(text)
         integrals[name] = e if a is None else ex.subs(e, {"a": a})
-    inv = _case_invariants(case, a)
-    return ReducedSystem(case=case, theory=theory, independent=entry.independent,
-                         states=tuple(jets), rhs=rhs, determinant=det,
-                         singular=() if locus.is_rational() else (locus,),
-                         first_integrals=integrals,
-                         invariant_set=None if inv.similarity_variable is None else inv,
-                         lam=lam, direction=entry.direction,
-                         start=entry.start)
+    rs = ReducedSystem(case=case, theory=theory, independent=entry.independent,
+                       states=tuple(jets), rhs=rhs, determinant=det,
+                       singular=() if locus.is_rational() else (locus,),
+                       first_integrals=integrals,
+                       invariant_set=None if inv.similarity_variable is None else inv,
+                       lam=lam, direction=entry.direction,
+                       start=entry.start)
+    return rs, res
+
+
+def reduced_system(case: int, theory: str,
+                   a_value: Fraction | None = None) -> ReducedSystem:
+    """Mechanically derived explicit first-order reduction for one case."""
+    return _derivation(case, theory, a_value)[0]
+
+
+def _on_flow(rs: ReducedSystem, exprs: list) -> list:
+    """Each expression, affine in the state jets, with every jet replaced by
+    its right-hand side N_s/D: over the shared denominator D of the
+    right-hand sides (``ex.ClearedSubstitution``), r0 + sum c_s*jet_s
+    becomes (r0*D + sum c_s*N_s) / D, divided by D once."""
+    space = JetSpace((rs.independent,), rs.states)
+    cleared = ex.ClearedSubstitution(
+        {space.jet(s, rs.independent): rs.rhs[s] for s in rs.states})
+    return [cleared(e, 1) / cleared.denominator for e in exprs]
 
 
 def first_integral_defects(rs: ReducedSystem) -> dict:
     """d/dy of each first integral along the reduced flow; all zero when
-    the integral is exact.  Over the shared denominator D of the right-hand
-    sides N_s/D (``ex.ClearedSubstitution``), dI/dy * D + sum_s dI/ds * N_s
-    is divided by D once."""
-    cleared = ex.ClearedSubstitution(rs.rhs)
-    out = {}
-    for name, I in rs.first_integrals.items():
-        num = ex.diff(I, rs.independent) * cleared.denominator
-        for s in rs.states:
-            dI = ex.diff(I, s)
-            if not dI.is_zero():
-                num = num + dI * cleared.numerators[s]
-        out[name] = num / cleared.denominator
-    return out
+    the integral is exact.  The total derivative of each integral along the
+    independent variable is affine in the state jets, which ``_on_flow``
+    replaces."""
+    space = JetSpace((rs.independent,), rs.states)
+    total = [space.total_derivative(I, rs.independent)
+             for I in rs.first_integrals.values()]
+    return dict(zip(rs.first_integrals, _on_flow(rs, total)))
 
 
 def symbolic_check_reduction(case: int, theory: str,
                              a_value: Fraction | None = None) -> dict:
-    """Substitute the inverse invariant map into the full residuals,
-    eliminate state derivatives with the catalog right-hand sides, and
-    normalize.  Returns {'residuals': [Expr]*4, 'ok': bool, 'system':
-    ReducedSystem}, the system being the one checked.  Nonzero residuals are
-    reported, not raised."""
-    rs = reduced_system(case, theory, a_value=a_value)
-    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=rs.lam))
-    res, jets = _substituted_residuals(sys, case, _group_parameter(case, a_value), None)
-    # the residuals are affine in the state jets: substitute r0*D + sum
-    # c_j*N_j over the shared denominator D of the right-hand sides, then
-    # divide by D once
-    cleared = ex.ClearedSubstitution({jet: rs.rhs[s] for s, jet in jets.items()})
-    out = [cleared(r, 1) / cleared.denominator for r in res]
+    """Check one reduction for all t: the residuals its derivation solved,
+    with t kept symbolic, have their state jets replaced by the derived
+    right-hand sides (``_on_flow``) and are normalized.  Returns
+    {'residuals': [Expr]*4, 'ok': bool, 'system': ReducedSystem}, the system
+    being the one checked.  Nonzero residuals are reported, not raised."""
+    rs, res = _derivation(case, theory, a_value)
+    out = _on_flow(rs, res)
     return {"residuals": out, "ok": all(r.is_zero() for r in out), "system": rs}
 
 

@@ -134,13 +134,13 @@ def test_algebra_normalize(runner):
 def test_reduce_check_fast_case(runner, monkeypatch):
     from fluidsym import reduction as rd
     calls = []
-    build = rd.reduced_system
+    derive = rd._derivation
 
     def counted(*args, **kwargs):
         calls.append(args)
-        return build(*args, **kwargs)
+        return derive(*args, **kwargs)
 
-    monkeypatch.setattr(rd, "reduced_system", counted)
+    monkeypatch.setattr(rd, "_derivation", counted)
     res = runner.invoke(main, ["reduce", "--case", "4", "--theory", "eckart",
                                "--check"])
     assert res.exit_code == 0

@@ -13,7 +13,7 @@ from fluidsym import expr as ex, fluid, odesolve as od, reduction as rd, symmetr
 
 
 def test_dilatation_invariants():
-    inv = rd._case_invariants(3, None)
+    inv = rd._CATALOG[3].invariants(None)
     assert inv.invariants["y"].equivalent(ex.sym("x") / ex.sym("t"))
     assert inv.invariants["alpha"].equivalent(ex.sym("n") * ex.sym("t"))
     for e in inv.invariants.values():
@@ -22,7 +22,7 @@ def test_dilatation_invariants():
 
 def test_traveling_frame_invariants():
     gen = sm.v_time() + sm.v_space().scale(ex.number(2))
-    inv = rd._case_invariants(4, ex.number(2))
+    inv = rd._CATALOG[4].invariants(ex.number(2))
     y = inv.invariants["y"]
     assert y.equivalent(ex.sym("x") - 2 * ex.sym("t"))
     assert rd.verify_invariant(gen, y).is_zero()
@@ -30,7 +30,7 @@ def test_traveling_frame_invariants():
 
 def test_scaling_invariants():
     gen = sm.v_scaling() + sm.v_time() + sm.v_space().scale(ex.number(1))
-    inv = rd._case_invariants(6, ex.number(1))
+    inv = rd._CATALOG[6].invariants(ex.number(1))
     assert rd.verify_invariant(gen, inv.invariants["theta"]).is_zero()
     assert rd.verify_invariant(gen, inv.invariants["sigma"]).is_zero()
 
@@ -81,9 +81,9 @@ def test_symbolic_check_all_supported_reductions(theory, case_no):
     lambda e: e + 1 / (1 + ex.sym("y")),  # gives this state its own denominator
 ], ids=["scaled", "shifted"])
 def test_symbolic_check_detects_a_perturbed_right_hand_side(monkeypatch, perturb):
-    rs = rd.reduced_system(5, "eckart")
+    rs, res = rd._derivation(5, "eckart", None)
     bad = dataclasses.replace(rs, rhs={**rs.rhs, "w": perturb(rs.rhs["w"])})
-    monkeypatch.setattr(rd, "reduced_system", lambda *args, **kwargs: bad)
+    monkeypatch.setattr(rd, "_derivation", lambda *args, **kwargs: (bad, res))
     rep = rd.symbolic_check_reduction(5, "eckart")
     assert not rep["ok"]
     assert any(not r.is_zero() for r in rep["residuals"])
@@ -184,15 +184,17 @@ def test_residuals_have_no_denominator():
             group = [None] if entry.default_a is None else [
                 ex.number(Fraction(a)) for a in (-1, Fraction(-2, 3), Fraction(1, 2), 3, 0)]
             for a in group:
-                for inst_t in {entry.inst_t, None}:
-                    res, _ = rd._substituted_residuals(sys, case, a, inst_t)
-                    assert all(ex.denominator(r) == ex.ONE for r in res), (lam, case, a)
+                res, _ = rd._substituted_residuals(sys, case, a, entry.invariants(a))
+                # t kept symbolic for the check, and set to inst_t for the solve
+                if entry.inst_t is not None:
+                    res += [ex.subs(r, {"t": ex.number(entry.inst_t)}) for r in res]
+                assert all(ex.denominator(r) == ex.ONE for r in res), (lam, case, a)
 
 
 def test_invariants_functionally_independent():
     """The exact Jacobian of the case-3 invariants has full rank 5."""
     rng = random.Random(123)
-    inv = rd._case_invariants(3, ex.number(Fraction(1)))
+    inv = rd._CATALOG[3].invariants(ex.number(Fraction(1)))
     names = ["y", "psi", "alpha", "rho", "q"]
     base = ["t", "x", "psi", "n", "rho", "q"]
     jac = [[ex.diff(inv.invariants[nm], b) for b in base] for nm in names]
@@ -282,7 +284,7 @@ def test_catalog_generator_and_partials_match_the_invariants(case_no):
     and its partials (y_t, y_x) are those of the similarity invariant y."""
     entry = rd._CATALOG[case_no]
     a = None if entry.default_a is None else ex.number(entry.default_a)
-    inv = rd._case_invariants(case_no, a)
+    inv = entry.invariants(a)
     for name, e in inv.invariants.items():
         assert rd.verify_invariant(inv.generator, e).is_zero(), name
     y = inv.invariants["y"]
@@ -325,6 +327,38 @@ def test_reduced_system_monomials_keep_their_atoms_sorted(pinned_systems,
     for theory, case, a, rs in pinned_systems:
         exprs = list(rs.rhs.values()) + [rs.determinant] + list(rs.singular)
         assert all(atoms_sorted(e) for e in exprs), (theory, case, a)
+
+
+_SUBSTITUTED_RAW_SHA256 = "4c6d8f8a54017736710e2793a30acce83dedd0e6bb4e6ba38a06fd1e50030742"
+
+
+def test_substituted_residuals_raw_terms_are_pinned(pinned_systems, raw_terms):
+    """The four residuals with the invariant ansatz substituted and t kept
+    symbolic, which the symbolic check reads, are built term for term as
+    before, in the same dict order, for the same 44 requests."""
+    h = hashlib.sha256()
+    for theory, case, a, _ in pinned_systems:
+        _, res = rd._derivation(case, theory, a)
+        h.update(repr((theory, case, a, [raw_terms(r) for r in res])).encode())
+    assert h.hexdigest() == _SUBSTITUTED_RAW_SHA256
+
+
+def test_symbolic_check_derives_once(monkeypatch):
+    """One check builds the PDE system once and substitutes the invariant
+    ansatz once: the jet solve and the check read the same residuals."""
+    calls = {"build_system": 0, "ansatz": 0}
+
+    def counted(key, f):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return f(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(fluid, "build_system", counted("build_system", fluid.build_system))
+    monkeypatch.setattr(rd, "_substituted_residuals",
+                        counted("ansatz", rd._substituted_residuals))
+    assert rd.symbolic_check_reduction(5, "eckart")["ok"]
+    assert calls == {"build_system": 1, "ansatz": 1}
 
 
 _BOUND_RAW_SHA256 = "5186d15a804c322d20eb57e9e8d9c10f6aa973cd821bc12d0215cb6f2cb2335b"
@@ -381,8 +415,11 @@ def test_shared_minor_solve_matches_separate_expansions(raw_terms):
         assert [raw_terms(qf[j]) for j in fluid.TIME_JETS] + [raw_terms(qf["_det"])] == \
             [raw_terms(ref_sol[j]) for j in fluid.TIME_JETS] + [raw_terms(ref_det)], theory
         for case in rd.supported_cases(theory):
+            entry = rd._CATALOG[case]
             a = rd._group_parameter(case, None)
-            res, jets = rd._substituted_residuals(sys, case, a, rd._CATALOG[case].inst_t)
+            res, jets = rd._substituted_residuals(sys, case, a, entry.invariants(a))
+            if entry.inst_t is not None:
+                res = [ex.subs(r, {"t": ex.number(entry.inst_t)}) for r in res]
             sol, det = fluid.solve_for_jets(res, list(jets.values()))
             ref_sol, ref_det = _cramer(res, list(jets.values()))
             assert list(sol) == list(ref_sol), (theory, case)
