@@ -6,9 +6,11 @@ integral and a ``Fraction`` otherwise, never a float; every division of
 coefficients goes through ``_div``.  An atom is either a named symbol or a
 ``ln(...)`` application; ``exp(...)`` factors are carried separately inside
 each monomial so that products of exponentials merge by adding their
-arguments.  The sum of two exp arguments is computed once (``_exp_sum``, a
-bounded cache) and the one result is shared by every monomial that carries
-it.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
+arguments.  Exp arguments are interned: ``exp()``, the sum of two arguments
+(``_exp_sum``, computed once per pair) and a monomial's inverse hand out one
+shared object per argument, from a bounded table keyed by the argument's
+terms in dict order, so cache hits and monomial lookups compare arguments by
+identity.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
@@ -16,6 +18,9 @@ A monomial's atoms are strictly increasing by ``_atom_sort_key``, so
 monomials multiply by merging sorted lists.  Polynomials multiply in ints
 over the lcm of each factor's coefficient denominators, one division per
 term at the end; terms arise and cancel in the same order as term by term.
+A product with a constant, a quotient by one and a sum over one denominator
+keep that denominator, which is normalized already, instead of normalizing
+again; a sum that cancels is 0 over 1.
 
 Normalizing takes two steps: it divides both sides once by the
 denominator's monomial content (a one-term denominator becomes 1), then makes
@@ -124,7 +129,27 @@ def _exact(c):
 def _div(a, b):
     """The exact quotient of two coefficients: an int when it is integral,
     else a Fraction, never a float."""
+    if type(a) is int and type(b) is int and b and not a % b:
+        return a // b
     return _exact(Fraction(a, b))
+
+
+# exp arguments: (num items, den items), in dict order -> the one shared Expr
+_EXP_ARGS: dict = {}
+_EXP_ARGS_MAX = 4096
+
+
+def _interned(arg):
+    """The shared exp argument with arg's terms in arg's order.  Equal
+    arguments are then one object, compared by identity; the table is
+    emptied when full, which costs only that speed-up."""
+    terms = (tuple(arg.num.items()), tuple(arg.den.items()))
+    got = _EXP_ARGS.get(terms)
+    if got is None:
+        if len(_EXP_ARGS) >= _EXP_ARGS_MAX:
+            _EXP_ARGS.clear()
+        got = _EXP_ARGS[terms] = arg
+    return got
 
 
 @functools.lru_cache(maxsize=4096)
@@ -132,7 +157,7 @@ def _exp_sum(e1, e2):
     """The exp argument e1 + e2, shared by every product that forms it, or
     None when the sum is zero."""
     s = e1 + e2
-    return None if s.is_zero() else s
+    return None if s.is_zero() else _interned(s)
 
 
 def _mono_mul(m1, m2):
@@ -235,7 +260,8 @@ def _leading_mono(p: dict):
 def _mono_inv(m):
     """1 / m as a Laurent monomial."""
     atoms, exparg = m
-    return tuple((a, -e) for a, e in atoms), None if exparg is None else -exparg
+    return (tuple((a, -e) for a, e in atoms),
+            None if exparg is None else _interned(-exparg))
 
 
 class Expr:
@@ -254,7 +280,9 @@ class Expr:
 
     @staticmethod
     def number(value) -> "Expr":
-        c = _exact(Fraction(value))
+        if type(value) is not int and type(value) is not Fraction:
+            value = Fraction(value)
+        c = _exact(value)
         num = {_ONE_MONO: c} if c else {}
         return Expr(num, {_ONE_MONO: 1})
 
@@ -365,7 +393,9 @@ class Expr:
     def __add__(self, other):
         other = _coerce(other)
         if self.den == other.den:
-            return Expr._normalized(_poly_add(self.num, other.num), dict(self.den))
+            # the shared denominator is normalized already
+            num = _poly_add(self.num, other.num)
+            return Expr(num, dict(self.den)) if num else Expr({}, {_ONE_MONO: 1})
         num = _poly_add(_poly_mul(self.num, other.den), _poly_mul(other.num, self.den))
         return Expr._normalized(num, _poly_mul(self.den, other.den))
 
@@ -381,13 +411,29 @@ class Expr:
         return _coerce(other) + (-self)
 
     def __mul__(self, other):
+        c = _constant(other)
+        if c is not None:
+            return self._times(c)
         other = _coerce(other)
+        c = _constant(self)
+        if c is not None:
+            return other._times(c)
         return Expr._normalized(_poly_mul(self.num, other.num),
                                 _poly_mul(self.den, other.den))
 
     __rmul__ = __mul__
 
+    def _times(self, c):
+        """self * c for a coefficient c: the numerator scaled, the
+        denominator, normalized already, copied."""
+        if not c or not self.num:
+            return Expr({}, {_ONE_MONO: 1})
+        return Expr(_poly_scale(self.num, c), dict(self.den))
+
     def __truediv__(self, other):
+        c = _constant(other)
+        if c:
+            return self._times(_div(1, c))
         other = _coerce(other)
         if other.is_zero():
             raise SingularSubstitutionError("division by structurally zero expression")
@@ -435,6 +481,16 @@ def _common_mono(p: dict):
                     del atoms_min[a]
     # only deletions: the first monomial's atoms stay sorted
     return (tuple(atoms_min.items()), exp_common)
+
+
+def _constant(value):
+    """The coefficient of a constant: an int, a Fraction or an Expr c/1;
+    None for anything else."""
+    if type(value) is int or type(value) is Fraction:
+        return value
+    if type(value) is Expr and value.is_rational():  # a normalized c/1
+        return value.num.get(_ONE_MONO, 0)
+    return None
 
 
 def _coerce(value) -> Expr:
@@ -490,7 +546,7 @@ def exp(arg) -> Expr:
         if exparg is None and len(atoms) == 1 and atoms[0][0][0] == "ln" \
                 and atoms[0][1] == 1 and coeff.denominator == 1:
             return atoms[0][0][1] ** int(coeff)
-    return Expr({((), arg): 1}, {_ONE_MONO: 1})
+    return Expr({((), _interned(arg)): 1}, {_ONE_MONO: 1})
 
 
 def ln(arg) -> Expr:

@@ -17,6 +17,7 @@ rest of the package (reductions, critical-velocity searches) reproduces.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -90,8 +91,10 @@ class PDESystem:
     params: FluidParams
 
 
+@functools.lru_cache(maxsize=16)
 def build_system(params: FluidParams) -> PDESystem:
-    """Assemble the four normalized residuals."""
+    """The four normalized residuals.  Equal parameters give the one shared
+    system, built once; it is immutable, and no caller may change it."""
     psi, n, rho, q = ex.syms("psi n rho q")
     s = ex.sinh(psi)
     c = ex.cosh(psi)

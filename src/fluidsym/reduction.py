@@ -28,6 +28,7 @@ Case numbering follows the one-dimensional subalgebra list:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -218,6 +219,13 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
     return [ex.subs(res, bindings) for res in sys.residuals], jets
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(text: str) -> Expr:
+    """A catalog integral text, parsed once per process (the texts are a
+    fixed set)."""
+    return ex.parse(text)
+
+
 def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     """Derive one reduction: build the system, substitute the invariant
     ansatz and solve for the state jets.  Returns (ReducedSystem, the four
@@ -246,7 +254,7 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     locus = ex.monic(det)
     integrals = {}
     for name, text in entry.first_integrals.items():
-        e = ex.parse(text)
+        e = _parsed(text)
         integrals[name] = e if a is None else ex.subs(e, {"a": a})
     rs = ReducedSystem(case=case, theory=theory, independent=entry.independent,
                        states=tuple(jets), rhs=rhs, determinant=det,

@@ -297,6 +297,189 @@ def test_kernel_products_match_the_term_by_term_reference():
     check()
 
 
+def _number_through_a_fraction(value):
+    """Reference for ``Expr.number``: every value through a Fraction."""
+    c = ex._exact(Fraction(value))
+    return ex.Expr({ex._ONE_MONO: c} if c else {}, {ex._ONE_MONO: 1})
+
+
+def _div_through_a_fraction(a, b):
+    """Reference for ``ex._div``: every quotient through a Fraction."""
+    return ex._exact(Fraction(a, b))
+
+
+def _as_expr(value):
+    return value if isinstance(value, ex.Expr) else _number_through_a_fraction(value)
+
+
+def _mul_normalized(e, f):
+    """Reference for ``e * f``: both sides as expressions, the polynomials
+    multiplied and the quotient normalized."""
+    e, f = _as_expr(e), _as_expr(f)
+    return ex.Expr._normalized(ex._poly_mul(e.num, f.num), ex._poly_mul(e.den, f.den))
+
+
+def _truediv_normalized(e, f):
+    """Reference for ``e / f``, f nonzero."""
+    e, f = _as_expr(e), _as_expr(f)
+    return ex.Expr._normalized(ex._poly_mul(e.num, f.den), ex._poly_mul(e.den, f.num))
+
+
+def _add_normalized(e, f):
+    """Reference for ``e + f``: over equal denominators the summed
+    numerator is normalized again, else the sides are cross-multiplied."""
+    e, f = _as_expr(e), _as_expr(f)
+    if e.den == f.den:
+        return ex.Expr._normalized(ex._poly_add(e.num, f.num), dict(e.den))
+    num = ex._poly_add(ex._poly_mul(e.num, f.den), ex._poly_mul(f.num, e.den))
+    return ex.Expr._normalized(num, ex._poly_mul(e.den, f.den))
+
+
+def _assert_same_build(got, want, raw_terms):
+    """Equal values, equal items in the same dict order, equal coefficient
+    types, nested exp and ln arguments included."""
+    assert got == want
+    assert raw_terms(got) == raw_terms(want)
+    assert [type(c) for c in _coefficients(got)] == [type(c) for c in _coefficients(want)]
+
+
+_CONSTANTS = (0, 1, -1, 2, -3, 12, Fraction(1, 2), Fraction(-2, 3), Fraction(4, 2),
+              Fraction(7, 5))
+
+
+def test_constant_products_match_the_general_route(raw_terms):
+    """Differential test: a product with a constant (an int, a Fraction or
+    a constant expression, on either side) and a quotient by one scale the
+    numerator and copy the denominator; the general route multiplies both
+    polynomials and normalizes.  Both give the same build."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(p=_laurent_polys(st), q=_laurent_polys(st),
+                      c=st.sampled_from(_CONSTANTS))
+    def check(p, q, c):
+        for e in (p, p / q, q / (p + 1) if not (p + 1).is_zero() else q, ex.ZERO):
+            for got, want in ((e * c, _mul_normalized(e, c)),
+                              (c * e, _mul_normalized(c, e)),
+                              (e * ex.number(c), _mul_normalized(e, c)),
+                              (ex.number(c) * e, _mul_normalized(c, e))):
+                _assert_same_build(got, want, raw_terms)
+            if c:
+                _assert_same_build(e / c, _truediv_normalized(e, c), raw_terms)
+                _assert_same_build(e / ex.number(c), _truediv_normalized(e, c), raw_terms)
+            else:
+                with pytest.raises(ex.SingularSubstitutionError):
+                    e / c
+
+    check()
+
+
+def test_equal_denominator_sums_match_the_general_route(raw_terms):
+    """Differential test: a sum over one denominator, which is normalized
+    already, keeps it; the general route normalizes the sum again.  Sums
+    that cancel come back as zero over 1 on both routes."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(p=_laurent_polys(st), q=_laurent_polys(st), r=_laurent_polys(st),
+                      c=st.sampled_from(_CONSTANTS))
+    def check(p, q, r, c):
+        e, f = p / q, r / q
+        assert e.den == f.den
+        for a, b in ((e, f), (e, -e), (f, e), (p, r), (p, -p), (p, c), (e, c)):
+            _assert_same_build(a + b, _add_normalized(a, b), raw_terms)
+            _assert_same_build(a - b, _add_normalized(a, -_as_expr(b)), raw_terms)
+        zero = e - e
+        assert zero.num == {} and zero.den == {ex._ONE_MONO: 1}
+
+    check()
+
+
+def test_coefficient_division_matches_the_general_route(raw_terms):
+    """``_div`` and ``Expr.number`` take ints without a Fraction; the
+    general route builds one.  Both give the same value and type."""
+    values = [0, 1, -1, 2, -2, 3, -6, 12, 10 ** 30, -(10 ** 30) - 7,
+              Fraction(1, 2), Fraction(-4, 6), Fraction(6, 3), Fraction(-9, 3)]
+    for a in values:
+        for b in values:
+            if b:
+                got, want = ex._div(a, b), _div_through_a_fraction(a, b)
+                assert got == want and type(got) is type(want), (a, b)
+        _assert_same_build(ex.number(a), _number_through_a_fraction(a), raw_terms)
+    for v in (0.5, -0.25, 2.0, True):
+        _assert_same_build(ex.number(v), _number_through_a_fraction(v), raw_terms)
+
+
+def _exp_args(e):
+    """Every exp argument object of e's monomials, nested ones included."""
+    for poly in (e.num, e.den):
+        for atoms, arg in poly:
+            for a, _ in atoms:
+                if a[0] == "ln":
+                    yield from _exp_args(a[1])
+            if arg is not None:
+                yield arg
+                yield from _exp_args(arg)
+
+
+def test_exp_arguments_are_interned(raw_terms):
+    """Equal exp arguments built in separate places, by exp(), by a product
+    of exponentials and by a monomial's inverse, are one object."""
+    psi, x, n = ex.syms("psi x n")
+    built = [ex.sinh(psi) * ex.cosh(x), ex.cosh(psi) * ex.exp(x),
+             ex.exp(psi) * ex.exp(x), ex.parse("exp(psi + x) + n/exp(psi)"),
+             ex.tanh(psi + x), ex.diff(ex.cosh(2 * psi) / n, "psi"),
+             ex.subs(ex.sinh(x), {"x": psi}), 1 / (ex.exp(psi) + ex.exp(-x))]
+    shared: dict = {}
+    seen = 0
+    for e in built:
+        for arg in _exp_args(e):
+            first = shared.setdefault(repr(raw_terms(arg)), arg)
+            assert arg is first, ex.to_text(arg)
+            seen += 1
+    assert seen > 2 * len(shared)
+
+
+def test_interned_table_stays_bounded(monkeypatch, raw_terms):
+    """Filling the exp-argument table past its bound empties it: it never
+    holds more than the bound, and products and sums of exponentials
+    interned before and after still match the general route and the
+    term-by-term reference."""
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    monkeypatch.setattr(ex, "_EXP_ARGS", {})
+    monkeypatch.setattr(ex, "_EXP_ARGS_MAX", 8)
+    t = ex.sym("t")
+    before = ex.exp(t)
+    sizes = []
+    for i in range(2, 40):
+        ex.exp(i * t + 1)
+        sizes.append(len(ex._EXP_ARGS))
+    assert max(sizes) == 8 and min(sizes) < 8
+    after = ex.exp(t)
+    assert after is not before and after == before
+    for got, want in ((before * after, _mul_normalized(before, after)),
+                      (before + after, _add_normalized(before, after)),
+                      (before / after, _truediv_normalized(before, after))):
+        _assert_same_build(got, want, raw_terms)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(p=_laurent_polys(st), q=_laurent_polys(st))
+    def check(p, q):
+        assert len(ex._EXP_ARGS) <= 8
+        for f1 in (p.num, p.den):
+            for f2 in (q.num, q.den):
+                new, old = ex._poly_mul(f1, f2), _poly_mul_term_by_term(f1, f2)
+                assert list(new.items()) == list(old.items())
+        _assert_same_build(p * q, _mul_normalized(p, q), raw_terms)
+        _assert_same_build(p / q, _truediv_normalized(p, q), raw_terms)
+
+    check()
+    assert len(ex._EXP_ARGS) <= 8
+
+
 def test_built_monomials_keep_their_atoms_sorted(atoms_sorted):
     """Every monomial lists its atoms strictly increasing by sort key, which
     the monomial product's merge relies on: checked on expressions built by

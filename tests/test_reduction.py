@@ -361,6 +361,43 @@ def test_symbolic_check_derives_once(monkeypatch):
     assert calls == {"build_system": 1, "ansatz": 1}
 
 
+_CLOSURES_RAW_SHA256 = "fbc5cf84df614d0d0755ae5d3b2f33ec0bbfc5d92a262081e58b6f68b7913a41"
+
+
+def test_shared_system_is_built_once_and_never_changed(raw_terms):
+    """Equal parameters give the one shared system, and no consumer changes
+    it: after every shipped reduction, its symbolic check and its integral
+    defects, and the symmetry solve of both closures, the residuals of both
+    closures, at symbolic and at unit k and kappa, are built term for term
+    as before, in the same dict order.  So are the parsed catalog
+    integrals, which the reductions share too."""
+    closures = [fluid.FluidParams(k=k, kappa=k, lam=Fraction(lam))
+                for lam in (0, 1) for k in (None, Fraction(1))]
+    texts = [t for entry in rd._CATALOG.values() for t in entry.first_integrals.values()]
+
+    def digest():
+        h = hashlib.sha256()
+        for p in closures:
+            residuals = fluid.build_system(p).residuals
+            h.update(repr((p, [raw_terms(r) for r in residuals])).encode())
+        return h.hexdigest()
+
+    for p in closures:
+        assert fluid.build_system(p) is fluid.build_system(dataclasses.replace(p))
+    assert digest() == _CLOSURES_RAW_SHA256
+    integrals = [raw_terms(rd._parsed(t)) for t in texts]
+    assert integrals == [raw_terms(ex.parse(t)) for t in texts]
+    for theory in ("eckart", "israel-stewart"):
+        for case in rd.supported_cases(theory):
+            rs = rd.reduced_system(case, theory)
+            assert rd.symbolic_check_reduction(case, theory)["ok"]
+            assert all(d.is_zero() for d in rd.first_integral_defects(rs).values())
+    for lam in (0, 1):
+        assert len(sm.solve_determining(Fraction(lam))) == 5
+    assert digest() == _CLOSURES_RAW_SHA256
+    assert [raw_terms(rd._parsed(t)) for t in texts] == integrals
+
+
 _BOUND_RAW_SHA256 = "5186d15a804c322d20eb57e9e8d9c10f6aa973cd821bc12d0215cb6f2cb2335b"
 
 
