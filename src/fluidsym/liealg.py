@@ -80,8 +80,11 @@ class LieAlgebra:
 
     @cached_property
     def ad_forms(self) -> tuple:
-        """(ad matrix, ``_closed_form`` kind) per generator, built once."""
-        return tuple((m, _closed_form(m)) for m in map(self.ad_matrix, range(self.dim)))
+        """(ad matrix, ``_closed_form`` kind, nonzero entries) per generator,
+        built once; the entries of row r are its ((column, value), ...)."""
+        return tuple((m, _closed_form(m),
+                      tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in m))
+                     for m in map(self.ad_matrix, range(self.dim)))
 
     @cached_property
     def named_indices(self) -> tuple:
@@ -187,16 +190,19 @@ def _closed_form(mat) -> str | None:
     return None
 
 
-def _series(mat, vec, e):
-    """Yield (p, (-e*ad)^p vec / p!) for p = 1, 2, ... of the finite series
-    exp(-e*ad) vec of a nilpotent ad; the last term yielded is zero."""
+def _series(entries, vec, e):
+    """Yield (p, {k: nonzero coordinate k of (-e*ad)^p vec / p!}) for
+    p = 1, 2, ... of the finite series exp(-e*ad) vec of a nilpotent ad,
+    given by its nonzero ``entries`` per row; the last term yielded is
+    empty.  Each term is the last one times -e/p, so no factorial is
+    divided out."""
     term = list(vec)
-    fact = 1
-    for p in range(1, len(mat) + 1):
-        term = [-e * x for x in _mat_apply(mat, term)]
-        fact *= p
-        yield p, [t / fact for t in term]
-        if all(not v for v in term):
+    for p in range(1, len(entries) + 1):
+        scale = -e / p
+        term = [scale * x if x else 0 for x in _apply(entries, term)]
+        nonzero = {k: t for k, t in enumerate(term) if t}
+        yield p, nonzero
+        if not nonzero:
             return
 
 
@@ -210,40 +216,43 @@ def adjoint_action(alg: LieAlgebra, eps, i: int, w) -> AlgebraElement:
     """Ad(exp(eps*V_i)) w = exp(-eps*ad_{V_i}) w, in closed form.
 
     A nilpotent ad gives a finite series, summed exactly in Fractions (a
-    float eps or coordinate is read exactly).  A diagonal ad scales each
+    float eps or coordinate is read exactly) over the nonzero entries of ad
+    and the nonzero coordinates of each term.  A diagonal ad scales each
     coordinate by an exponential, and an ad with ad^3 = ad gives
     w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w; both are in floats.  Any
     other ad raises ValueError.
     """
     coords = list(w.coefficients if isinstance(w, AlgebraElement) else w)
-    mat, kind = alg.ad_forms[i]
+    mat, kind, entries = alg.ad_forms[i]
     if kind == "diagonal":
         return AlgebraElement(tuple(
             math.exp(-float(eps) * float(mat[k][k])) * float(c) if mat[k][k] else c
             for k, c in enumerate(coords)))
     if kind == "nilpotent":
         acc = [Fraction(c) for c in coords]
-        for _, term in _series(mat, acc, Fraction(eps)):
-            acc = [a + t for a, t in zip(acc, term)]
+        for _, term in _series(entries, acc, Fraction(eps)):
+            for k, t in term.items():
+                acc[k] += t
         return AlgebraElement(tuple(acc))
     if kind == "hyperbolic":
         vec = [float(c) for c in coords]
-        ad1 = _mat_apply(mat, vec)
-        ad2 = _mat_apply(mat, ad1)
+        ad1 = _apply(entries, vec)
+        ad2 = _apply(entries, ad1)
         sh, ch1 = math.sinh(float(eps)), math.cosh(float(eps)) - 1.0
         return AlgebraElement(tuple(
             v - sh * a + ch1 * b for v, a, b in zip(vec, ad1, ad2)))
     raise ValueError("no closed-form adjoint action for this generator")
 
 
-def _mat_apply(mat, vec):
-    n = len(mat)
-    return [sum(mat[i][j] * vec[j] for j in range(n)) for i in range(n)]
+def _apply(entries, vec):
+    """ad vec, from the nonzero entries of ad and the nonzero coordinates of
+    vec."""
+    return [sum(c * vec[j] for j, c in row if vec[j]) for row in entries]
 
 
 def adjoint_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
     """Symbolic text of Ad(exp(eps*V_i)) V_j for table emission."""
-    mat, kind = alg.ad_forms[i]
+    mat, kind, entries = alg.ad_forms[i]
     if kind == "diagonal":
         lam = mat[j][j]
         if lam == 0:
@@ -253,13 +262,13 @@ def adjoint_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
         return f"{coeff}*V{j + 1}"
     if kind == "nilpotent":
         terms = [(1, f"V{j + 1}")]
-        for p, term in _series(mat, _unit(alg.dim, j), Fraction(1)):
+        for p, term in _series(entries, _unit(alg.dim, j), Fraction(1)):
             epspow = "eps" if p == 1 else f"eps^{p}"
-            terms += [(c, f"{epspow}*V{k + 1}") for k, c in enumerate(term) if c]
+            terms += [(c, f"{epspow}*V{k + 1}") for k, c in term.items()]
         return _sum_text(terms)
     if kind == "hyperbolic":
         ad1 = [row[j] for row in mat]
-        ad2 = _mat_apply(mat, ad1)
+        ad2 = _apply(entries, ad1)
         terms = []
         for k in range(alg.dim):
             # w - sinh(eps)*ad w + (cosh(eps) - 1)*ad^2 w, collected per V_k

@@ -19,7 +19,10 @@ of every elementary field at random integer points mod a 61-bit prime, with
 exp(psi) an independent value and the time jets on shell, takes the
 nullspace of the evaluated rows mod the same prime, reconstructs the
 rationals and certifies each vector exactly at symbolic k and kappa, with
-each condition cleared only to its own degree in the time jets.  Each
+each condition cleared only to its own degree in the time jets.  The
+prolongations of the elementary fields are built once per ansatz
+(``_prolongation_table``), and a point evaluates each distinct prolongation
+coefficient and each distinct residual partial once.  Each
 evaluated row is the reduction mod p of a consequence of the determining
 system and rank mod p never exceeds rank over Q, so the mod-p nullity is an
 upper bound on the dimension; the certificates supply as many independent
@@ -212,6 +215,19 @@ def _ansatz_tables(degree: int) -> tuple:
     return table, index
 
 
+@functools.lru_cache(maxsize=None)
+def _prolongation_table(degree: int) -> tuple:
+    """The first prolongations of the degree-``degree`` ansatz's elementary
+    fields, built once per degree: ``(coefficients, fields)``.
+    ``coefficients`` holds the distinct nonzero coefficients of every pr V_i
+    in first-use order; ``fields[i]`` maps each variable of pr V_i to the
+    position of its coefficient there, base variables first."""
+    index: dict = {}  # Expr -> position; a dict, so the order is first use
+    fields = tuple({v: index.setdefault(c, len(index)) for v, c in _prolonged(V).items()}
+                   for V in Ansatz(degree).elementary_fields())
+    return tuple(index), fields
+
+
 # Unknowns put first in the echelon solve's column order.  Each nullspace
 # vector has a one on its own free column, in column order, so this fixes
 # the raw basis and its order: d_t, d_x, field scaling, boost, dilatation at
@@ -310,10 +326,12 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     Takes the closure parameter lam; k and kappa stay symbolic.  Each
     attempt evaluates the symmetry condition of every elementary field at
     random integer points mod the attempt's 61-bit prime
-    (``_evaluated_rows``), takes the nullspace of those rows mod the same
-    prime in ``_unknown_priority`` order, reconstructs its rational entries
-    and certifies every vector exactly with ``_condition`` at symbolic k
-    and kappa.
+    (``_evaluated_rows``), reading the prolongations from the ansatz's one
+    ``_prolongation_table``, which every attempt and closure shares.  It
+    takes the nullspace of those rows mod the same prime in
+    ``_unknown_priority`` order, reconstructs its rational entries and
+    certifies every vector exactly with ``_condition`` at symbolic k and
+    kappa.
 
     The result is exact.  Every evaluated row is a consequence of the
     determining system, and each mod-p row is the reduction of the rational
@@ -333,13 +351,11 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     if ansatz is None:
         ansatz = Ansatz(degree=1)
     sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=Fraction(lam)))
-    fields = ansatz.elementary_fields()
     priority = _unknown_priority(ansatz)
     rng = random.Random(_SEED)
     for attempt, prime in enumerate(_PRIMES):
-        count = -(-len(fields) // 4) + _EXTRA_POINTS * (attempt + 1)
-        rows = _evaluated_rows(sys, fields, ansatz.unknowns(),
-                               _sample_points(rng, count), prime)
+        count = -(-len(ansatz.table) // 4) + _EXTRA_POINTS * (attempt + 1)
+        rows = _evaluated_rows(sys, ansatz, _sample_points(rng, count), prime)
         vectors = []
         for vec in ex.nullspace(rows, priority, modulus=prime):
             values = {u: ex.rational_reconstruction(v, prime) for u, v in vec.items()}
@@ -367,19 +383,23 @@ def _sample_points(rng: random.Random, count: int) -> list:
              {"psi": rng.randint(1, _RANGE)}) for _ in range(count)]
 
 
-def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
-                    points: list, prime: int) -> list:
+def _evaluated_rows(sys: PDESystem, ansatz: Ansatz, points: list, prime: int) -> list:
     """Rows {unknown: value mod prime}, one per (residual k, point P).
 
-    The entry of field V_i is its condition evaluated at P mod the prime:
-    the sum over the base variables and jets of coeff_var(pr V_i)(P) times
-    d(residual k)/d var at P, with the time jets on shell.  Each entry is
-    the exact rational value reduced mod the prime (``ex.evaluate`` with a
-    modulus).  Points where a denominator or a base under a negative power
-    vanishes mod the prime are skipped.
+    The entry of the elementary field V_i is its condition evaluated at P
+    mod the prime: the sum over the base variables and jets of
+    coeff_var(pr V_i)(P) times d(residual k)/d var at P, with the time jets
+    on shell.  P evaluates each distinct coefficient of the ansatz's
+    prolongation table and each distinct partial once, and every entry
+    reads those values.  Each value is the exact rational one reduced mod
+    the prime (``ex.evaluate`` with a modulus).  Points where a denominator
+    or a base under a negative power vanishes mod the prime are skipped.
     """
     cleared, partials = _on_shell(sys)
-    coeffs = [_prolonged(V) for V in fields]
+    coefficients, fields = _prolongation_table(ansatz.degree)
+    distinct: dict = {}  # Expr -> position, in first-use order
+    dres_at = [{v: distinct.setdefault(d, len(distinct)) for v, d in p.items()}
+               for p in partials]
     rows = []
     for values, exps in points:
         try:
@@ -391,15 +411,14 @@ def _evaluated_rows(sys: PDESystem, fields: list, unknowns: list,
             for tj in TIME_JETS:
                 num = ex.evaluate(cleared.numerators[tj], at, exps, modulus=prime)
                 at[tj] = num * inv % prime
-            dres = [{v: ex.evaluate(d, at, exps, modulus=prime) for v, d in p.items()}
-                    for p in partials]
-            pr = [{v: ex.evaluate(c, at, exps, modulus=prime) for v, c in cs.items()}
-                  for cs in coeffs]
+            dvals = [ex.evaluate(d, at, exps, modulus=prime) for d in distinct]
+            cvals = [ex.evaluate(c, at, exps, modulus=prime) for c in coefficients]
         except ex.DomainError:
             continue
-        for d in dres:
-            row = {u: sum(c * d[v] for v, c in cv.items() if v in d) % prime
-                   for u, cv in zip(unknowns, pr)}
+        for pos in dres_at:
+            d = {v: dvals[i] for v, i in pos.items()}
+            row = {u: sum(cvals[i] * d[v] for v, i in field.items() if v in d) % prime
+                   for u, field in zip(ansatz.table, fields)}
             rows.append({u: c for u, c in row.items() if c})
     return rows
 

@@ -229,6 +229,92 @@ def test_adjoint_action_matches_the_taylor_series(alg):
                 assert abs(float(g) - float(r)) <= 1e-13 * max(1.0, abs(float(r)))
 
 
+def _dense_series(mat, vec, e):
+    """The dense series that the sparse one replaced: every entry of ad
+    times every coordinate, each power divided by its factorial."""
+    term = list(vec)
+    fact = 1
+    for p in range(1, len(mat) + 1):
+        term = [-e * x for x in _dense_apply(mat, term)]
+        fact *= p
+        yield p, [t / fact for t in term]
+        if all(not v for v in term):
+            return
+
+
+def _dense_apply(mat, vec):
+    n = len(mat)
+    return [sum(mat[i][j] * vec[j] for j in range(n)) for i in range(n)]
+
+
+def _dense_adjoint_action(alg, eps, i, w) -> tuple:
+    """The nilpotent and hyperbolic branches of adjoint_action, dense."""
+    mat = alg.ad_matrix(i)
+    if la._closed_form(mat) == "nilpotent":
+        acc = [Fraction(c) for c in w]
+        for _, term in _dense_series(mat, acc, Fraction(eps)):
+            acc = [a + t for a, t in zip(acc, term)]
+        return tuple(acc)
+    vec = [float(c) for c in w]
+    ad1 = _dense_apply(mat, vec)
+    ad2 = _dense_apply(mat, ad1)
+    sh, ch1 = math.sinh(float(eps)), math.cosh(float(eps)) - 1.0
+    return tuple(v - sh * a + ch1 * b for v, a, b in zip(vec, ad1, ad2))
+
+
+def _dense_table_entry(alg, i, j) -> str:
+    """The nilpotent and hyperbolic branches of adjoint_table_entry, dense."""
+    mat = alg.ad_matrix(i)
+    if la._closed_form(mat) == "nilpotent":
+        terms = [(1, f"V{j + 1}")]
+        for p, term in _dense_series(mat, la._unit(alg.dim, j), Fraction(1)):
+            epspow = "eps" if p == 1 else f"eps^{p}"
+            terms += [(c, f"{epspow}*V{k + 1}") for k, c in enumerate(term) if c]
+        return la._sum_text(terms)
+    ad1 = [row[j] for row in mat]
+    ad2 = _dense_apply(mat, ad1)
+    terms = []
+    for k in range(alg.dim):
+        for c, factor in ((int(k == j) - ad2[k], ""), (ad2[k], "cosh(eps)*"),
+                          (-ad1[k], "sinh(eps)*")):
+            if c:
+                terms.append((c, f"{factor}V{k + 1}"))
+    return la._sum_text(terms)
+
+
+@pytest.mark.parametrize("alg", [la.table_algebra("eckart"),
+                                 la.table_algebra("israel-stewart"),
+                                 la.full_algebra(), _filiform_algebra()],
+                         ids=["eckart", "israel-stewart", "full", "filiform"])
+def test_sparse_adjoint_series_matches_the_dense_oracle(alg):
+    """Over the nonzero entries of ad, the nilpotent series gives the dense
+    series' values as Fractions, the hyperbolic form its floats bit for bit,
+    and each of their table entries its text."""
+    rng = random.Random(2601)
+    kinds = {i: la._closed_form(alg.ad_matrix(i)) for i in range(alg.dim)}
+    assert "nilpotent" in kinds.values()
+    for i, kind in kinds.items():
+        if kind == "diagonal":
+            continue
+        for j in range(alg.dim):
+            assert la.adjoint_table_entry(alg, i, j) == _dense_table_entry(alg, i, j)
+        for _ in range(20):
+            zeros = rng.sample(range(alg.dim), rng.randrange(alg.dim))
+            rational = [Fraction(rng.randint(-9, 9), rng.randint(1, 7))
+                        for _ in range(alg.dim)]
+            floats = [rng.uniform(-3, 3) for _ in range(alg.dim)]
+            for w in (rational, floats):
+                w = [0 * c if k in zeros else c for k, c in enumerate(w)]
+                for eps in (Fraction(rng.randint(-9, 9), rng.randint(1, 7)),
+                            rng.uniform(-2, 2)):
+                    got = la.adjoint_action(alg, eps, i, w).coefficients
+                    want = _dense_adjoint_action(alg, eps, i, w)
+                    assert got == want, (i, eps, w)
+                    assert [type(c) for c in got] == [type(c) for c in want]
+                    if kind == "nilpotent":
+                        assert all(type(c) is Fraction for c in got)
+
+
 def _rotation_algebra():
     # so(3): [e1,e2]=e3, [e2,e3]=e1, [e3,e1]=e2, so ad^3 = -ad
     basis = (sm.v_time(), sm.v_space(), sm.v_rapidity_shift())  # placeholders

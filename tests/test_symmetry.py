@@ -269,7 +269,7 @@ def test_evaluated_rows_agree_with_the_symbolic_condition(eckart_system_symbolic
     fields, unknowns = ansatz.elementary_fields(), ansatz.unknowns()
     points = sm._sample_points(random.Random(7), 2)
     prime = sm._PRIMES[0]
-    rows = sm._evaluated_rows(sys, fields, unknowns, points, prime)
+    rows = sm._evaluated_rows(sys, ansatz, points, prime)
     assert len(rows) == len(points) * len(sys.residuals)
     conditions = [sm._condition(V, sys, 2) for V in fields]
     for p, (values, exps) in enumerate(points):
@@ -306,6 +306,50 @@ def test_own_degree_clearing_agrees_with_degree_two(closure, request):
             assert own.is_zero() == full.is_zero()
             assert (own * cleared.denominator ** (2 - d)).equivalent(full)
     assert degrees == {0, 1, 2}
+
+
+_TABLE_RAW_SHA256 = "29a0b9a7677a4992630113c3122e6182fa9601f867f13ca2dab9c343c6a27bc4"
+
+
+def test_solve_evaluates_each_distinct_expression_once_per_point(monkeypatch, raw_terms):
+    """A degree-1 solve evaluates, per sample point, each distinct
+    prolongation coefficient and each distinct residual partial once, plus
+    the time jets' shared denominator and four numerators.  Both closures
+    share one prolongation table, built once, and neither solve changes
+    it: its raw terms, in dict order, are pinned before and after."""
+    calls, points = [0], []
+    evaluate, sample = ex.evaluate, sm._sample_points
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return evaluate(*args, **kwargs)
+
+    def recorded(rng, count):
+        points.append(count)
+        return sample(rng, count)
+
+    def digest(table):
+        coefficients, fields = table
+        h = hashlib.sha256()
+        h.update(repr(([raw_terms(c) for c in coefficients], fields)).encode())
+        return h.hexdigest()
+
+    monkeypatch.setattr(ex, "evaluate", counted)
+    monkeypatch.setattr(sm, "_sample_points", recorded)
+    sm._prolongation_table.cache_clear()
+    table = sm._prolongation_table(1)
+    assert digest(table) == _TABLE_RAW_SHA256
+    for lam in (0, 1):
+        calls[0] = 0
+        points.clear()
+        sm.solve_determining(Fraction(lam))
+        sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=Fraction(lam)))
+        partials = dict.fromkeys(d for p in sm._on_shell(sys)[1] for d in p.values())
+        per_point = len(table[0]) + len(partials) + 1 + len(fluid.TIME_JETS)
+        assert calls[0] == sum(points) * per_point <= 1500
+    assert sm._prolongation_table.cache_info().misses == 1
+    assert sm._prolongation_table(1) is table
+    assert digest(table) == _TABLE_RAW_SHA256
 
 
 @pytest.fixture(scope="module")
