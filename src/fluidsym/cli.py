@@ -443,34 +443,29 @@ def _goldens_dir(override=None):
     return Path(importlib.resources.files("fluidsym") / "goldens")
 
 
-def _check_tables(goldens: Path, report):
+def _check_tables(goldens: Path):
+    """One failed result per cell that differs from its golden, then the summary."""
     ok = True
-    for theory, fname in (("eckart", "eckart"), ("israel-stewart", "israel_stewart")):
+    for theory in THEORIES:
         alg = la.table_algebra(theory)
         cells = {f"V{i + 1},V{j + 1}": (i, j)
                  for i in range(alg.dim) for j in range(alg.dim)}
         for kind, entry in (("commutator", la.commutator_table_entry),
                             ("adjoint", la.adjoint_table_entry)):
-            path = goldens / f"{kind}_table_{fname}.txt"
+            path = goldens / f"{kind}_table_{theory.replace('-', '_')}.txt"
             for key, expected in _entries(path, "--goldens-dir", _key_value(cells)):
                 got = entry(alg, *cells[key])
                 if got.replace(" ", "") != expected.replace(" ", ""):
-                    report(f"FAIL {kind} table ({theory}) cell [{key}]: "
+                    yield (f"{kind} table ({theory}) cell [{key}]", False,
                            f"got '{got}', golden '{expected}'")
                     ok = False
-    return ok
+    yield "commutator/adjoint tables match goldens cell-for-cell", ok, ""
 
 
-def run_verify_battery(goldens_dir=None, report=print) -> bool:
-    """The one-shot verification battery; returns overall success."""
+def run_verify_battery(goldens_dir=None):
+    """The one-shot verification battery: yields one (name, ok, detail)
+    result per check."""
     goldens = _goldens_dir(goldens_dir)
-    all_ok = True
-
-    def check(name, ok, detail=""):
-        nonlocal all_ok
-        report(f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else ""))
-        all_ok = all_ok and ok
-
     # 1. symmetry recovery against the computed and the reference bases
     for theory in THEORIES:
         basis = sm.solve_determining(_lam(theory))
@@ -482,64 +477,53 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
         pinned = (_basis_lines(sm.canonical_presentation(basis))
                   == _entries(goldens / f"generator_basis_computed_{stem}.txt",
                               "--goldens-dir", str))
-        check(f"computed basis equals golden and every generator is certified"
-              f" exactly at symbolic k, kappa ({theory})", pinned and certified,
-              f"equals golden: {pinned}; certified: {certified}")
+        yield (f"computed basis equals golden and every generator is certified"
+               f" exactly at symbolic k, kappa ({theory})", pinned and certified,
+               f"equals golden: {pinned}; certified: {certified}")
         golden = _entries(goldens / f"generator_basis_{stem}.txt", "--goldens-dir",
                           sm.field_from_text)
-        same = sm.span_equal(basis, golden)
         contains = all(sm.in_span(g, basis) for g in golden)
-        detail = (f"computed dim {len(basis)}, reference dim {len(golden)};"
-                  f" reference span contained: {contains}")
-        check(f"symmetry recovery ({theory}) matches reference span", same, detail)
-        check(f"reference generators are symmetries ({theory})", contains)
+        yield (f"symmetry recovery ({theory}) matches reference span",
+               sm.span_equal(basis, golden),
+               f"computed dim {len(basis)}, reference dim {len(golden)};"
+               f" reference span contained: {contains}")
+        yield f"reference generators are symmetries ({theory})", contains, ""
     # 2. golden tables
-    ok = _check_tables(goldens, report)
-    check("commutator/adjoint tables match goldens cell-for-cell", ok)
+    yield from _check_tables(goldens)
     # 3. solvability
     for theory in THEORIES:
-        alg = la.table_algebra(theory)
-        solvable, order = la.is_solvable(alg)
-        check(f"solvability with witness ({theory})",
-              solvable and order is not None,
-              f"order {order}")
+        solvable, order = la.is_solvable(la.table_algebra(theory))
+        yield (f"solvability with witness ({theory})", solvable and order is not None,
+               f"order {order}")
     # 4. invariants and reduction residuals
-    a = ex.sym("a")
+    a, t, x, rho = ex.syms("a t x rho")
     case5 = sm.v_dilation() + sm.v_scaling().scale(a)
-    ok_corr = rd.verify_invariant(case5, ex.parse("rho") * ex.sym("t") ** (-a)).is_zero()
-    bad = rd.verify_invariant(case5, ex.parse("rho") * ex.sym("t") ** a)
-    check("corrected scaling invariant rho*t^-a is annihilated", ok_corr)
-    check("stated variant rho*t^a fails annihilation (documented discrepancy)",
-          not bad.is_zero())
+    yield ("corrected scaling invariant rho*t^-a is annihilated",
+           rd.verify_invariant(case5, rho * t ** (-a)).is_zero(), "")
+    yield ("stated variant rho*t^a fails annihilation (documented discrepancy)",
+           not rd.verify_invariant(case5, rho * t ** a).is_zero(), "")
     gen4 = sm.v_time() + sm.v_space().scale(a)
-    ok4 = rd.verify_invariant(gen4, ex.sym("x") - a * ex.sym("t")).is_zero()
-    bad4 = rd.verify_invariant(gen4, ex.sym("t") - a * ex.sym("x"))
-    check("corrected traveling-wave invariant x - a*t is annihilated", ok4)
-    check("stated variant t - a*x fails annihilation for generic a "
-          "(documented discrepancy)", not bad4.is_zero())
+    yield ("corrected traveling-wave invariant x - a*t is annihilated",
+           rd.verify_invariant(gen4, x - a * t).is_zero(), "")
+    yield ("stated variant t - a*x fails annihilation for generic a (documented"
+           " discrepancy)", not rd.verify_invariant(gen4, t - a * x).is_zero(), "")
     for theory in THEORIES:
         for case_no in rd.supported_cases(theory):
-            rep = rd.symbolic_check_reduction(case_no, theory)
-            check(f"reduction residuals are zero (case {case_no}, {theory})",
-                  rep["ok"])
+            yield (f"reduction residuals are zero (case {case_no}, {theory})",
+                   rd.symbolic_check_reduction(case_no, theory)["ok"], "")
     # 5. case-4 closed-form agreement
     params = fluid.FluidParams(lam=Fraction(0))
-    sys4 = fluid.build_system(params)
     ref = rd.closed_form_case4(params, C1=1.0, C2=0.0, y=1.3)
-    jets = {}
-    for nm in ("psi", "n", "rho", "q"):
-        jets[f"{nm}_t"] = ref[f"{nm}_y"]  # a = -1: d_t = d_y
-        jets[f"{nm}_x"] = ref[f"{nm}_y"]
+    jets = {f"{nm}_{d}": ref[f"{nm}_y"]  # a = -1: d_t = d_x = d_y
+            for nm in fluid.FIELD_NAMES for d in "tx"}
     st = fluid.FluidState(psi=ref["psi"], n=ref["n"], rho=ref["rho"], q=ref["q"])
-    res = fluid.residual_at(sys4, st, jets)
-    agree = max(abs(r) for r in res) < 1e-10
-    check("reference closed-form profile satisfies the residuals", agree,
-          "max |residual| = %.3e (known defect of the reference formula:"
-          " the energy-momentum residuals do not vanish)" % max(abs(r) for r in res))
+    worst = max(abs(r) for r in fluid.residual_at(fluid.build_system(params), st, jets))
+    yield ("reference closed-form profile satisfies the residuals", worst < 1e-10,
+           "max |residual| = %.3e (known defect of the reference formula:"
+           " the energy-momentum residuals do not vanish)" % worst)
     # 6. integrator quality
     order = od.convergence_order(lambda t, u: [-u[0]], [1.0], 1.0, [math.exp(-1)])
-    check("integrator observed order >= 3.9", order >= 3.9, f"order {order:.2f}")
-    return all_ok
+    yield "integrator observed order >= 3.9", order >= 3.9, f"order {order:.2f}"
 
 
 @main.command()
@@ -548,17 +532,19 @@ def run_verify_battery(goldens_dir=None, report=print) -> bool:
 def verify(goldens_dir):
     """Run the one-shot verification battery (exit 0 only if everything,
     including the documented reference discrepancies, checks out)."""
-    lines = []
     try:
-        ok = run_verify_battery(goldens_dir=goldens_dir, report=lines.append)
+        results = list(run_verify_battery(goldens_dir=goldens_dir))
     except FileNotFoundError as err:
         raise click.UsageError(f"missing golden file: {err.filename}")
     except OSError as err:
         raise click.UsageError(f"unreadable golden file: {err.filename}: {err.strerror}")
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}" + (f": {detail}" if detail else "")
+             for name, ok, detail in results]
     for ln in sorted(lines, key=lambda s: s[4:]):
         click.echo(ln)
-    click.echo("verify: " + ("OK" if ok else "FAILED (see lines above)"))
-    sys.exit(0 if ok else 1)
+    passed = all(ok for _, ok, _ in results)
+    click.echo("verify: " + ("OK" if passed else "FAILED (see lines above)"))
+    sys.exit(0 if passed else 1)
 
 
 if __name__ == "__main__":

@@ -352,22 +352,47 @@ def test_usage_error_bad_input_file(runner, tmp_path, monkeypatch, case):
 
 
 def test_golden_tables_check_passes():
-    lines = []
-    ok = cli._check_tables(cli._goldens_dir(), lines.append)
-    assert ok and not lines
+    assert list(cli._check_tables(cli._goldens_dir())) == [
+        ("commutator/adjoint tables match goldens cell-for-cell", True, "")]
 
 
-def test_golden_fault_injection_names_cell(tmp_path):
-    src = cli._goldens_dir()
-    for f in Path(src).glob("*.txt"):
-        shutil.copy(f, tmp_path / f.name)
-    target = tmp_path / "commutator_table_eckart.txt"
-    text = target.read_text().replace("V1,V3 = V1", "V1,V3 = V2")
-    target.write_text(text)
-    lines = []
-    ok = cli._check_tables(tmp_path, lines.append)
-    assert not ok
-    assert any("[V1,V3]" in ln for ln in lines)
+_CELL_FAULT = ("commutator table (eckart) cell [V1,V3]", False, "got 'V1', golden 'V2'")
+
+
+def test_golden_fault_injection_names_cell(runner, tmp_path):
+    """A changed cell is one failed result ahead of the failed summary, and
+    `verify` prints it as a FAIL line and exits 1."""
+    goldens = _goldens_with(tmp_path, "commutator_table_eckart.txt",
+                            "V1,V3 = V1", "V1,V3 = V2")
+    assert list(cli._check_tables(Path(goldens))) == [
+        _CELL_FAULT, ("commutator/adjoint tables match goldens cell-for-cell", False, "")]
+    res = runner.invoke(main, ["verify", "--goldens-dir", goldens])
+    assert res.exit_code == 1, res.output
+    assert "FAIL %s: %s\n" % (_CELL_FAULT[0], _CELL_FAULT[2]) in res.output
+
+
+_VERIFY_FAILS = [
+    "reference closed-form profile satisfies the residuals",
+    "symmetry recovery (eckart) matches reference span",
+    "symmetry recovery (israel-stewart) matches reference span",
+]
+_VERIFY_SHA256 = ("56daa80a13a9f2f649f01b76d856680e"
+                  "22d48ce4d5a538d93d6432269de2d4c6")
+
+
+def test_verify_output_is_pinned(runner):
+    """`verify` prints 23 check lines sorted by name and the verdict, byte for
+    byte, and exits 1 on the three documented discrepancies; the names are
+    unique, so the sort alone fixes the order."""
+    res = runner.invoke(main, ["verify"])
+    assert res.exit_code == 1, res.output
+    lines = res.output.splitlines()
+    assert [ln[len("FAIL "):].split(": ", 1)[0] for ln in lines
+            if ln.startswith("FAIL ")] == _VERIFY_FAILS, res.output
+    assert len(lines) == 24 and lines[-1] == "verify: FAILED (see lines above)"
+    assert hashlib.sha256(res.output.encode()).hexdigest() == _VERIFY_SHA256, res.output
+    names = [name for name, _, _ in cli.run_verify_battery()]
+    assert len(names) == len(set(names)) == 23
 
 
 def test_params_file_parsing(tmp_path):
