@@ -1,9 +1,11 @@
 """Compute the point-symmetry algebra of both fluid closures from scratch.
 
-The determining equations are assembled by prolonging a polynomial-ansatz
-generator, eliminating time derivatives with the quasilinear solved form,
-and collecting monomials; the nullspace of the resulting exact linear
-system is the symmetry algebra.
+The symmetry condition of a polynomial-ansatz generator, with the time
+derivatives eliminated by the quasilinear solved form, is evaluated at
+random integer points modulo a 61-bit prime.  The nullspace of those rows
+mod the prime is lifted to rationals, and each vector is certified exactly
+at symbolic conductivity and Boltzmann constant; the certified vectors span
+the symmetry algebra.
 """
 
 from fractions import Fraction

@@ -20,7 +20,7 @@ from . import odesolve as od
 from . import reduction as rd
 from . import symmetry as sm
 
-THEORIES = ("eckart", "israel-stewart")
+THEORIES = tuple(fluid.THEORY_LAM)
 
 
 class _Finite(click.FloatRange):
@@ -71,10 +71,6 @@ def _inside_threshold(v0: float, blowup_delta: float, param_hint: str):
             f"{math.sqrt(1.0 - blowup_delta):.6g}", param_hint=param_hint)
 
 
-def _lam(theory: str) -> Fraction:
-    return Fraction(0) if theory == "eckart" else Fraction(1)
-
-
 def _fraction(text: str, param_hint: str) -> Fraction:
     try:
         return Fraction(text)
@@ -111,7 +107,7 @@ def _key_value(keys):
 
 def _params_from_file(path: str | None, theory: str) -> fluid.FluidParams:
     """k and kappa from a parameter file; lambda comes from the theory."""
-    kw = {"lam": _lam(theory)}
+    kw = {"lam": fluid.THEORY_LAM[theory]}
     for key, val in _entries(path, "--params", _key_value(("k", "kappa"))) if path else ():
         kw[key] = _fraction(val, f"--params ({key})")
     try:
@@ -139,7 +135,7 @@ def main():
 def symmetries(theory, ansatz_degree, dump_determining):
     """Solve the determining equations and print a generator basis."""
     ansatz = sm.Ansatz(degree=ansatz_degree)
-    lam = _lam(theory)
+    lam = fluid.THEORY_LAM[theory]
     if dump_determining:
         inst = fluid.build_system(fluid.FluidParams(lam=lam))
         rows = sm.determining_equations(inst, ansatz)
@@ -467,11 +463,10 @@ def run_verify_battery(goldens_dir=None):
     result per check."""
     goldens = _goldens_dir(goldens_dir)
     # 1. symmetry recovery against the computed and the reference bases
-    for theory in THEORIES:
-        basis = sm.solve_determining(_lam(theory))
+    for theory, lam in fluid.THEORY_LAM.items():
+        basis = sm.solve_determining(lam)
         stem = theory.replace("-", "_")
-        symbolic = fluid.build_system(fluid.FluidParams(k=None, kappa=None,
-                                                        lam=_lam(theory)))
+        symbolic = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=lam))
         certified = all(r.is_zero() for V in basis
                         for r in sm.verify_symmetry(V, symbolic))
         pinned = (_basis_lines(sm.canonical_presentation(basis))

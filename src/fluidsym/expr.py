@@ -742,35 +742,6 @@ class ClearedSubstitution:
 # -- numeric evaluation -------------------------------------------------------
 
 
-def evalf(e: Expr, env: Mapping[str, float]) -> float:
-    def mono_val(mono, c: Fraction) -> float:
-        atoms, exparg = mono
-        v = float(c)
-        for a, k in atoms:
-            if a[0] == "s":
-                try:
-                    base = float(env[a[1]])
-                except KeyError:
-                    raise DomainError(f"no value provided for symbol '{a[1]}'")
-            else:
-                inner = evalf(a[1], env)
-                if inner <= 0.0:
-                    raise DomainError("ln of non-positive value")
-                base = math.log(inner)
-            if base == 0.0 and k < 0:
-                raise DomainError("pole: zero raised to negative power")
-            v *= base ** k
-        if exparg is not None:
-            v *= math.exp(evalf(exparg, env))
-        return v
-
-    num = sum(mono_val(m, c) for m, c in e.num.items())
-    den = sum(mono_val(m, c) for m, c in e.den.items())
-    if den == 0.0:
-        raise DomainError("denominator evaluates to zero")
-    return num / den
-
-
 def evaluate(e: Expr, point: Mapping[str, Fraction],
              exps: Mapping[str, Fraction], modulus: int = None) -> Fraction | int:
     """Exact value of ``e`` at a rational point.

@@ -32,6 +32,7 @@ __all__ = [
     "PDESystem",
     "FIELD_NAMES",
     "JETS",
+    "THEORY_LAM",
     "build_system",
     "quasilinear_time_form",
     "quasilinear_space_form",
@@ -44,6 +45,8 @@ JET_SPACE = JetSpace(("t", "x"), FIELD_NAMES)
 JETS = tuple(JET_SPACE.jet(u, d) for u in FIELD_NAMES for d in ("t", "x"))
 TIME_JETS = tuple(JET_SPACE.jet(u, "t") for u in FIELD_NAMES)
 SPACE_JETS = tuple(JET_SPACE.jet(u, "x") for u in FIELD_NAMES)
+# the closure parameter lam of each theory
+THEORY_LAM = {"eckart": Fraction(0), "israel-stewart": Fraction(1)}
 
 
 @dataclass(frozen=True)
@@ -80,9 +83,6 @@ class FluidState:
     @property
     def v(self) -> float:
         return math.tanh(self.psi)
-
-    def env(self) -> dict:
-        return {"psi": self.psi, "n": self.n, "rho": self.rho, "q": self.q}
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,8 @@ def quasilinear_space_form(sys: PDESystem) -> dict:
 
 
 def residual_at(sys: PDESystem, state: FluidState, jets: Mapping[str, float]) -> tuple:
-    """Numeric residual values at a state with given first-derivative jets."""
-    env = state.env()
-    for name in JETS:
-        env[name] = float(jets.get(name, 0.0))
-    return tuple(ex.evalf(res, env) for res in sys.residuals)
+    """Numeric residual values at a state with given first-derivative jets
+    (0.0 where not given); symbolic k or kappa raises ValueError."""
+    fn = ex.compile_exprs(sys.residuals, [FIELD_NAMES, JETS])
+    return fn((state.psi, state.n, state.rho, state.q),
+              [float(jets.get(name, 0.0)) for name in JETS])

@@ -29,19 +29,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from types import MappingProxyType
+from typing import Callable, Mapping, Sequence
 
 from . import expr as ex
 from . import fluid
 from .reduction import ReducedSystem
 
 __all__ = [
-    "EventSpec",
     "SolverConfig",
     "Trajectory",
     "classify_trajectory",
     "compile_rhs",
     "convergence_order",
+    "default_events",
     "find_critical",
     "integrate",
     "scaled_time_factor",
@@ -49,6 +50,7 @@ __all__ = [
 
 # what a right-hand side or a guard raises where it is not defined
 _UNDEFINED = (ZeroDivisionError, OverflowError, ValueError)
+_NO_EVENTS = MappingProxyType({})
 
 
 @dataclass(frozen=True)
@@ -70,16 +72,6 @@ class SolverConfig:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must bound the runtime")
-
-
-@dataclass(frozen=True)
-class EventSpec:
-    """Guard functions g(t, u); an event fires when any guard crosses zero
-    from positive to non-positive, located to 1e-6 in t.  Where any guard
-    raises, every guard reads nan there, and nan never crosses."""
-
-    guards: tuple = ()
-    names: tuple = ()
 
 
 @dataclass
@@ -241,7 +233,7 @@ def _check_size(size: int, u) -> None:
 
 
 def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
-              ev: EventSpec = EventSpec(), t0: float = 0.0) -> Trajectory:
+              ev: Mapping[str, Callable] = _NO_EVENTS, t0: float = 0.0) -> Trajectory:
     """Adaptive integration with dense output and event localisation.
 
     rhs(t, u) -> sequence of derivatives, one per state component.  A
@@ -250,6 +242,12 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     at the first evaluation.  Step failures (error control underflow,
     non-finite right-hand sides or an exhausted step budget) terminate the
     trajectory with reason 'step-failure' instead of raising.
+
+    ev maps event names to guards g(t, u).  An event fires when a guard
+    crosses zero from positive to non-positive within an accepted step,
+    located to 1e-6 in t, and ends the trajectory with that name.  Where any
+    guard raises, every guard reads nan there, and nan never crosses.  When
+    several guards cross in one step, the first in ev's order fires.
     """
     sgn = 1.0 if cfg.direction >= 0 else -1.0
     t_end = t0 + sgn * cfg.span
@@ -269,7 +267,8 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
         return traj
     _check_size(len(k1), u)
     step, dense = _step_functions(len(u))
-    g_prev = _guard_values(ev.guards, t, u)
+    names, guards = tuple(ev), tuple(ev.values())
+    g_prev = _guard_values(guards, t, u)
     while (t_end - t) * sgn > 1e-14 * max(1.0, abs(t_end)):
         if traj.n_steps >= cfg.max_steps:
             return traj
@@ -289,10 +288,10 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             continue
         traj.n_steps += 1
         t_new = t + h
-        g_new = _guard_values(ev.guards, t_new, u5)
+        g_new = _guard_values(guards, t_new, u5)
         for i, (a, b) in enumerate(zip(g_prev, g_new)):
             if a > 0.0 >= b:  # a nan guard value compares false: no crossing
-                theta_e = _locate(ev.guards[i], dense, t, u, u5, ks, h)
+                theta_e = _locate(guards[i], dense, t, u, u5, ks, h)
                 te = t + theta_e * h
                 ue = dense(u, u5, ks, h, theta_e)
                 while (te - next_sample) * sgn > 0:
@@ -302,9 +301,9 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
                 ts.append(te)
                 states.append(ue)
                 traj.termination = "event"
-                traj.event_name = ev.names[i] if i < len(ev.names) else f"guard{i}"
+                traj.event_name = names[i]
                 try:
-                    traj.event_value = ev.guards[i](te, ue)
+                    traj.event_value = guards[i](te, ue)
                 except _UNDEFINED:
                     traj.event_value = math.nan
                 return traj
@@ -376,7 +375,7 @@ _PSI_INDEX = 0  # psi is the first state in every catalog entry
 
 
 def default_events(rs: ReducedSystem, params: fluid.FluidParams,
-                   blowup_delta: float = 1e-6) -> EventSpec:
+                   blowup_delta: float = 1e-6) -> dict:
     """The guards of a reduced system, as one name -> guard table: the
     velocity blow-up 1 - v^2 - blowup_delta, the collapse of each
     density-like state, and |factor| - 1e-10 for each singular-locus
@@ -400,7 +399,7 @@ def default_events(rs: ReducedSystem, params: fluid.FluidParams,
                 return math.nan
 
         table[f"singular-locus-{i}"] = singular
-    return EventSpec(guards=tuple(table.values()), names=tuple(table))
+    return table
 
 
 def classify_trajectory(tr: Trajectory) -> str:

@@ -239,7 +239,7 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     entry = _CATALOG[case]
     a = _group_parameter(case, a_value)
     inv = entry.invariants(a)
-    lam = Fraction(0) if theory == "eckart" else Fraction(1)
+    lam = fluid.THEORY_LAM[theory]
     # keep k and kappa symbolic: numeric values are bound at compile time
     sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
     res, jets = _substituted_residuals(sys, case, a, inv)

@@ -1,3 +1,4 @@
+import math
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -35,9 +36,36 @@ def _atoms_sorted(e: ex.Expr) -> bool:
     return True
 
 
+def _term_by_term(e, env):
+    """The tests' float oracle of an Expr at the float point env, the
+    reference for compile_exprs: every term evaluated on its own, its float
+    factors multiplied left to right, sums taken in dict order."""
+    def poly(p):
+        total = None
+        for (atoms, exparg), c in p.items():
+            v = c.numerator if c.denominator == 1 else c.numerator / c.denominator
+            for a, k in atoms:
+                base = env[a[1]] if a[0] == "s" else math.log(_term_by_term(a[1], env))
+                v = v * (base if k == 1 else base ** k)
+            if exparg is not None:
+                v = v * math.exp(_term_by_term(exparg, env))
+            total = v if total is None else total + v
+        return 0.0 if total is None else total
+
+    num = poly(e.num)
+    if len(e.den) == 1 and e.den.get(ex._ONE_MONO) == 1:
+        return num
+    return num / poly(e.den)
+
+
 @pytest.fixture(scope="session")
 def raw_terms():
     return _raw
+
+
+@pytest.fixture(scope="session")
+def term_by_term():
+    return _term_by_term
 
 
 @pytest.fixture(scope="session")

@@ -736,9 +736,9 @@ def _evaluation_sum(terms):
     return e
 
 
-def test_evaluate_matches_evalf():
-    """Differential test of the exact point evaluator against evalf: exp(c*psi)
-    takes the value E**c at the point where psi = ln E."""
+def test_evaluate_matches_term_by_term_evaluation(term_by_term):
+    """Differential test of the exact point evaluator against the float
+    oracle: exp(c*psi) takes the value E**c at the point where psi = ln E."""
     hypothesis = pytest.importorskip("hypothesis")
     st = hypothesis.strategies
 
@@ -763,7 +763,7 @@ def test_evaluate_matches_evalf():
             # no symbol is zero, so only the denominator can vanish
             assert ex.evaluate(ex.denominator(e), point, exps) == 0
             return
-        assert float(exact) == pytest.approx(ex.evalf(e, env), rel=1e-9, abs=1e-9)
+        assert float(exact) == pytest.approx(term_by_term(e, env), rel=1e-9, abs=1e-9)
 
     check()
 
@@ -880,7 +880,7 @@ def test_normalization_idempotent_via_rebuild():
         assert rebuilt == e
 
 
-def test_numeric_cross_check_of_equivalent_builds():
+def test_numeric_cross_check_of_equivalent_builds(term_by_term):
     # the same function assembled along two different syntactic routes
     # evaluates identically after normalization
     rng = random.Random(31)
@@ -892,16 +892,15 @@ def test_numeric_cross_check_of_equivalent_builds():
     for _ in range(100):
         env = {"psi": rng.uniform(-2, 2), "n": rng.uniform(0.1, 3),
                "rho": rng.uniform(0.1, 3)}
-        v1, v2 = ex.evalf(e1, env), ex.evalf(e2, env)
+        v1, v2 = term_by_term(e1, env), term_by_term(e2, env)
         assert abs(v1 - v2) <= 1e-12 * max(1.0, abs(v1))
 
 
 def test_numeric_eval_matches_math_functions():
     psi = ex.sym("psi")
     e = ex.sinh(psi) * ex.cosh(psi) + ex.ln(ex.sym("rho"))
-    env = {"psi": 0.7, "rho": 2.5}
     expect = math.sinh(0.7) * math.cosh(0.7) + math.log(2.5)
-    assert abs(ex.evalf(e, env) - expect) < 1e-14
+    assert abs(ex.compile_exprs([e], ["psi", "rho"])(0.7, 2.5)[0] - expect) < 1e-14
 
 
 def test_total_derivative_expansion():
@@ -963,38 +962,7 @@ def test_parser_function_names():
     assert ex.parse("(1/3)*rho") == ex.sym("rho") / 3
 
 
-def test_compiled_expressions_match_evalf():
-    rng = random.Random(17)
-    psi, n = ex.syms("psi n")
-    e = ex.cosh(psi) * n + 1 / (1 + n ** 2)
-    fn = ex.compile_exprs([e], ["psi", "n"])
-    for _ in range(20):
-        env = {"psi": rng.uniform(-2, 2), "n": rng.uniform(0.1, 4)}
-        assert abs(fn(env["psi"], env["n"])[0] - ex.evalf(e, env)) < 1e-13
-
-
-def _term_by_term(e, env):
-    """Reference for compile_exprs: every term evaluated on its own, its float
-    factors multiplied left to right, sums taken in dict order."""
-    def poly(p):
-        total = None
-        for (atoms, exparg), c in p.items():
-            v = c.numerator if c.denominator == 1 else c.numerator / c.denominator
-            for a, k in atoms:
-                base = env[a[1]] if a[0] == "s" else math.log(_term_by_term(a[1], env))
-                v = v * (base if k == 1 else base ** k)
-            if exparg is not None:
-                v = v * math.exp(_term_by_term(exparg, env))
-            total = v if total is None else total + v
-        return 0.0 if total is None else total
-
-    num = poly(e.num)
-    if len(e.den) == 1 and e.den.get(ex._ONE_MONO) == 1:
-        return num
-    return num / poly(e.den)
-
-
-def test_compiled_expressions_equal_term_by_term_evaluation():
+def test_compiled_expressions_equal_term_by_term_evaluation(term_by_term):
     """Differential test: hoisting exps, powers and shared denominators into
     locals leaves every compiled value bit-identical (==, no tolerance)."""
     hypothesis = pytest.importorskip("hypothesis")
@@ -1032,7 +1000,7 @@ def test_compiled_expressions_equal_term_by_term_evaluation():
         args = ["t", "psi", "x", "n", "rho"]
         fn = ex.compile_exprs(exprs, args)
         try:
-            expected = tuple(_term_by_term(e, env) for e in exprs)
+            expected = tuple(term_by_term(e, env) for e in exprs)
         except ZeroDivisionError:
             with pytest.raises(ZeroDivisionError):
                 fn(*(env[a] for a in args))
@@ -1111,7 +1079,7 @@ _CATALOG_PAIRS = [("eckart", case) for case in range(1, 7)] + [
 
 
 @pytest.mark.parametrize("theory, case", _CATALOG_PAIRS)
-def test_compiled_systems_equal_term_by_term_evaluation(theory, case):
+def test_compiled_systems_equal_term_by_term_evaluation(theory, case, term_by_term):
     """Differential test on the catalogued reduced systems: the compiled
     right-hand sides and every singular-locus guard equal term-by-term
     evaluation (==, no tolerance) at seeded states, q < 0 and y != 0 among
@@ -1120,8 +1088,7 @@ def test_compiled_systems_equal_term_by_term_evaluation(theory, case):
     rs = rd.reduced_system(case, theory)
     rhs = od.compile_rhs(rs, params)
     events = od.default_events(rs, params)
-    guards = dict(zip(events.names, events.guards))
-    singular = [(guards[f"singular-locus-{i}"], od._bind_params(den, params))
+    singular = [(events[f"singular-locus-{i}"], od._bind_params(den, params))
                 for i, den in enumerate(rs.singular)]
     exprs = [od._bind_params(rs.rhs[s], params) for s in rs.states]
     rng = random.Random(2020 + case)
@@ -1131,9 +1098,9 @@ def test_compiled_systems_equal_term_by_term_evaluation(theory, case):
                                          for _ in rs.states[1:]]
         u[-1] *= -1 if k % 2 else 0.2
         env = dict(zip((rs.independent,) + tuple(rs.states), [t] + u))
-        assert rhs(t, u) == tuple(_term_by_term(e, env) for e in exprs)
+        assert rhs(t, u) == tuple(term_by_term(e, env) for e in exprs)
         for guard, den in singular:
-            assert guard(t, u) == abs(_term_by_term(den, env)) - 1e-10
+            assert guard(t, u) == abs(term_by_term(den, env)) - 1e-10
 
 
 def test_normalize_is_idempotent_identity():

@@ -39,6 +39,29 @@ def test_random_state_residuals_generically_nonzero(eckart_system):
     assert max(abs(r) for r in res) > 1e-3
 
 
+@pytest.mark.parametrize("k, kappa", [(1, 1), (Fraction(3, 2), Fraction(1, 3))])
+@pytest.mark.parametrize("lam", [0, 1])
+def test_residual_at_equals_term_by_term_evaluation(lam, k, kappa, term_by_term):
+    """residual_at is the compiled residuals, bit for bit (==, no tolerance),
+    at seeded states and jets; a jet not given reads 0.0."""
+    sys = fluid.build_system(FluidParams(k=Fraction(k), kappa=Fraction(kappa),
+                                         lam=Fraction(lam)))
+    rng = random.Random(28 + lam)
+    for m in range(50):
+        st = FluidState(psi=rng.uniform(-2, 2), n=rng.uniform(0.1, 3),
+                        rho=rng.uniform(0.1, 3), q=rng.uniform(-1, 1))
+        jets = {j: rng.uniform(-2, 2) for j in fluid.JETS[m % 2:]}
+        env = {**vars(st), **{j: jets.get(j, 0.0) for j in fluid.JETS}}
+        assert fluid.residual_at(sys, st, jets) == tuple(
+            term_by_term(r, env) for r in sys.residuals)
+
+
+def test_residual_at_rejects_symbolic_k_and_kappa(eckart_system_symbolic):
+    st = FluidState(psi=0.3, n=1.0, rho=1.0, q=0.1)
+    with pytest.raises(ValueError, match="unbound symbols"):
+        fluid.residual_at(eckart_system_symbolic, st, {})
+
+
 def test_residual_affine_in_jets(eckart_system, israel_stewart_system):
     for sys in (eckart_system, israel_stewart_system):
         for res in sys.residuals:
@@ -167,13 +190,13 @@ def test_stationary_exchange_pattern(eckart_system_symbolic):
     assert leftover.equivalent(-2 * 3 * n * kk * q / (kap * rho))
 
 
-def test_characteristic_determinant_tracks_degeneracy(eckart_system):
+def test_characteristic_determinant_tracks_degeneracy(eckart_system, term_by_term):
     qf = fluid.quasilinear_time_form(eckart_system)
     det = qf["_det"]
     # the determinant vanishes on a codimension-one set: exhibit a root
     # numerically along q at a boosted state
     env = {"psi": 1.0, "n": 1.0, "rho": 1.0}
-    f = lambda qv: ex.evalf(det, {**env, "q": qv})
+    f = lambda qv: term_by_term(det, {**env, "q": qv})
     lo, hi = 0.0, 10.0
     assert f(lo) * f(hi) < 0
     for _ in range(60):

@@ -43,7 +43,7 @@ def test_determinism_bit_identical():
 def test_event_bracketing_width():
     # crossing of u = 1/2 during exponential decay at t = ln 2
     delta = 1e-6
-    ev = od.EventSpec(guards=(lambda t, u: u[0] - 0.5,), names=("half",))
+    ev = {"half": lambda t, u: u[0] - 0.5}
     cfg = od.SolverConfig(span=2.0, rtol=1e-9, atol=1e-12)
     tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg, ev)
     assert tr.termination == "event"
@@ -52,6 +52,23 @@ def test_event_bracketing_width():
     assert abs(t_event - math.log(2.0)) < 2 * delta
     # guard changed sign across the final bracket
     assert tr.states[-1][0] - 0.5 <= 0
+
+
+def test_guards_crossing_in_one_step_fire_in_mapping_order():
+    """Two guards cross zero inside the same accepted step: the event is the
+    one that comes first in the mapping, whichever crosses first in t."""
+    cfg = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
+    decay = lambda t, u: [-u[0]]
+    guards = {"early": lambda t, u: u[0] - 0.5001, "late": lambda t, u: u[0] - 0.5}
+    alone = {name: od.integrate(decay, [1.0], cfg, {name: g})
+             for name, g in guards.items()}
+    # the guards do not change the steps, so both crossings lie in one step
+    assert alone["early"].n_steps == alone["late"].n_steps
+    assert alone["early"].ts[-1] < alone["late"].ts[-1]
+    for order in (("early", "late"), ("late", "early")):
+        tr = od.integrate(decay, [1.0], cfg, {name: guards[name] for name in order})
+        assert tr.termination == "event" and tr.event_name == order[0]
+        assert tr.ts[-1] == alone[order[0]].ts[-1]
 
 
 def test_step_failure_reported_not_raised():
@@ -237,10 +254,9 @@ def _counted(rhs):
 
 
 @pytest.mark.parametrize("rhs, u0, ev", [
-    (lambda t, u: [u[1], -u[0]], [1.0, 0.0], od.EventSpec()),
-    (lambda t, u: [-u[0]], [1.0],
-     od.EventSpec(guards=(lambda t, u: u[0] - 0.5,), names=("half",))),
-    (lambda t, u: [u[0] * u[0]], [1.0], od.EventSpec()),
+    (lambda t, u: [u[1], -u[0]], [1.0, 0.0], {}),
+    (lambda t, u: [-u[0]], [1.0], {"half": lambda t, u: u[0] - 0.5}),
+    (lambda t, u: [u[0] * u[0]], [1.0], {}),
 ])
 def test_each_attempted_step_evaluates_the_rhs_six_times(rhs, u0, ev):
     # stage 1 of a step is stage 7 of the step before (FSAL), so only the
@@ -515,12 +531,12 @@ def test_integrate_output_is_pinned_bit_for_bit():
     loose = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
     # the first midpoint of the bracketing step raises and counts as crossed
     inside = _crossing_guard((0.4, 0.45))
-    tr = od.integrate(decay, [1.0], loose, od.EventSpec((inside,), ("half",)))
+    tr = od.integrate(decay, [1.0], loose, {"half": inside})
     assert inside.raised and tr.termination == "event"
     runs.append(tr)
     # the guard raises at the step end before the crossing: nothing brackets
     at_end = _crossing_guard((0.6, 0.7))
-    tr = od.integrate(decay, [1.0], loose, od.EventSpec((at_end,), ("half",)))
+    tr = od.integrate(decay, [1.0], loose, {"half": at_end})
     assert at_end.raised and tr.termination == "reached-end"
     runs.append(tr)
     runs.append(od.integrate(lambda t, u: [u[0] * u[0]], [1.0],
@@ -542,7 +558,7 @@ def test_guard_raising_at_the_located_event_ends_in_that_event():
     guard = _crossing_guard((0.5, 0.55))
     cfg = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
     tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg,
-                      od.EventSpec((guard,), ("g",)))
+                      {"g": guard})
     assert tr.termination == "event" and tr.event_name == "g"
     assert math.isnan(tr.event_value)
     assert tr.ts[-1] == pytest.approx(math.log(1 / 0.55), abs=2e-3)
@@ -555,7 +571,7 @@ def test_guard_raising_at_the_start_reads_nan_and_still_fires_later():
     guard = _crossing_guard((0.9, math.inf))
     cfg = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
     tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg,
-                      od.EventSpec((guard,), ("g",)))
+                      {"g": guard})
     assert guard.raised[0] == 0.0
     assert tr.termination == "event" and tr.event_name == "g"
     assert tr.ts[-1] == pytest.approx(math.log(2.0), abs=2e-3)
