@@ -28,12 +28,7 @@ __all__ = [
 
 def commutator(V: VectorField, W: VectorField) -> VectorField:
     """[V, W]: coefficient-wise V(W_coeff) - W(V_coeff)."""
-    coeffs = []
-    for var in ("t", "x", "psi", "n", "rho", "q"):
-        cv = V.coefficients()[var]
-        cw = W.coefficients()[var]
-        coeffs.append(V.apply(cw) - W.apply(cv))
-    return VectorField(*coeffs)
+    return VectorField(V.apply(cw) - W.apply(cv) for cv, cw in zip(V.coeffs, W.coeffs))
 
 
 @dataclass(frozen=True)
@@ -57,17 +52,11 @@ class LieAlgebra:
         return self.constants.get((i, j, k), Fraction(0))
 
     def bracket_coords(self, a: Sequence, b: Sequence) -> list:
+        """[a, b] = sum_i a_i*ad_i b, over the nonzero entries of each ad."""
         out = [0] * self.dim
-        for i in range(self.dim):
-            if not a[i]:
-                continue
-            for j in range(self.dim):
-                if not b[j]:
-                    continue
-                for k in range(self.dim):
-                    cijk = self.c(i, j, k)
-                    if cijk:
-                        out[k] = out[k] + a[i] * b[j] * cijk
+        for ai, (_, _, entries) in zip(a, self.ad_forms):
+            if ai:
+                out = [o + ai * v for o, v in zip(out, _apply(entries, b))]
         return out
 
     def ad_matrix(self, i: int) -> list:
@@ -104,7 +93,7 @@ def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
             com = commutator(basis[i], basis[j])
             if com.is_zero():
                 continue
-            coords = sm.coordinates(com, basis, sm.Ansatz(degree=2))
+            coords = sm.coordinates(com, basis)
             if coords is None:
                 raise ValueError(
                     f"basis not closed under commutator at pair ({i + 1}, {j + 1})")
@@ -142,12 +131,9 @@ def witness_order_valid(alg: LieAlgebra, order: Sequence[int]) -> bool:
     of ord and every earlier position i."""
     for p in range(len(order)):
         prefix = set(order[:p])
-        for a in range(p):
-            v = alg.bracket_coords(_unit(alg.dim, order[a]),
-                                   _unit(alg.dim, order[p]))
-            for k, c in enumerate(v):
-                if c and k not in prefix:
-                    return False
+        if any(alg.c(i, order[p], k) for i in order[:p]
+               for k in range(alg.dim) if k not in prefix):
+            return False
     return True
 
 

@@ -49,7 +49,6 @@ __all__ = [
     "reduced_system",
     "supported_cases",
     "symbolic_check_reduction",
-    "verify_invariant",
 ]
 
 
@@ -183,11 +182,6 @@ def _group_parameter(case: int, a_value: Fraction | None) -> Expr | None:
             raise UnsupportedReductionError(f"case {case} takes no group parameter a")
         return None
     return ex.number(default if a_value is None else a_value)
-
-
-def verify_invariant(V: VectorField, e: Expr) -> Expr:
-    """V acting on e as a first-order operator; zero iff e is invariant."""
-    return V.apply(e)
 
 
 def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,

@@ -2,7 +2,7 @@
 
 A candidate generator is written with polynomial coefficient functions of
 the base variables (t, x, psi, n, rho, q), one unknown constant per
-(coefficient slot, monomial) pair.  The symmetry condition is written once,
+(base variable, monomial) pair.  The symmetry condition is written once,
 in ``_condition``: the first prolongation acts on the fluid residuals and
 the four time-derivative jets are eliminated with the quasilinear solved
 form; the condition must then vanish identically in the remaining
@@ -56,52 +56,41 @@ __all__ = [
 ]
 
 BASE_VARS = ("t", "x") + FIELD_NAMES
-_SLOTS = ("tau", "xi", "phi", "sigma", "gamma", "omega")
 
 
 @dataclass(frozen=True)
 class VectorField:
-    """Infinitesimal generator tau*d_t + xi*d_x + phi*d_psi + sigma*d_n
-    + gamma*d_rho + omega*d_q with jet-free coefficients."""
+    """Generator sum_i coeffs[i]*d_v, v = BASE_VARS[i], with jet-free coefficients."""
 
-    tau: Expr
-    xi: Expr
-    phi: Expr
-    sigma: Expr
-    gamma: Expr
-    omega: Expr
+    coeffs: tuple
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeffs", tuple(self.coeffs))
 
     def coefficients(self) -> dict:
-        return {"t": self.tau, "x": self.xi, "psi": self.phi,
-                "n": self.sigma, "rho": self.gamma, "q": self.omega}
+        return dict(zip(BASE_VARS, self.coeffs))
 
     def apply(self, e: Expr) -> Expr:
         """Act on a jet-free expression as a first-order operator."""
         out = ex.ZERO
-        for var, coeff in self.coefficients().items():
+        for var, coeff in zip(BASE_VARS, self.coeffs):
             if not coeff.is_zero():
                 out = out + coeff * ex.diff(e, var)
         return out
 
     def __add__(self, other: "VectorField") -> "VectorField":
-        return VectorField(self.tau + other.tau, self.xi + other.xi,
-                           self.phi + other.phi, self.sigma + other.sigma,
-                           self.gamma + other.gamma, self.omega + other.omega)
+        return VectorField(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def scale(self, c) -> "VectorField":
         c = ex.number(c) if not isinstance(c, Expr) else c
-        return VectorField(*(c * v for v in self._tuple()))
-
-    def _tuple(self):
-        return (self.tau, self.xi, self.phi, self.sigma, self.gamma, self.omega)
+        return VectorField(c * v for v in self.coeffs)
 
     def is_zero(self) -> bool:
-        return all(v.is_zero() for v in self._tuple())
+        return all(v.is_zero() for v in self.coeffs)
 
     def text(self) -> str:
-        names = ("d_t", "d_x", "d_psi", "d_n", "d_rho", "d_q")
         parts = []
-        for coeff, basis in zip(self._tuple(), names):
+        for coeff, basis in zip(self.coeffs, (f"d_{v}" for v in BASE_VARS)):
             if coeff.is_zero():
                 continue
             txt = ex.to_text(coeff)
@@ -124,15 +113,16 @@ class VectorField:
 def field_from_text(text: str) -> VectorField:
     """Parse the d_var component notation emitted by VectorField.text().
 
-    A text that is not linear in d_t, ..., d_q, or whose field lies outside
-    the affine ansatz class (such as ``d_t*d_x``), raises ValueError.
+    A text that is not linear in d_t, ..., d_q (such as ``d_t*d_x``), or
+    whose field lies outside the affine ansatz class, raises ValueError.
     """
     e = ex.parse(text)
     names = [f"d_{v}" for v in BASE_VARS]
-    V = VectorField(*(ex.diff(e, d) for d in names))
-    if not (e - sum((c * ex.sym(d) for c, d in zip(V._tuple(), names)), ex.ZERO)).is_zero():
+    V = VectorField(ex.diff(e, d) for d in names)
+    if not (e - sum((c * ex.sym(d) for c, d in zip(V.coeffs, names)), ex.ZERO)).is_zero():
         raise ValueError(f"not a linear combination of {', '.join(names)}")
-    _field_to_vector(V, Ansatz())
+    if not _components(V).keys() <= Ansatz().index.keys():
+        raise ValueError("field has monomials outside the ansatz")
     return V
 
 
@@ -144,10 +134,9 @@ def prolong1(V: VectorField) -> dict:
     verifies once symbolically.
     """
     jets = {}
-    dxi = {d: JET_SPACE.total_derivative(V.xi, d) for d in ("t", "x")}
-    dtau = {d: JET_SPACE.total_derivative(V.tau, d) for d in ("t", "x")}
-    per_field = {"psi": V.phi, "n": V.sigma, "rho": V.gamma, "q": V.omega}
-    for u, coeff in per_field.items():
+    dtau, dxi = ({d: JET_SPACE.total_derivative(c, d) for d in ("t", "x")}
+                 for c in V.coeffs[:2])
+    for u, coeff in zip(FIELD_NAMES, V.coeffs[2:]):
         ux = ex.sym(JET_SPACE.jet(u, "x"))
         ut = ex.sym(JET_SPACE.jet(u, "t"))
         for d in ("t", "x"):
@@ -165,18 +154,18 @@ def _prolonged(V: VectorField) -> dict:
 @dataclass(frozen=True)
 class Ansatz:
     """Polynomial coefficient ansatz: one unknown constant per
-    (coefficient slot, monomial) pair, numbered slot by slot."""
+    (base variable, monomial) pair, numbered base variable by base variable."""
 
     degree: int = 1
 
     @property
     def table(self) -> dict:
-        """{unknown: (slot index, monomial)}."""
+        """{unknown: (base-variable index, monomial)}."""
         return _ansatz_tables(self.degree)[0]
 
     @property
     def index(self) -> dict:
-        """{(slot index, collect key of the monomial): unknown}."""
+        """{(base-variable index, collect key of the monomial): unknown}."""
         return _ansatz_tables(self.degree)[1]
 
     def unknowns(self) -> list:
@@ -184,16 +173,16 @@ class Ansatz:
 
     def elementary_fields(self) -> list:
         """One generator per unknown, with that coefficient set to 1."""
-        return [VectorField(*(m if i == si else ex.ZERO for i in range(len(_SLOTS))))
-                for si, m in self.table.values()]
+        return [VectorField(m if i == vi else ex.ZERO for i in range(len(BASE_VARS)))
+                for vi, m in self.table.values()]
 
     def assemble(self, coeffs: dict) -> VectorField:
         """Build the generator for an assignment {unknown: Fraction}."""
-        vals = [ex.ZERO] * len(_SLOTS)
-        for u, (si, m) in self.table.items():
+        vals = [ex.ZERO] * len(BASE_VARS)
+        for u, (vi, m) in self.table.items():
             if coeffs.get(u, 0):
-                vals[si] = vals[si] + ex.number(coeffs[u]) * m
-        return VectorField(*vals)
+                vals[vi] = vals[vi] + ex.number(coeffs[u]) * m
+        return VectorField(vals)
 
 
 @functools.lru_cache(maxsize=None)
@@ -207,11 +196,11 @@ def _ansatz_tables(degree: int) -> tuple:
              for vs in itertools.combinations_with_replacement(BASE_VARS, d)]
     keys = [next(iter(ex.collect(m, BASE_VARS))) for m in monos]
     table, index = {}, {}
-    for si in range(len(_SLOTS)):
+    for vi in range(len(BASE_VARS)):
         for m, key in zip(monos, keys):
             u = f"c{len(table)}"
-            table[u] = (si, m)
-            index[(si, key)] = u
+            table[u] = (vi, m)
+            index[(vi, key)] = u
     return table, index
 
 
@@ -233,13 +222,13 @@ def _prolongation_table(degree: int) -> tuple:
 # the raw basis and its order: d_t, d_x, field scaling, boost, dilatation at
 # degrees 1 and 2 (the degree-2 basis pin depends on it).  The order that
 # ``symmetries`` prints comes from ``canonical_presentation``.
-_PREFERRED = (("tau", ()), ("xi", ()), ("tau", (("t", 1),)), ("gamma", (("rho", 1),)),
-              ("phi", ()), ("sigma", (("n", 1),)), ("omega", (("q", 1),)))
+_PREFERRED = (("t", ()), ("x", ()), ("t", (("t", 1),)), ("rho", (("rho", 1),)),
+              ("psi", ()), ("n", (("n", 1),)), ("q", (("q", 1),)))
 
 
 def _unknown_priority(ansatz: Ansatz) -> list:
-    first = [ansatz.index[key] for slot, mono in _PREFERRED
-             if (key := (_SLOTS.index(slot), mono)) in ansatz.index]
+    first = [ansatz.index[key] for var, mono in _PREFERRED
+             if (key := (BASE_VARS.index(var), mono)) in ansatz.index]
     return first + [u for u in ansatz.unknowns() if u not in first]
 
 
@@ -434,15 +423,11 @@ def verify_symmetry(V: VectorField, sys: PDESystem) -> list:
     return _condition(V, sys)
 
 
-def coordinates(V: VectorField, basis: Sequence[VectorField],
-                ansatz: Ansatz = None) -> list | None:
+def coordinates(V: VectorField, basis: Sequence[VectorField]) -> list | None:
     """Exact coordinates of V in the rational span of a basis, or None if V
-    lies outside it.  Fields must lie in the ansatz class (affine by default).
-    """
-    if ansatz is None:
-        ansatz = Ansatz(degree=1)
-    vecs = [_field_to_vector(f, ansatz) for f in list(basis) + [V]]
-    # one row per ansatz coordinate: sum_i a_i basis_i = V, augmented by V
+    lies outside it; every coefficient must be a rational polynomial."""
+    vecs = [_components(f) for f in list(basis) + [V]]
+    # one row per component: sum_i a_i basis_i = V, augmented by V
     coords = sorted({k for v in vecs for k in v})
     rows, pivots = ex.rref([[v.get(c, Fraction(0)) for v in vecs] for c in coords],
                            len(basis))
@@ -455,7 +440,7 @@ def coordinates(V: VectorField, basis: Sequence[VectorField],
 
 
 def in_span(V: VectorField, basis: Sequence[VectorField]) -> bool:
-    """Exact membership of V in the rational span of a basis (affine fields)."""
+    """Exact membership of V in the rational span of a basis (polynomial fields)."""
     return coordinates(V, basis) is not None
 
 
@@ -464,17 +449,15 @@ def span_equal(basis1: Sequence[VectorField], basis2: Sequence[VectorField]) -> 
         all(in_span(v, basis1) for v in basis2)
 
 
-def _field_to_vector(V: VectorField, ansatz: Ansatz) -> dict:
-    """Ansatz coordinates {unknown: Fraction} of V; ValueError if V is not
-    in the ansatz class."""
+def _components(V: VectorField) -> dict:
+    """{(base-variable index, collect key of the monomial): Fraction} of V;
+    ValueError unless every coefficient is a rational polynomial."""
     out = {}
-    for si, coeff in enumerate(V._tuple()):
+    for vi, coeff in enumerate(V.coeffs):
         for key, c in ex.collect(coeff, BASE_VARS).items():
-            if (si, key) not in ansatz.index:
-                raise ValueError("field has monomials outside the ansatz")
             if not c.is_rational():
                 raise ValueError("field is not in the polynomial ansatz class")
-            out[ansatz.index[(si, key)]] = c.as_fraction()
+            out[(vi, key)] = c.as_fraction()
     return out
 
 
@@ -496,31 +479,33 @@ def canonical_presentation(basis: Sequence[VectorField]) -> list:
     return out
 
 
+def _field(**coeffs: Expr) -> VectorField:
+    """The generator with the given coefficients by base variable, zero elsewhere."""
+    return VectorField(coeffs.get(v, ex.ZERO) for v in BASE_VARS)
+
+
 # Named generators in the commutator-table ordering.
 def v_time() -> VectorField:
-    return VectorField(ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO)
+    return _field(t=ex.ONE)
 
 
 def v_space() -> VectorField:
-    return VectorField(ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO)
+    return _field(x=ex.ONE)
 
 
 def v_dilation() -> VectorField:
-    return VectorField(ex.sym("t"), ex.sym("x"), ex.ZERO,
-                       -ex.sym("n"), ex.ZERO, ex.ZERO)
+    return _field(t=ex.sym("t"), x=ex.sym("x"), n=-ex.sym("n"))
 
 
 def v_scaling() -> VectorField:
-    return VectorField(ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO,
-                       ex.sym("rho"), ex.sym("q"))
+    return _field(rho=ex.sym("rho"), q=ex.sym("q"))
 
 
 def v_rapidity_shift() -> VectorField:
     """d_psi alone; not a symmetry (kept as a negative-control generator)."""
-    return VectorField(ex.ZERO, ex.ZERO, ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO)
+    return _field(psi=ex.ONE)
 
 
 def v_lorentz_boost() -> VectorField:
     """x*d_t + t*d_x - d_psi: the Lorentz boost in rapidity variables."""
-    return VectorField(ex.sym("x"), ex.sym("t"), -ex.ONE,
-                       ex.ZERO, ex.ZERO, ex.ZERO)
+    return _field(t=ex.sym("x"), x=ex.sym("t"), psi=-ex.ONE)

@@ -484,6 +484,16 @@ def test_usage_error_blowup_delta_outside_unit_interval(runner, delta):
 
 
 
+@pytest.mark.parametrize("case_no, q0, rho0", [("5", "1", "1e-320"),
+                                              ("6", "-1e300", "1e-300")])
+def test_usage_error_theta_beyond_float_range(runner, case_no, q0, rho0):
+    """Cases 5 and 6 start at theta = q0/rho0, which must be finite."""
+    res = runner.invoke(main, ["solve", "--case", case_no, "--theory", "eckart",
+                               "--v0", "0.5", "--q0", q0, "--rho0", rho0])
+    assert res.exit_code == 2
+    assert "--q0" in res.output and "beyond float range" in res.output
+
+
 @pytest.mark.parametrize("option", ["--n0", "--rho0"])
 @pytest.mark.parametrize("value", ["-1", "0"])
 def test_usage_error_nonpositive_density(runner, option, value):

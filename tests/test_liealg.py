@@ -27,7 +27,7 @@ def alg_i():
 def test_commutator_examples():
     V1, V3 = sm.v_time(), sm.v_dilation()
     com = la.commutator(V1, V3)
-    assert all((a - b).is_zero() for a, b in zip(com._tuple(), V1._tuple()))
+    assert all((a - b).is_zero() for a, b in zip(com.coeffs, V1.coeffs))
     assert la.commutator(sm.v_time(), sm.v_space()).is_zero()
 
 
@@ -67,10 +67,23 @@ def test_abelian_pair_has_zero_constants():
 
 def test_non_closed_basis_raises():
     t = ex.sym("t")
-    V = sm.VectorField(ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO)
-    W = sm.VectorField(t * t, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO)
+    V = sm.VectorField((ex.ONE, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO))
+    W = sm.VectorField((t * t, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO, ex.ZERO))
     with pytest.raises(ValueError, match="not closed"):
         la.structure_constants([V, W])
+
+
+def test_quadratic_generators_close_under_the_bracket():
+    """d_t, t*d_t, t^2*d_t span sl(2): their brackets are quadratic fields,
+    expressed without any ansatz."""
+    t = ex.sym("t")
+    basis = [sm.VectorField((c,) + (ex.ZERO,) * 5) for c in (ex.ONE, t, t * t)]
+    alg = la.structure_constants(basis)
+    assert alg.constants == {
+        (0, 1, 0): Fraction(1), (1, 0, 0): Fraction(-1),
+        (0, 2, 1): Fraction(2), (2, 0, 1): Fraction(-2),
+        (1, 2, 2): Fraction(1), (2, 1, 2): Fraction(-1),
+    }
 
 
 def _jacobi_defect(alg) -> Fraction:
@@ -116,6 +129,28 @@ def test_five_dimensional_algebra_is_solvable():
     assert ok and order is not None
     assert la.witness_order_valid(alg, order)
     assert la.derived_series(alg) == [5, 2, 0]
+
+
+def _triple_loop_bracket(alg, a, b) -> list:
+    """[a, b] = sum over i, j, k of a_i*b_j*c^k_ij, read from c() entry by
+    entry: the oracle for the sparse bracket."""
+    out = [0] * alg.dim
+    for i in range(alg.dim):
+        for j in range(alg.dim):
+            for k in range(alg.dim):
+                out[k] += a[i] * b[j] * alg.c(i, j, k)
+    return out
+
+
+@pytest.mark.parametrize("name", ["eckart", "israel-stewart", "full", "rotation"])
+def test_bracket_coords_matches_the_triple_loop(name):
+    alg = {"full": la.full_algebra, "rotation": _rotation_algebra}.get(
+        name, lambda: la.table_algebra(name))()
+    rng = random.Random(11)
+    for _ in range(40):
+        a, b = ([Fraction(rng.randint(-4, 4), rng.randint(1, 5)) if rng.random() < 0.7
+                 else Fraction(0) for _ in range(alg.dim)] for _ in range(2))
+        assert alg.bracket_coords(a, b) == _triple_loop_bracket(alg, a, b)
 
 
 def test_rotation_algebra_is_not_solvable():
