@@ -201,6 +201,22 @@ def test_solve_case3_header_names_states(runner, tmp_path):
     assert rows[0] == ["y", "psi", "v", "alpha", "rho", "q"]
 
 
+def test_solve_step_failure_reports_where_the_integrator_stopped(runner, tmp_path):
+    """A run that ends in step failure ends with a sample at its last
+    accepted state: the final lines and the CSV's last row report the stop,
+    not the last sample of the grid (here the start)."""
+    out = tmp_path / "traj3.csv"
+    res = runner.invoke(main, [
+        "solve", "--case", "3", "--theory", "eckart", "--v0", "0.75",
+        "--q0", "-0.45", "--out", str(out)])
+    assert res.exit_code == 0, res.output
+    assert "termination: step-failure" in res.output
+    rows = list(csv.reader(out.open()))[1:]
+    y_stop = float(rows[-1][0])
+    assert len(rows) == 2 and 0.0 < y_stop < 10.0 / 200
+    assert f"final y = {y_stop:.12g}\n" in res.output
+
+
 def test_solve_case5_starts_off_its_singular_point(runner, tmp_path):
     # y = 0 is a singular point of the case-5 reduction; from there the run
     # ended in step-failure with one sample
@@ -376,8 +392,8 @@ _VERIFY_FAILS = [
     "symmetry recovery (eckart) matches reference span",
     "symmetry recovery (israel-stewart) matches reference span",
 ]
-_VERIFY_SHA256 = ("56daa80a13a9f2f649f01b76d856680e"
-                  "22d48ce4d5a538d93d6432269de2d4c6")
+_VERIFY_SHA256 = ("f807c6d60ba44f8b64c9c484413edd3c"
+                  "f74a46051c25cba0a24e02dcb836f8cc")
 
 
 def test_verify_output_is_pinned(runner):
@@ -519,8 +535,8 @@ _PINNED_SOLVES = [
 ]
 _PINNED_CRITICALS = [["critical", "--case", "1", "--theory", "israel-stewart"],
                      ["critical", "--case", "2", "--theory", "eckart"]]
-_PINNED_SHA256 = ("8b50b8ba800287c6ddf8b5f05a3ce767"
-                  "71238b9f315c4c3935cb7294d9533fe6")
+_PINNED_SHA256 = ("ab8cfdbab9dc1fc392e93f3dea6e89c4"
+                  "e624e1b8003bb7b95dd1df733f60f0a1")
 
 
 def test_integrator_output_is_pinned_bit_for_bit(runner, tmp_path):

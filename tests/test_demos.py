@@ -17,7 +17,7 @@ _DEMO_SHA256 = {
     "homogeneous_instability": "5d566b9e331ebcd870a0c458c50410a41e9c218608d2cdf97d46a3f500ad74e2",
     "reductions": "0707f06fe2dd0a9dcf7682590989f41b9d3a8830adc87265c604a523b2102615",
     "symmetries": "ab25d6a4950c781a42a85b68d027ea697c5e15d0ef11d71df7c580e2cb4e6c66",
-    "traveling_wave": "9974bda9886081c66474de5a7fb6223fdb365f293824201895df32b4cd018cc5",
+    "traveling_wave": "f05c8ac926c83ea6518f4e08a91a383b7cbe8c6866d4d6261d9a50708d234e4c",
 }
 
 

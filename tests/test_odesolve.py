@@ -1,8 +1,11 @@
 """Integrator quality, events, classification, and critical-velocity search."""
 
+import dataclasses
+import functools
 import hashlib
 import math
 import random
+import statistics
 from fractions import Fraction
 
 import pytest
@@ -79,6 +82,23 @@ def test_step_failure_reported_not_raised():
     assert tr.ts[-1] < 1.01
 
 
+def test_a_failed_run_ends_with_a_sample_at_its_last_accepted_state():
+    """A step failure or an exhausted budget appends the state where the
+    integrator stopped, so the last sample is not the last grid point."""
+    def f(t, u):  # undefined once u > 0, which it becomes after t = 1/2
+        return [math.nan if u[0] > 0.0 else 0.0 if t < 0.5 else 1.0]
+
+    cfg = od.SolverConfig(span=2.0, max_step=1e9, dense_points=2)
+    tr = od.integrate(f, [0.0], cfg)
+    assert tr.termination == "step-failure" and len(tr.ts) == 2
+    assert tr.ts[-1] == pytest.approx(0.5, abs=1e-3) and tr.states[-1] == [0.0]
+    tr = od.integrate(lambda t, u: [-u[0]], [1.0],
+                      dataclasses.replace(cfg, max_steps=3))
+    assert (tr.termination, tr.n_steps, len(tr.ts)) == ("step-failure", 3, 2)
+    assert 0.0 < tr.ts[-1] < 1.0
+    assert tr.states[-1][0] == pytest.approx(math.exp(-tr.ts[-1]), rel=1e-8)
+
+
 @pytest.mark.parametrize("field, value", [
     ("rtol", math.nan), ("atol", math.inf), ("max_step", -1.0), ("max_step", math.inf),
     ("span", 0.0), ("span", math.nan)])
@@ -106,103 +126,157 @@ def test_nan_error_estimate_rejects_the_step(switch_on):
     assert tr.ts[-1] == pytest.approx(switch_on, abs=0.05)
 
 
-def _tableau_loop_step(f, t, u, h, k1):
-    """The loop over the Dormand-Prince tableau that the generated step
-    replaced, kept as its reference."""
+def _row_sums(k, u, h, row):
+    """u[m] plus (h * a) * k[j][m] over the entries j: a of row in stage
+    order; u = None starts the sums from 0.0 and uses the bare a."""
+    acc = list(u) if u is not None else [0.0] * len(k[0])
+    for j in sorted(row):
+        c = h * row[j] if u is not None else row[j]
+        for m in range(len(acc)):
+            acc[m] += c * k[j][m]
+    return acc
+
+
+def _tableau_loop_step(f, t, u, h, k1, atol, rtol):
+    """The DOP853 step as a loop over the tableau: the reference of the
+    generated step."""
     ks = [k1]
-    n = len(u)
-    for i in range(1, 7):
-        acc = list(u)
-        row = od._A[i]
-        for j, a in enumerate(row):
-            if a:
-                kj = ks[j]
-                for m in range(n):
-                    acc[m] += h * a * kj[m]
-        ks.append(f(t + od._C[i] * h, acc))
-    u5 = list(u)
-    err = [0.0] * n
-    for j in range(7):
-        b5 = od._B5[j]
-        diff = od._B5[j] - od._B4[j]
-        kj = ks[j]
-        for m in range(n):
-            if b5:
-                u5[m] += h * b5 * kj[m]
-            if diff:
-                err[m] += h * diff * kj[m]
-    return u5, err, ks
-
-
-def _scaled_norm(u, u5, err, atol, rtol):
-    norm = 0.0
+    for i in range(1, 12):
+        ks.append(f(t + od._C[i] * h, _row_sums(ks, u, h, od._A[i])))
+    u_new = _row_sums(ks, u, h, od._A[12])
+    ks.append(f(t + h, u_new))
+    e5, e3 = (_row_sums(ks, None, h, row) for row in (od._E5, od._E3))
+    x5 = x3 = 0.0
     for m in range(len(u)):
-        sc = atol + rtol * max(abs(u[m]), abs(u5[m]))
-        norm = max(norm, abs(err[m]) / sc)
-    return norm
+        sc = atol + rtol * max(abs(u[m]), abs(u_new[m]))
+        x5 = max(x5, abs(e5[m]) / sc)
+        x3 = max(x3, abs(e3[m]) / sc)
+    den = x5 * x5 + 0.01 * x3 * x3
+    norm = abs(h) * x5 * x5 / math.sqrt(den) if den > 0.0 else 0.0
+    return u_new, norm, ks
+
+
+def _tableau_loop_extension(f, t, u, u_new, ks, h):
+    """The continuous extension and its evaluation as loops over the
+    tableau and the components: the reference of the generated ones."""
+    ks = list(ks)
+    for i in range(13, 16):
+        ks.append(f(t + od._C[i] * h, _row_sums(ks, u, h, od._A[i])))
+    r1 = [b - a for a, b in zip(u, u_new)]
+    r2 = [h * p - d for p, d in zip(ks[0], r1)]
+    r3 = [d - h * q - c for d, q, c in zip(r1, ks[12], r2)]
+    rs = [list(u), r1, r2, r3]
+    for row in od._D:
+        rs.append(_row_sums(ks, [0.0] * len(u), h, row))
+
+    def dense(theta):
+        out = []
+        for m in range(len(u)):
+            y = rs[7][m]
+            for i in range(6, -1, -1):
+                y = rs[i][m] + (theta if i % 2 == 0 else 1.0 - theta) * y
+            out.append(y)
+        return out
+
+    return [x for r in rs for x in r], dense
+
+
+def _random_system(rng, n):
+    w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+
+    def f(t, u):
+        return [math.sin(t * w[m] + u[m]) - u[(m + 1) % n] ** 2
+                + math.exp(-u[m - 1] * u[m - 1]) for m in range(n)]
+
+    return f
+
+
+def _bits(values):
+    return [float(v).hex() for v in values]
 
 
 def test_generated_step_matches_the_tableau_loop_bit_for_bit():
     rng = random.Random(20261018)
-
-    def bits(values):
-        return [float(v).hex() for v in values]
-
     for n in range(1, 7):
-        step, _ = od._step_functions(n)
-        w = [rng.uniform(-2.0, 2.0) for _ in range(n)]
-
-        def f(t, u):
-            return [math.sin(t * w[m] + u[m]) - u[(m + 1) % n] ** 2
-                    + math.exp(-u[m - 1] * u[m - 1]) for m in range(n)]
-
+        step = od._step_functions(n)[0]
+        f = _random_system(rng, n)
         for _ in range(40):
             t = rng.uniform(-5.0, 5.0)
             h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
             u = [rng.uniform(-2.0, 2.0) for _ in range(n)]
             k1 = [rng.uniform(-3.0, 3.0) for _ in range(n)]
             atol, rtol = 10.0 ** rng.uniform(-12, -6), 10.0 ** rng.uniform(-10, -4)
-            u5, norm, ks = step(f, t, u, h, k1, atol, rtol)
-            ref_u5, ref_err, ref_ks = _tableau_loop_step(f, t, u, h, k1)
-            assert bits(u5) == bits(ref_u5)
-            assert [bits(k) for k in ks] == [bits(k) for k in ref_ks]
-            assert norm.hex() == _scaled_norm(u, ref_u5, ref_err, atol, rtol).hex()
-            # FSAL: the last stage is the derivative at the step's end
-            assert bits(ks[6]) == bits(f(t + h, u5))
+            u_new, norm, ks = step(f, t, u, h, k1, atol, rtol)
+            ref_u, ref_norm, ref_ks = _tableau_loop_step(f, t, u, h, k1, atol, rtol)
+            assert _bits(u_new) == _bits(ref_u)
+            assert [_bits(k) for k in ks] == [_bits(k) for k in ref_ks]
+            assert norm.hex() == ref_norm.hex()
+            # the last stage is the derivative at the step's end
+            assert _bits(ks[12]) == _bits(f(t + h, u_new))
 
 
-def _hermite_loop(u, u5, ks, h, theta):
-    """Reference for the generated dense output: the cubic Hermite
-    interpolant as a loop over the components."""
-    t2 = theta * theta
-    t3 = t2 * theta
-    ht = h * theta
-    out = []
-    for a, b, p, q in zip(u, u5, ks[0], ks[6]):
-        d = b - a
-        out.append(a + ht * p
-                   + t2 * (3.0 * d - h * (2.0 * p + q))
-                   + t3 * (-2.0 * d + h * (p + q)))
-    return out
-
-
-def test_generated_dense_output_matches_the_hermite_loop_bit_for_bit():
+def test_generated_extension_matches_the_tableau_loop_bit_for_bit():
     rng = random.Random(20261019)
-
-    def draw(n):
-        return [rng.uniform(-3.0, 3.0) for _ in range(n)]
-
     for n in range(1, 7):
-        _, dense = od._step_functions(n)
+        step, extend, dense = od._step_functions(n)
+        f = _random_system(rng, n)
         for _ in range(40):
-            u, u5 = draw(n), draw(n)
-            ks = [tuple(draw(n)) for _ in range(7)]
+            t = rng.uniform(-5.0, 5.0)
             h = rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 0.0)
-            theta = rng.choice((0.0, 1.0, rng.random()))
-            out = dense(u, u5, ks, h, theta)
-            assert type(out) is list
-            assert [v.hex() for v in out] == \
-                [v.hex() for v in _hermite_loop(u, u5, ks, h, theta)]
+            u = [rng.uniform(-2.0, 2.0) for _ in range(n)]
+            u_new, _, ks = step(f, t, u, h, f(t, u), 1.0, 1.0)
+            r = extend(f, t, u, u_new, ks, h)
+            ref_r, ref_dense = _tableau_loop_extension(f, t, u, u_new, ks, h)
+            assert _bits(r) == _bits(ref_r)
+            thetas = (0.0, 1.0, rng.random())
+            out = dense(r, thetas)
+            assert len(out) == 3 and all(type(y) is list for y in out)
+            assert [_bits(y) for y in out] == [_bits(ref_dense(th)) for th in thetas]
+
+
+def test_an_extension_that_is_not_finite_is_none():
+    _, extend, _ = od._step_functions(1)
+    ks = [[1.0]] * 13
+    assert extend(lambda t, u: [math.nan], 0.0, [0.0], [1.0], ks, 1.0) is None
+
+
+def test_tableau_sums():
+    """c_i = sum_j a_ij for every stage, the weights b sum to 1 and
+    integrate t^q exactly for q <= 7 (order 8), and the two error-weight
+    rows and each dense-output row sum to 0, so that a mistyped literal
+    fails."""
+    assert len(od._A) == len(od._C) == 16
+    for c, row in zip(od._C, od._A):
+        assert abs(sum(row.values()) - c) <= 1e-14
+    b = od._A[12]
+    assert abs(sum(b.values()) - 1.0) <= 1e-14
+    for q in range(1, 8):
+        assert abs(sum(w * od._C[j] ** q for j, w in b.items()) - 1 / (q + 1)) <= 1e-14
+    for row in (od._E5, od._E3):
+        assert abs(sum(row.values())) <= 1e-14
+    for row in od._D:
+        assert abs(sum(row.values())) <= 1e-14 * sum(map(abs, row.values()))
+
+
+def test_dense_output_is_exact_for_polynomials_of_degree_seven():
+    """The continuous extension has order 7: on u' = p(t) with deg p <= 6
+    it reproduces the exact solution inside the step to roundoff."""
+    coeffs = (0.3, -1.0, 2.0, 0.5, -0.25, 1.5, -0.75)
+
+    def p(t, u):
+        return [sum(c * t ** i for i, c in enumerate(coeffs))]
+
+    def exact(t):
+        return sum(c * t ** (i + 1) / (i + 1) for i, c in enumerate(coeffs))
+
+    step, extend, dense = od._step_functions(1)
+    t, h = 0.2, 0.7
+    u = [exact(t)]
+    u_new, _, ks = step(p, t, u, h, p(t, u), 1.0, 1.0)
+    r = extend(p, t, u, u_new, ks, h)
+    thetas = (0.0, 0.125, 0.3, 0.5, 0.77, 1.0)
+    for theta, y in zip(thetas, dense(r, thetas)):
+        assert y[0] == pytest.approx(exact(t + theta * h), abs=1e-14)
 
 
 @pytest.mark.parametrize("rhs, u0", [
@@ -258,27 +332,166 @@ def _counted(rhs):
     (lambda t, u: [-u[0]], [1.0], {"half": lambda t, u: u[0] - 0.5}),
     (lambda t, u: [u[0] * u[0]], [1.0], {}),
 ])
-def test_each_attempted_step_evaluates_the_rhs_six_times(rhs, u0, ev):
-    # stage 1 of a step is stage 7 of the step before (FSAL), so only the
-    # start costs a seventh evaluation
-    f = _counted(rhs)
+def test_each_attempted_step_evaluates_the_rhs_twelve_times(rhs, u0, ev):
+    """Stage 1 of a step is stage 13 of the step before, so an attempt costs
+    12 evaluations; the start costs 2 (f and the starting step's trial),
+    and each accepted step that samples or locates an event 3 more.  With
+    one sample (at the end) only a run that reaches the end or an event
+    extends a step; with 10^4 samples every accepted step does."""
     cfg = od.SolverConfig(span=2.0, rtol=1e-8, atol=1e-10, max_step=1e9)
-    tr = od.integrate(f, u0, cfg, ev)
-    assert tr.n_steps > 0
-    assert f.calls == 1 + 6 * (tr.n_steps + tr.n_rejected)
+    for points in (1, 10 ** 4):
+        f = _counted(rhs)
+        tr = od.integrate(f, u0, dataclasses.replace(cfg, dense_points=points), ev)
+        assert tr.n_steps > 0
+        if points == 1:
+            extended = int(tr.termination != "step-failure")
+        elif tr.termination == "step-failure":
+            continue  # steps near the blow-up are shorter than the spacing
+        else:
+            extended = tr.n_steps
+        assert f.calls == 2 + 12 * (tr.n_steps + tr.n_rejected) + 3 * extended
     f = _counted(rhs)
     od.fixed_step_integrate(f, u0, 0.0, 0.5, 16)
-    assert f.calls == 1 + 6 * 16
+    assert f.calls == 1 + 12 * 16
 
 
 def test_dense_output_accuracy():
-    # the dense output is a cubic Hermite interpolant (O(h^4)); with the
+    # the dense output is DOP853's 7th-order continuous extension; with the
     # step clamped its error sits well below the sampling needs
     cfg = od.SolverConfig(span=1.0, rtol=1e-9, atol=1e-12, dense_points=97,
                           max_step=0.05)
     tr = od.integrate(lambda t, u: [-u[0]], [1.0], cfg)
     for t, s in zip(tr.ts, tr.states):
         assert abs(s[0] - math.exp(-t)) < 1e-7
+
+
+# Accuracy harness: four seeded starts of every catalogued pair under the
+# stability study's protocol (blow-up threshold 6e-2, a 500-step budget),
+# compared sample by sample with the same integrator at rtol 1e-13.  Errors
+# are in tolerance units |x - x_ref| / (atol + rtol |x_ref|).
+_HARNESS_RTOL = 1e-8
+# Largest median over a pair's starts, and largest single error, in units.
+# DOP853's extension reads medians 0.2-8.8 and at most 62; the cubic Hermite
+# interpolant over Dormand-Prince 5(4) steps read medians 19-715 and up to
+# 1.5e3, and over DOP853 steps medians 5e3-4.6e4.
+_MEDIAN_UNITS, _WORST_UNITS = 15.0, 100.0
+
+
+def _harness_runs(rtol, budget=500):
+    rng = random.Random(1530)
+    runs = []
+    for theory, case in _LIBRARY_PAIRS:
+        params = fluid.FluidParams(lam=Fraction(0 if theory == "eckart" else 1))
+        rs = rd.reduced_system(case, theory)
+        rhs = od.compile_rhs(rs, params)
+        ev = od.default_events(rs, params, blowup_delta=6e-2)
+        for _ in range(4):
+            psi0, q0 = math.atanh(rng.uniform(0.05, 0.95)), rng.uniform(-0.5, 0.0)
+            if case in _LIBRARY_HORIZON:
+                t0 = 0.0
+                span = (_LIBRARY_HORIZON[case]
+                        / od.scaled_time_factor(params, 1.0, psi0))
+            else:
+                t0, span = _LIBRARY_WINDOW[case]
+            cfg = od.SolverConfig(span=span, rtol=rtol, atol=rtol * 1e-2,
+                                  max_step=1e9, max_steps=budget,
+                                  direction=rs.direction)
+            tr = od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg, ev, t0)
+            runs.append(((theory, case), rs, cfg, tr))
+    return runs
+
+
+@functools.lru_cache(maxsize=None)
+def _harness_reference():
+    return tuple(tr for *_, tr in _harness_runs(1e-13, budget=20_000))
+
+
+def _harness_errors() -> dict:
+    """pair -> the largest error of each start, over the samples both runs
+    share (the last point of either run excluded: an event's location
+    moves with the tolerance) and the end state where both reach it."""
+    per = {}
+    for (pair, _, cfg, tr), ref in zip(_harness_runs(_HARNESS_RTOL),
+                                       _harness_reference()):
+        m = min(len(tr.ts), len(ref.ts)) - 1
+        assert tr.ts[:m] == ref.ts[:m]
+        pairs = list(zip(tr.states[1:m], ref.states[1:m]))
+        if tr.termination == ref.termination == "reached-end":
+            pairs.append((tr.states[-1], ref.states[-1]))
+        per.setdefault(pair, []).append(max(
+            [0.0] + [abs(a - b) / (cfg.atol + cfg.rtol * abs(b))
+                     for x, y in pairs for a, b in zip(x, y)]))
+    return per
+
+
+def _harness_violations(per: dict) -> list:
+    return [pair for pair, errs in per.items()
+            if statistics.median(errs) > _MEDIAN_UNITS or max(errs) > _WORST_UNITS]
+
+
+def test_dense_samples_match_a_tight_tolerance_reference():
+    per = _harness_errors()
+    assert len(per) == len(_LIBRARY_PAIRS)
+    assert _harness_violations(per) == [], per
+
+
+def test_the_harness_rejects_cubic_hermite_over_dop853_steps(monkeypatch):
+    """The same steps with the cubic Hermite interpolant of the step's end
+    values and derivatives as dense output fail the bound on every pair."""
+    _harness_reference()
+    step = od._step_functions(4)[0]
+
+    def hermite_extend(f, t, u, v, ks, h):
+        return u, v, ks[0], ks[12], h
+
+    def hermite(r, thetas):
+        u, v, p, q, h = r
+        return [[a + h * th * dp + th * th * (3.0 * (b - a) - h * (2.0 * dp + dq))
+                 + th ** 3 * (-2.0 * (b - a) + h * (dp + dq))
+                 for a, b, dp, dq in zip(u, v, p, q)] for th in thetas]
+
+    monkeypatch.setitem(od._GENERATED, 4, (step, hermite_extend, hermite))
+    per = _harness_errors()
+    assert sorted(_harness_violations(per)) == sorted(_LIBRARY_PAIRS), per
+
+
+def test_first_integrals_of_cases_1_and_2_drift_below_the_tolerance():
+    """Every sample of the harness runs of cases 1 and 2 keeps each exact
+    first integral to rtol, relative to the larger of the integral and the
+    largest state component."""
+    for (_, case), rs, cfg, tr in _harness_runs(_HARNESS_RTOL):
+        if case not in (1, 2):
+            continue
+        fns = ex.compile_exprs(list(rs.first_integrals.values()),
+                               [rs.independent] + list(rs.states))
+        start = fns(tr.ts[0], *tr.states[0])
+        for t, s in zip(tr.ts, tr.states):
+            scale = max(map(abs, tr.states[0] + s))
+            for a, b in zip(start, fns(t, *s)):
+                assert abs(b - a) <= cfg.rtol * max(abs(a), scale)
+
+
+def test_predictive_control_rejects_few_steps_on_case4_blowups():
+    """On 40 seeded Eckart case-4 starts, which all blow up, the error grows
+    about tenfold per step at a fixed h; the predictive controller shrinks h
+    ahead of it and rejects 52 attempts against 1,032 accepted steps, where
+    a controller on the current error alone rejected 1,018 against 1,059."""
+    params = fluid.FluidParams(lam=Fraction(0))
+    rs = rd.reduced_system(4, "eckart")
+    rhs = od.compile_rhs(rs, params)
+    ev = od.default_events(rs, params, blowup_delta=6e-2)
+    cfg = od.SolverConfig(span=10.0, rtol=1e-8, atol=1e-10, max_step=1e9,
+                          max_steps=500, direction=rs.direction)
+    rng = random.Random(2601)
+    accepted = rejected = 0
+    for i in range(40):
+        v0 = 0.05 + 0.9 * (i + rng.random()) / 40
+        tr = od.integrate(rhs, [math.atanh(v0), 1.0, 1.0, -0.5 * rng.random()],
+                          cfg, ev)
+        assert od.classify_trajectory(tr) == "blowing-up"
+        accepted += tr.n_steps
+        rejected += tr.n_rejected
+    assert rejected <= 0.1 * accepted, (rejected, accepted)
 
 
 def _case1_rhs(theory):
@@ -487,8 +700,8 @@ _LIBRARY_PAIRS = [("eckart", case) for case in range(1, 7)] + [
 _LIBRARY_HORIZON = {1: 50.0, 2: 100.0}
 _LIBRARY_WINDOW = {3: (0.0, 10.0), 4: (0.0, 10.0), 5: (1.0, 10.0),
                    6: (0.0, 10.0)}
-_LIBRARY_PINNED_SHA256 = ("af730479e6bbde52119bd387385930fc"
-                          "c0996e16edcf453bce5ba72f9a00f268")
+_LIBRARY_PINNED_SHA256 = ("f7ed9a8aba5ce7f7a272ac7d6ebbd5bf"
+                          "29a02002320a6a2b72eee982c8cdb00c")
 
 
 def test_integrate_output_is_pinned_bit_for_bit():
@@ -530,12 +743,12 @@ def test_integrate_output_is_pinned_bit_for_bit():
     decay = lambda t, u: [-u[0]]
     loose = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
     # the first midpoint of the bracketing step raises and counts as crossed
-    inside = _crossing_guard((0.4, 0.45))
+    inside = _crossing_guard((0.35, 0.4))
     tr = od.integrate(decay, [1.0], loose, {"half": inside})
     assert inside.raised and tr.termination == "event"
     runs.append(tr)
     # the guard raises at the step end before the crossing: nothing brackets
-    at_end = _crossing_guard((0.6, 0.7))
+    at_end = _crossing_guard((0.75, 0.8))
     tr = od.integrate(decay, [1.0], loose, {"half": at_end})
     assert at_end.raised and tr.termination == "reached-end"
     runs.append(tr)
