@@ -23,7 +23,7 @@ for theory, lam in (("eckart", Fraction(0)), ("israel-stewart", Fraction(1))):
         psi0 = math.atanh(v0)
         fac = od.scaled_time_factor(params, 1.0, psi0)
         cfg = od.SolverConfig(span=50.0 / fac, rtol=1e-8, atol=1e-10,
-                              max_step=1e9)
+                              max_step=1e9, dense_points=200)
         tr = od.integrate(rhs, [psi0, 1.0, 1.0, -0.1], cfg, ev)
         cls = od.classify_trajectory(tr)
         v_end = math.tanh(tr.states[-1][0])

@@ -27,7 +27,8 @@ def quadrature(u):
     return u / m + (2 * C / m ** 2) * math.log(abs(m * u - 2 * C))
 
 
-cfg = od.SolverConfig(span=3.0, rtol=1e-10, atol=1e-12, max_step=0.05)
+cfg = od.SolverConfig(span=3.0, rtol=1e-10, atol=1e-12, max_step=0.05,
+                      dense_points=200)
 tr = od.integrate(rhs, [psi0, n0, rho0, q0], cfg)
 ref = quadrature(u0)
 worst = max(abs(quadrature(math.exp(-2 * s[0])) - t - ref)

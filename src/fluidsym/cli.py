@@ -260,6 +260,9 @@ def reduce(case_no, theory, check, a_value, dump_expr):
             sys.exit(1)
 
 
+_SOLVE_MAX_STEP = 1e9  # the largest step of a solve run
+
+
 @main.command()
 @click.option("--case", "case_no", type=int, required=True)
 @click.option("--theory", type=click.Choice(THEORIES), required=True)
@@ -285,6 +288,12 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
           blowup_delta, params_file, out, a_value):
     """Integrate a reduced system and write a trajectory CSV."""
     _inside_threshold(v0, blowup_delta, "--v0")
+    reach = _SOLVE_MAX_STEP * od.SolverConfig.max_steps
+    if t_end > reach:
+        raise click.BadParameter(
+            f"{t_end:g} cannot be reached in {od.SolverConfig.max_steps} "
+            f"steps of at most {_SOLVE_MAX_STEP:g}; it must be at most "
+            f"{reach:g}", param_hint="--t-end")
     params = _params_from_file(params_file, theory)
     a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
@@ -297,7 +306,8 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
     sgn = rs.direction if direction is None else (1 if direction == "+" else -1)
     try:
         cfg = od.SolverConfig(span=t_end, rtol=rtol, atol=rtol * 1e-2,
-                              max_step=1e9, direction=sgn)
+                              max_step=_SOLVE_MAX_STEP, direction=sgn,
+                              dense_points=200)
     except ValueError as err:  # atol = rtol / 100 underflows to 0
         raise click.BadParameter(str(err), param_hint="--rtol")
     ev = od.default_events(rs, params, blowup_delta=blowup_delta)

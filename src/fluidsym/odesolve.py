@@ -5,7 +5,10 @@ its combined 5th/3rd-order error estimate, Gustafsson's predictive
 step-size controller, a starting step chosen from the tolerances, and the
 7th-order continuous extension as dense output.  Events are located by
 bisection on the dense output, and the float arithmetic is deterministic
-(identical inputs give identical samples).
+(identical inputs give identical samples).  A trajectory holds the start,
+each accepted step and the stop, unless the caller asks for a sample grid
+(``SolverConfig.dense_points``); only then are samples read off the dense
+output.
 
 The step, the extension and the extension's evaluation are generated Python
 code for each state size, built on first use and straight-line over the
@@ -14,7 +17,8 @@ or the state components; each unpacks its vectors into locals once, and the
 evaluation takes all the sample fractions of a step at once.  Stage 13 of a
 step is f(t + h, u_new), which is the next step's stage 1, so a step costs
 twelve right-hand-side evaluations.  The extension's three extra stages run
-only on an accepted step that emits a sample or locates an event.
+only on an accepted step that locates an event or, with a sample grid,
+emits a sample.
 
 ``compile_rhs`` returns the function that ``expr`` generates for a reduced
 system, with the signature rhs(t, u) of every right-hand side: the step
@@ -64,21 +68,30 @@ class SolverConfig:
     max_steps: int = 200_000
     span: float = 10.0  # length of the integration interval
     direction: int = 1  # +1 forward, -1 backward in the independent variable
-    dense_points: int = 200
+    # samples at every 1/dense_points of the span, read off the dense output;
+    # 0 means no grid: the trajectory holds the accepted steps
+    dense_points: int = 0
 
     def __post_init__(self):
         """Reject rtol, atol, max_step or span outside 0 < x < inf, which is
         false for nan (a nan tolerance would accept every step, a zero
-        max_step would never advance), and a max_steps below 1."""
+        max_step would never advance), a max_steps below 1 and a
+        dense_points below 0."""
         for name in ("rtol", "atol", "max_step", "span"):
             if not 0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be positive and finite")
         if self.max_steps <= 0:
             raise ValueError("max_steps must bound the runtime")
+        if self.dense_points < 0:
+            raise ValueError("dense_points must be 0 (no grid) or a sample count")
 
 
 @dataclass
 class Trajectory:
+    """ts and states hold the start, then each accepted step, or with a
+    sample grid each sample, then the stop: the end of the span, the located
+    event or the last accepted state."""
+
     ts: list
     states: list
     termination: str  # 'reached-end' | 'event' | 'step-failure'
@@ -397,7 +410,14 @@ def _start_step(rhs: Callable, t, u, k1, sgn: float, cfg: SolverConfig) -> float
 
 def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
               ev: Mapping[str, Callable] = _NO_EVENTS, t0: float = 0.0) -> Trajectory:
-    """Adaptive integration with dense output and event localisation.
+    """Adaptive integration with event localisation, and dense samples
+    where the caller asks for them.
+
+    With cfg.dense_points = 0 the trajectory records the start, each
+    accepted step and the stop, and the continuous extension runs only on
+    the step that locates an event.  With cfg.dense_points = N it records
+    the start, samples read off the dense output at every 1/N of the span,
+    and the stop.
 
     rhs(t, u) -> sequence of derivatives, one per state component.  A
     right-hand side of another length, or a start of another length than a
@@ -405,7 +425,7 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
     at the first evaluation.  Step failures (error control underflow,
     non-finite right-hand sides or an exhausted step budget) terminate the
     trajectory with reason 'step-failure' instead of raising; its last
-    sample is then the last accepted state.
+    point is then the last accepted state.
 
     ev maps event names to guards g(t, u).  An event fires when a guard
     crosses zero from positive to non-positive within an accepted step,
@@ -427,7 +447,9 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             states.append(list(u))
         return traj
 
-    sample_dt = (t_end - t0) / max(cfg.dense_points, 1)
+    # with no grid the first sample lies at infinity and is never reached
+    sample_dt = ((t_end - t0) / cfg.dense_points if cfg.dense_points
+                 else sgn * math.inf)
     next_sample = t0 + sample_dt
     hmin = 1e-14 * max(1.0, abs(t_end - t0))
     _check_size(len(getattr(rhs, "states", u)), u)
@@ -498,6 +520,9 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
             except _UNDEFINED:
                 traj.event_value = math.nan
             return traj
+        if not cfg.dense_points:
+            ts.append(t_new)
+            states.append(u_new)
         thetas = []
         while (t_new - next_sample) * sgn >= 0:
             theta = (next_sample - t) / h
@@ -609,8 +634,9 @@ def classify_trajectory(tr: Trajectory) -> str:
     Blowing-up: the blow-up guard fired with v approaching +1 (the guard
     itself is two-sided in 1 - v^2; the mirror branch v -> -1 terminates the
     trajectory but is not the blow-up this classification names).
-    Decaying: |v| non-increasing over the final third of samples and no
-    event fired.
+    Decaying: |v| non-increasing over the final third of the trajectory's
+    points (the accepted steps, or the samples of a grid) and no event
+    fired.
     """
     if (tr.termination == "event" and tr.event_name == "v-blowup"
             and math.tanh(tr.states[-1][_PSI_INDEX]) > 0):

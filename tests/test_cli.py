@@ -71,6 +71,19 @@ def test_usage_error_nonpositive_t_end(runner):
     assert "--t-end" in res.output
 
 
+def test_usage_error_t_end_beyond_the_step_budget(runner, monkeypatch):
+    """solve takes at most 200,000 steps of at most 1e9, so a --t-end past
+    2e14 cannot be reached; it is refused before anything is derived."""
+    derived = []
+    monkeypatch.setattr(cli.rd, "reduced_system",
+                        lambda *a, **k: derived.append(a))
+    res = runner.invoke(main, ["solve", "--case", "1", "--theory", "eckart",
+                               "--v0", "0.5", "--t-end", "1e308"])
+    assert res.exit_code == 2
+    assert "--t-end" in res.output and "at most 2e+14" in res.output
+    assert derived == []
+
+
 def test_usage_error_unknown_params_key(runner, tmp_path):
     p = tmp_path / "params.txt"
     p.write_text("k = 2\nkapa = 3\n")

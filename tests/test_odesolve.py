@@ -101,10 +101,11 @@ def test_a_failed_run_ends_with_a_sample_at_its_last_accepted_state():
 
 @pytest.mark.parametrize("field, value", [
     ("rtol", math.nan), ("atol", math.inf), ("max_step", -1.0), ("max_step", math.inf),
-    ("span", 0.0), ("span", math.nan)])
+    ("span", 0.0), ("span", math.nan), ("dense_points", -5)])
 def test_solver_config_rejects_non_finite_or_degenerate_settings(field, value):
     # a nan rtol made every error norm 0 (every step accepted); a zero
-    # max_step would take max_steps zero-length steps before failing
+    # max_step would take max_steps zero-length steps before failing; a
+    # negative dense_points was read as one sample at the end
     with pytest.raises(ValueError, match=field):
         od.SolverConfig(**{field: value})
 
@@ -395,7 +396,7 @@ def _harness_runs(rtol, budget=500):
                 t0, span = _LIBRARY_WINDOW[case]
             cfg = od.SolverConfig(span=span, rtol=rtol, atol=rtol * 1e-2,
                                   max_step=1e9, max_steps=budget,
-                                  direction=rs.direction)
+                                  direction=rs.direction, dense_points=200)
             tr = od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg, ev, t0)
             runs.append(((theory, case), rs, cfg, tr))
     return runs
@@ -731,7 +732,7 @@ def test_integrate_output_is_pinned_bit_for_bit():
             for direction in (1, -1):
                 cfg = od.SolverConfig(span=span, rtol=1e-8, atol=1e-10,
                                       max_step=1e9, max_steps=500,
-                                      direction=direction)
+                                      direction=direction, dense_points=200)
                 for ev in events.values():
                     runs.append(od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg,
                                              ev, t0))
@@ -741,7 +742,8 @@ def test_integrate_output_is_pinned_bit_for_bit():
                                                "step-failure"}
 
     decay = lambda t, u: [-u[0]]
-    loose = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9)
+    loose = od.SolverConfig(span=2.0, rtol=1e-3, atol=1e-6, max_step=1e9,
+                            dense_points=200)
     # the first midpoint of the bracketing step raises and counts as crossed
     inside = _crossing_guard((0.35, 0.4))
     tr = od.integrate(decay, [1.0], loose, {"half": inside})
@@ -753,16 +755,71 @@ def test_integrate_output_is_pinned_bit_for_bit():
     assert at_end.raised and tr.termination == "reached-end"
     runs.append(tr)
     runs.append(od.integrate(lambda t, u: [u[0] * u[0]], [1.0],
-                             od.SolverConfig(span=2.0, max_step=1e9)))
+                             od.SolverConfig(span=2.0, max_step=1e9,
+                                             dense_points=200)))
     runs.append(od.integrate(lambda t, u: [u[1], -u[0]], [1.0, 0.0],
                              od.SolverConfig(span=20.0, max_steps=40,
-                                             direction=-1)))
+                                             direction=-1, dense_points=200)))
 
     h = hashlib.sha256()
     for tr in runs:
         h.update(repr((tr.ts, tr.states, tr.termination, tr.event_name,
                        tr.event_value, tr.n_steps, tr.n_rejected)).encode())
     assert h.hexdigest() == _LIBRARY_PINNED_SHA256
+
+
+def test_a_run_without_a_grid_takes_the_same_steps_and_skips_the_extension():
+    """Seeded starts of every shipped pair, with the default guards, run once
+    with no sample grid and once with 200 samples.  Both take the same steps
+    and stop alike; without a grid the trajectory is the start, each accepted
+    step and the stop, and the continuous extension's three evaluations are
+    spent only on the step that locates an event: two evaluations start the
+    run, and each attempted step costs twelve."""
+    rng = random.Random(3131)
+    seen = set()
+    for theory, case in _LIBRARY_PAIRS:
+        params = fluid.FluidParams(lam=Fraction(0 if theory == "eckart" else 1))
+        rs = rd.reduced_system(case, theory)
+        compiled = od.compile_rhs(rs, params)
+        ev = od.default_events(rs, params, blowup_delta=6e-2)
+        calls = [0]
+
+        def rhs(t, u):
+            calls[0] += 1
+            return compiled(t, u)
+
+        for _ in range(3):
+            psi0, q0 = math.atanh(rng.uniform(0.05, 0.95)), rng.uniform(-0.5, 0.0)
+            if case in _LIBRARY_HORIZON:
+                t0 = 0.0
+                span = (_LIBRARY_HORIZON[case]
+                        / od.scaled_time_factor(params, 1.0, psi0))
+            else:
+                t0, span = _LIBRARY_WINDOW[case]
+            cfg = od.SolverConfig(span=span, rtol=1e-8, atol=1e-10,
+                                  max_step=1e9, max_steps=500,
+                                  direction=rs.direction)
+            calls[0] = 0
+            bare = od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg, ev, t0)
+            evals = calls[0]
+            grid = od.integrate(rhs, [psi0, 1.0, 1.0, q0],
+                                dataclasses.replace(cfg, dense_points=200), ev, t0)
+            assert ((bare.n_steps, bare.n_rejected, bare.termination,
+                     bare.event_name) == (grid.n_steps, grid.n_rejected,
+                                          grid.termination, grid.event_name))
+            if bare.termination == "event":
+                assert bare.ts[-1] == grid.ts[-1]
+            # at the end of the span the accepted state, not the dense output
+            # at theta = 1, so the last bits may differ
+            for a, b in zip(bare.states[-1], grid.states[-1]):
+                assert abs(a - b) <= 1e-12 * max(abs(a), abs(b))
+            assert bare.ts[0] == t0 and len(bare.ts) == bare.n_steps + 1
+            assert all((b - a) * rs.direction > 0
+                       for a, b in zip(bare.ts, bare.ts[1:]))
+            located = 3 if bare.termination == "event" else 0
+            assert evals == 2 + 12 * (bare.n_steps + bare.n_rejected) + located
+            seen.add(bare.termination)
+    assert seen == {"reached-end", "event", "step-failure"}
 
 
 def test_guard_raising_at_the_located_event_ends_in_that_event():
