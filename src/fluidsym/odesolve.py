@@ -636,7 +636,10 @@ def classify_trajectory(tr: Trajectory) -> str:
     trajectory but is not the blow-up this classification names).
     Decaying: |v| non-increasing over the final third of the trajectory's
     points (the accepted steps, or the samples of a grid) and no event
-    fired.
+    fired.  Each adjacent pair is compared within a tolerance, so the
+    verdict depends on the points given: the same start can read
+    'decaying' on `solve`'s 200 samples and 'inconclusive' on the accepted
+    steps that `critical` classifies.
     """
     if (tr.termination == "event" and tr.event_name == "v-blowup"
             and math.tanh(tr.states[-1][_PSI_INDEX]) > 0):

@@ -27,11 +27,14 @@ def test_observed_convergence_order():
 
 
 def test_harmonic_oscillator_energy_drift():
-    cfg = od.SolverConfig(span=20 * math.pi, rtol=1e-8, atol=1e-10,
-                          max_step=1e9)
-    tr = od.integrate(lambda t, u: [u[1], -u[0]], [1.0, 0.0], cfg)
-    drift = max(abs(0.5 * (s[0] ** 2 + s[1] ** 2) - 0.5) for s in tr.states)
-    assert drift < 1e-6
+    # at the accepted steps and at 200 dense samples
+    for points in (0, 200):
+        cfg = od.SolverConfig(span=20 * math.pi, rtol=1e-8, atol=1e-10,
+                              max_step=1e9, dense_points=points)
+        tr = od.integrate(lambda t, u: [u[1], -u[0]], [1.0, 0.0], cfg)
+        drift = max(abs(0.5 * (s[0] ** 2 + s[1] ** 2) - 0.5)
+                    for s in tr.states)
+        assert drift < 1e-6
 
 
 def test_determinism_bit_identical():
@@ -505,16 +508,19 @@ def _case1_rhs(theory):
 def test_homogeneous_conservation_along_trajectory():
     rs, params, rhs = _case1_rhs("eckart")
     psi0 = math.atanh(0.4)
-    cfg = od.SolverConfig(span=2.0, rtol=1e-10, atol=1e-12, max_step=0.02)
-    tr = od.integrate(rhs, [psi0, 1.0, 1.0, -0.05], cfg)
     names = ["particle", "energy_flux", "momentum_flux"]
     fns = ex.compile_exprs([rs.first_integrals[n] for n in names],
                            ["psi", "n", "rho", "q"])
-    ref = fns(*tr.states[0])
-    for s in tr.states:
-        vals = fns(*s)
-        for a, b in zip(ref, vals):
-            assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
+    # at the accepted steps and at 200 dense samples
+    for points in (0, 200):
+        cfg = od.SolverConfig(span=2.0, rtol=1e-10, atol=1e-12, max_step=0.02,
+                              dense_points=points)
+        tr = od.integrate(rhs, [psi0, 1.0, 1.0, -0.05], cfg)
+        ref = fns(*tr.states[0])
+        for s in tr.states:
+            vals = fns(*s)
+            for a, b in zip(ref, vals):
+                assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
 
 
 def test_blowup_classification_fires_event():
@@ -570,13 +576,16 @@ def test_case4_quadrature_first_integral():
     def G(u):
         return u / m + (2 * C / m ** 2) * math.log(abs(m * u - 2 * C))
 
-    cfg = od.SolverConfig(span=3.0, rtol=1e-10, atol=1e-12, max_step=1e9)
-    tr = od.integrate(rhs, [psi0, n0, rho0, q0], cfg)
-    assert tr.termination == "reached-end"
     ref = G(u0)
-    for t, s in zip(tr.ts, tr.states):
-        u = math.exp(-2 * s[0])
-        assert abs(G(u) - t - ref) < 1e-7
+    # at the accepted steps and at 200 dense samples
+    for points in (0, 200):
+        cfg = od.SolverConfig(span=3.0, rtol=1e-10, atol=1e-12, max_step=1e9,
+                              dense_points=points)
+        tr = od.integrate(rhs, [psi0, n0, rho0, q0], cfg)
+        assert tr.termination == "reached-end"
+        for t, s in zip(tr.ts, tr.states):
+            u = math.exp(-2 * s[0])
+            assert abs(G(u) - t - ref) < 1e-7
 
 
 def test_tolerance_monotonicity_against_quadrature():
@@ -590,9 +599,9 @@ def test_tolerance_monotonicity_against_quadrature():
     u0 = math.exp(-2 * psi0)
     C = _case4_exact_constant(u0, -2.0 * u0 * d[0], m)
 
-    def defect(rtol):
+    def defect(rtol, points):
         cfg = od.SolverConfig(span=3.0, rtol=rtol, atol=rtol * 1e-2,
-                              max_step=1e9)
+                              max_step=1e9, dense_points=points)
         tr = od.integrate(rhs, [psi0, n0, rho0, q0], cfg)
         ref = u0 / m + (2 * C / m ** 2) * math.log(abs(m * u0 - 2 * C))
         worst = 0.0
@@ -602,9 +611,11 @@ def test_tolerance_monotonicity_against_quadrature():
             worst = max(worst, abs(g - t - ref))
         return worst
 
-    errs = [defect(rt) for rt in (1e-6, 1e-7, 1e-8, 1e-9)]
-    for a, b in zip(errs, errs[1:]):
-        assert b <= a * 1.05  # tightening never increases the defect
+    # at the accepted steps and at 200 dense samples
+    for points in (0, 200):
+        errs = [defect(rt, points) for rt in (1e-6, 1e-7, 1e-8, 1e-9)]
+        for a, b in zip(errs, errs[1:]):
+            assert b <= a * 1.05  # tightening never increases the defect
 
 
 def test_self_convergence_under_tolerance_tightening():
