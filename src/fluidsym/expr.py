@@ -6,21 +6,29 @@ integral and a ``Fraction`` otherwise, never a float; every division of
 coefficients goes through ``_div``.  An atom is either a named symbol or a
 ``ln(...)`` application; ``exp(...)`` factors are carried separately inside
 each monomial so that products of exponentials merge by adding their
-arguments.  Exp arguments are interned: ``exp()``, the sum of two arguments
-(``_exp_sum``, computed once per pair) and a monomial's inverse hand out one
-shared object per argument, from a bounded table keyed by the argument's
-terms in dict order, so cache hits and monomial lookups compare arguments by
-identity.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
+arguments.  Hyperbolic functions never survive: ``sinh u``, ``cosh u`` and
 ``tanh u`` are rewritten in terms of ``exp(u)`` on construction, which turns
 every hyperbolic identity into Laurent-polynomial arithmetic.
 
-A monomial's atoms are strictly increasing by ``_atom_sort_key``, so
-monomials multiply by merging sorted lists.  Polynomials multiply in ints
-over the lcm of each factor's coefficient denominators, one division per
-term at the end; terms arise and cancel in the same order as term by term.
-A product with a constant, a quotient by one and a sum over one denominator
-keep that denominator, which is normalized already, instead of normalizing
-again; a sum that cancels is 0 over 1.
+A polynomial is a dict from monomial to coefficient.  A monomial is a pair
+of ints: its exponent vector, packed with atom i's signed exponent in bits
+``[_W*i, _W*(i + 1))``, and the id of its exp argument (0 for none).  Atoms
+get field indices and exp arguments ids by value, on first use, and keep
+them, so a monomial product is an integer addition plus a sum of exp
+arguments computed once per id pair, and monomials hash and compare in C.
+An exponent out of ``[-2**(_W - 2), 2**(_W - 2))`` raises ValueError, so no
+field carries into the next.  ``unpack`` is the one reader: it gives the
+atoms, ``("s", name)`` or ``("ln", argument)``, with their exponents,
+strictly increasing by ``_atom_sort_key``, and the exp argument, which is
+the first equal argument built, in its own term order.  No order a reader
+sees depends on the order of first use.
+
+Polynomials multiply in ints over the lcm of each factor's coefficient
+denominators, one division per term at the end; terms arise and cancel in
+the same order as term by term.  A product with a constant, a quotient by
+one and a sum over one denominator keep that denominator, which is
+normalized already, instead of normalizing again; a sum that cancels is 0
+over 1.
 
 Normalizing takes two steps: it divides both sides once by the
 denominator's monomial content (a one-term denominator becomes 1), then makes
@@ -28,8 +36,9 @@ a denominator of more than one term monic on its leading monomial.  It never
 divides one polynomial by another, so the form is not canonical: numerator
 and denominator may share a factor (``p*q/q`` keeps ``q``) and one rational
 function can have several representations.  ``==`` and ``key()`` compare
-structure.  The exact tests are ``is_zero()`` (a rational function is zero
-iff its numerator polynomial is) and ``equivalent()`` (cross-multiplication).
+structure.  The exact test is ``is_zero()``: a rational function is zero
+iff its numerator polynomial is, so ``(a - b).is_zero()`` tests a == b by
+cross-multiplication.
 
 ``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
 common denominator ``D``.  It assumes the target expression has degree at
@@ -64,6 +73,7 @@ __all__ = [
     "parse",
     "rational_reconstruction",
     "rref",
+    "unpack",
 ]
 
 
@@ -96,27 +106,116 @@ def _atom_sort_key(atom) -> tuple:
     return (2, 0, atom[1].key())
 
 
-class _KeyTable(dict):
-    """atom -> its ``_atom_sort_key``, one key object per atom, so two atoms
-    are equal iff their keys are identical."""
+# -- packed monomials -----------------------------------------------------------
+
+_W = 32  # bits per exponent field
+_FIELD = (1 << _W) - 1
+_SIGN = 1 << (_W - 1)
+_BOUND = 1 << (_W - 2)  # every exponent lies in [-_BOUND, _BOUND)
+_ATOMS: list = []  # field index -> atom, in first-use order
+# Added to a packed value with fields in [-2*_BOUND, 2*_BOUND), _OFFSET sets
+# the top bit of every field whose exponent is in range; the lowest field out
+# of range has it clear, as no field below it carries.
+_OFFSET = 0
+_TOPS = 0
+
+
+class _UnitTable(dict):
+    """atom -> the packed monomial atom**1, a new field on first use."""
 
     def __missing__(self, atom):
-        key = self[atom] = _atom_sort_key(atom)
-        return key
+        global _OFFSET, _TOPS
+        shift = _W * len(_ATOMS)
+        _ATOMS.append(atom)
+        _OFFSET |= (3 * _BOUND) << shift
+        _TOPS |= _SIGN << shift
+        unit = self[atom] = 1 << shift
+        return unit
 
 
-_ATOM_KEYS = _KeyTable()
+_UNITS = _UnitTable()
+
+
+def _check(packed: int) -> int:
+    """packed itself; ValueError if one of its exponents is out of range."""
+    if (packed + _OFFSET) & _TOPS != _TOPS:
+        raise ValueError(f"an exponent leaves [-2**{_W - 2}, 2**{_W - 2})")
+    return packed
+
+
+@functools.lru_cache(maxsize=4096)
+def _atoms(packed: int) -> tuple:
+    """The atoms of a packed monomial, ``((atom, exponent), ...)`` strictly
+    increasing by ``_atom_sort_key``."""
+    fields, i = [], 0
+    while packed:
+        e = packed & _FIELD
+        if e & _SIGN:
+            e -= 1 << _W
+        if e:
+            fields.append((_atom_sort_key(_ATOMS[i]), _ATOMS[i], e))
+        packed = (packed - e) >> _W
+        i += 1
+    fields.sort(key=operator.itemgetter(0))
+    return tuple((a, e) for _, a, e in fields)
+
+
+@functools.lru_cache(maxsize=4096)
+def _atom_order(packed: int) -> tuple:
+    """The atom part of ``_mono_sort_key``: (degree, ((atom key, -exponent),
+    ...))."""
+    atoms = _atoms(packed)
+    return sum(e for _, e in atoms), tuple((_atom_sort_key(a), -e) for a, e in atoms)
+
+
+_EXP_ARGS: list = [None]  # exp id -> its argument; 0 is no exp factor
+_EXP_IDS: dict = {}  # an argument's (num, den) items as frozensets -> its id
+
+
+def _exp_id(arg) -> int:
+    """The id of the exp argument arg, given to the first argument equal to
+    it and never reused."""
+    key = (frozenset(arg.num.items()), frozenset(arg.den.items()))
+    eid = _EXP_IDS.get(key)
+    if eid is None:
+        eid = _EXP_IDS[key] = len(_EXP_ARGS)
+        _EXP_ARGS.append(arg)
+    return eid
+
+
+class _ExpSums(dict):
+    """(id1, id2) -> the id of the sum of the two exp arguments, 0 when the
+    sum vanishes; computed on first use."""
+
+    def __missing__(self, pair):
+        i, j = pair
+        if not i or not j:
+            eid = i or j
+        else:
+            s = _EXP_ARGS[i] + _EXP_ARGS[j]
+            eid = 0 if s.is_zero() else _exp_id(s)
+        self[pair] = eid
+        return eid
+
+
+_EXP_SUMS = _ExpSums()
+
+
+def unpack(mono) -> tuple:
+    """A monomial as ``(atoms, exp argument)``: its atoms as ``((atom,
+    exponent), ...)`` strictly increasing by ``_atom_sort_key``, and its exp
+    argument, None for none."""
+    packed, eid = mono
+    return _atoms(packed), _EXP_ARGS[eid]
 
 
 def _mono_sort_key(mono) -> tuple:
-    atoms, exparg = mono
-    degree = sum(e for _, e in atoms)
-    vec = tuple((_ATOM_KEYS[a], -e) for a, e in atoms)
-    ekey = exparg.key() if exparg is not None else ()
-    return (degree, vec, ekey)
+    packed, eid = mono
+    degree, vec = _atom_order(packed)
+    return (degree, vec, _EXP_ARGS[eid].key() if eid else ())
 
 
-_ONE_MONO = ((), None)
+_ONE_MONO = (0, 0)
 _UNIT = {_ONE_MONO: 1}
 
 
@@ -134,64 +233,10 @@ def _div(a, b):
     return _exact(Fraction(a, b))
 
 
-# exp arguments: (num items, den items), in dict order -> the one shared Expr
-_EXP_ARGS: dict = {}
-_EXP_ARGS_MAX = 4096
-
-
-def _interned(arg):
-    """The shared exp argument with arg's terms in arg's order.  Equal
-    arguments are then one object, compared by identity; the table is
-    emptied when full, which costs only that speed-up."""
-    terms = (tuple(arg.num.items()), tuple(arg.den.items()))
-    got = _EXP_ARGS.get(terms)
-    if got is None:
-        if len(_EXP_ARGS) >= _EXP_ARGS_MAX:
-            _EXP_ARGS.clear()
-        got = _EXP_ARGS[terms] = arg
-    return got
-
-
-@functools.lru_cache(maxsize=4096)
-def _exp_sum(e1, e2):
-    """The exp argument e1 + e2, shared by every product that forms it, or
-    None when the sum is zero."""
-    s = e1 + e2
-    return None if s.is_zero() else _interned(s)
-
-
 def _mono_mul(m1, m2):
-    """Multiply two monomials: merge their sorted atoms, add exp arguments."""
-    atoms1, e1 = m1
-    atoms2, e2 = m2
-    if not atoms2:
-        atoms = atoms1
-    elif not atoms1:
-        atoms = atoms2
-    else:
-        keys, out, i, j = _ATOM_KEYS, [], 0, 0
-        n1, n2 = len(atoms1), len(atoms2)
-        while i < n1 and j < n2:
-            (a, e), (b, f) = atoms1[i], atoms2[j]
-            ka, kb = keys[a], keys[b]
-            if ka is kb:
-                if e + f:
-                    out.append((a, e + f))
-                i, j = i + 1, j + 1
-            elif ka < kb:
-                out.append(atoms1[i])
-                i += 1
-            else:
-                out.append(atoms2[j])
-                j += 1
-        atoms = (*out, *atoms1[i:], *atoms2[j:])
-    if e1 is None:
-        exparg = e2
-    elif e2 is None:
-        exparg = e1
-    else:
-        exparg = _exp_sum(e1, e2)
-    return (atoms, exparg)
+    """Multiply two monomials: add the packed exponents and the exp
+    arguments."""
+    return (m1[0] + m2[0], _EXP_SUMS[m1[1], m2[1]])
 
 
 def _poly_add(p1: dict, p2: dict) -> dict:
@@ -236,6 +281,10 @@ def _poly_mul(p1: dict, p2: dict) -> dict:
                 out[m] = nc
             else:
                 out.pop(m, None)
+    offset, tops = _OFFSET, _TOPS
+    for a, _ in out:  # _check(a), inlined
+        if (a + offset) & tops != tops:
+            _check(a)
     L = L1 * L2
     if L != 1:
         for m, c in out.items():
@@ -259,9 +308,8 @@ def _leading_mono(p: dict):
 
 def _mono_inv(m):
     """1 / m as a Laurent monomial."""
-    atoms, exparg = m
-    return (tuple((a, -e) for a, e in atoms),
-            None if exparg is None else _interned(-exparg))
+    packed, eid = m
+    return (_check(-packed), _exp_id(-_EXP_ARGS[eid]) if eid else 0)
 
 
 class Expr:
@@ -288,8 +336,7 @@ class Expr:
 
     @staticmethod
     def symbol(name: str) -> "Expr":
-        mono = (((("s", name), 1),), None)
-        return Expr({mono: 1}, {_ONE_MONO: 1})
+        return Expr({(_UNITS["s", name], 0): 1}, {_ONE_MONO: 1})
 
     @staticmethod
     def _normalized(num: dict, den: dict) -> "Expr":
@@ -321,7 +368,7 @@ class Expr:
     def key(self):
         if self._key is None:
             def mono_key(m):
-                atoms, exparg = m
+                atoms, exparg = unpack(m)
                 akey = tuple(
                     (("s", a[1]) if a[0] == "s" else ("ln", a[1].key()), e)
                     for a, e in atoms
@@ -368,7 +415,7 @@ class Expr:
 
         def visit_poly(p):
             for m in p:
-                at, exparg = m
+                at, exparg = unpack(m)
                 for a, _ in at:
                     if a[0] == "s":
                         names.add(a[1])
@@ -380,13 +427,6 @@ class Expr:
         visit_poly(self.num)
         visit_poly(self.den)
         return names
-
-    def equivalent(self, other) -> bool:
-        """Mathematical equality by cross-multiplication (exact)."""
-        other = _coerce(other)
-        lhs = _poly_mul(self.num, other.den)
-        rhs = _poly_mul(other.num, self.den)
-        return not _poly_add(lhs, _poly_neg(rhs))
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -462,25 +502,23 @@ class Expr:
 
 
 def _common_mono(p: dict):
-    """Greatest common Laurent monomial of all terms of p."""
-    (atoms, exp_common), *rest = p
-    atoms_min = dict(atoms)
-    for atoms, exparg in rest:
-        if exp_common is not None and exp_common != exparg:
-            exp_common = None
-        d = dict(atoms)
+    """Greatest common Laurent monomial of all terms of p, over the atoms of
+    the first term."""
+    (packed, exp_common), *rest = p
+    atoms_min = dict(_atoms(packed))
+    for packed, eid in rest:
+        if exp_common != eid:
+            exp_common = 0
+        d = dict(_atoms(packed))
         for a in list(atoms_min):
-            e = d.get(a)
-            if e is None:
-                # keep negative powers (they divide every monomial)
-                if atoms_min[a] > 0:
-                    del atoms_min[a]
+            # an absent atom has exponent 0: negative powers are kept, as
+            # they divide every monomial
+            e = min(atoms_min[a], d.get(a, 0))
+            if e:
+                atoms_min[a] = e
             else:
-                atoms_min[a] = min(atoms_min[a], e)
-                if atoms_min[a] == 0:
-                    del atoms_min[a]
-    # only deletions: the first monomial's atoms stay sorted
-    return (tuple(atoms_min.items()), exp_common)
+                del atoms_min[a]
+    return (sum(e * _UNITS[a] for a, e in atoms_min.items()), exp_common)
 
 
 def _constant(value):
@@ -542,11 +580,11 @@ def exp(arg) -> Expr:
     # exp(k*ln u) with integer k folds back into a power of u
     if len(arg.num) == 1 and len(arg.den) == 1 and _ONE_MONO in arg.den:
         (mono, coeff), = arg.num.items()
-        atoms, exparg = mono
+        atoms, exparg = unpack(mono)
         if exparg is None and len(atoms) == 1 and atoms[0][0][0] == "ln" \
                 and atoms[0][1] == 1 and coeff.denominator == 1:
             return atoms[0][0][1] ** int(coeff)
-    return Expr({((), _interned(arg)): 1}, {_ONE_MONO: 1})
+    return Expr({(0, _exp_id(arg)): 1}, {_ONE_MONO: 1})
 
 
 def ln(arg) -> Expr:
@@ -557,13 +595,10 @@ def ln(arg) -> Expr:
         raise DomainError("ln of structurally zero expression")
     # ln(exp(u)) == u when the argument is a bare exponential
     if len(arg.num) == 1 and len(arg.den) == 1 and _ONE_MONO in arg.den:
-        (mono, coeff), = arg.num.items()
-        atoms, exparg = mono
-        if coeff == 1 and not atoms and exparg is not None:
-            return exparg
-    atom = ("ln", arg)
-    mono = (((atom, 1),), None)
-    return Expr({mono: 1}, {_ONE_MONO: 1})
+        ((packed, eid), coeff), = arg.num.items()
+        if coeff == 1 and not packed and eid:
+            return _EXP_ARGS[eid]
+    return Expr({(_UNITS["ln", arg], 0): 1}, {_ONE_MONO: 1})
 
 
 def sinh(arg) -> Expr:
@@ -589,16 +624,13 @@ def _poly_diff(p: dict, name: str) -> Expr:
     symbol powers, Expr arithmetic only for chain rule through ln/exp."""
     fast: dict = {}
     slow = ZERO
-    for (atoms, exparg), c in p.items():
-        for i, (a, e) in enumerate(atoms):
+    for mono, c in p.items():
+        packed, eid = mono
+        atoms, exparg = unpack(mono)
+        for a, e in atoms:
             if a[0] == "s":
                 if a[1] == name:
-                    new_atoms = list(atoms)
-                    if e == 1:
-                        del new_atoms[i]
-                    else:
-                        new_atoms[i] = (a, e - 1)
-                    m = (tuple(new_atoms), exparg)
+                    m = (_check(packed - _UNITS[a]), eid)
                     nc = fast.get(m, 0) + c * e
                     if nc:
                         fast[m] = _exact(nc)
@@ -607,13 +639,13 @@ def _poly_diff(p: dict, name: str) -> Expr:
             else:  # ln(u): chain term e * mono * u' / (u * ln(u))
                 du = diff(a[1], name)
                 if not du.is_zero():
-                    base = Expr({(atoms, exparg): c}, {_ONE_MONO: 1})
-                    latom = Expr({(((a, 1),), None): 1}, {_ONE_MONO: 1})
+                    base = Expr({mono: c}, {_ONE_MONO: 1})
+                    latom = Expr({(_UNITS[a], 0): 1}, {_ONE_MONO: 1})
                     slow = slow + base * e * du / (a[1] * latom)
         if exparg is not None:
             darg = diff(exparg, name)
             if not darg.is_zero():
-                base = Expr({(atoms, exparg): c}, {_ONE_MONO: 1})
+                base = Expr({mono: c}, {_ONE_MONO: 1})
                 slow = slow + base * darg
     out = Expr(fast, {_ONE_MONO: 1})
     return out + slow if not slow.is_zero() else out
@@ -645,13 +677,13 @@ def subs(e: Expr, bindings: Mapping[str, object]) -> Expr:
 def _subs_table(e: Expr, table: Mapping[str, Expr]) -> Expr:
     """subs with a table of Exprs.  Each (atom, power) factor and each
     substituted exp factor is computed once per call, in powers and exps."""
-    powers, exps = {}, {}  # (atom, power) or exp argument -> factor
+    powers, exps = {}, {}  # (atom, power) or exp id -> factor
 
     def poly_subs(p: dict) -> Expr:
         out = ZERO
-        for (atoms, exparg), c in p.items():
+        for (packed, eid), c in p.items():
             term = Expr.number(c)
-            for a, k in atoms:
+            for a, k in _atoms(packed):
                 power = powers.get((a, k))
                 if power is None:
                     if a[0] == "s":
@@ -667,10 +699,10 @@ def _subs_table(e: Expr, table: Mapping[str, Expr]) -> Expr:
                         raise SingularSubstitutionError(
                             f"substitution makes a denominator zero: {a}")
                     term = term / power
-            if exparg is not None:
-                factor = exps.get(exparg)
+            if eid:
+                factor = exps.get(eid)
                 if factor is None:
-                    factor = exps[exparg] = exp(_subs_table(exparg, table))
+                    factor = exps[eid] = exp(_subs_table(_EXP_ARGS[eid], table))
                 term = term * factor
             out = out + term
         return out
@@ -777,7 +809,8 @@ def evaluate(e: Expr, point: Mapping[str, Fraction],
 
     def poly_val(p: dict):
         total = 0
-        for (atoms, exparg), c in p.items():
+        for m, c in p.items():
+            atoms, exparg = unpack(m)
             v = c if modulus is None else _residue(c, modulus)
             for a, k in atoms:
                 if a[0] != "s":
@@ -801,7 +834,8 @@ def evaluate(e: Expr, point: Mapping[str, Fraction],
 def _exp_power(arg: Expr, exps: Mapping[str, Fraction]) -> tuple:
     """``(exps[s], c)`` for the exp argument ``c*s``, c an integer."""
     if len(arg.num) == 1 and arg.den == _UNIT:
-        ((atoms, exparg), c), = arg.num.items()
+        (m, c), = arg.num.items()
+        atoms, exparg = unpack(m)
         if exparg is None and len(atoms) == 1 and atoms[0][1] == 1 \
                 and atoms[0][0][0] == "s" and atoms[0][0][1] in exps \
                 and type(c) is int:
@@ -854,7 +888,7 @@ def compile_exprs(exprs: Sequence[Expr], params: Sequence):
 
     def chain(m, c) -> tuple:
         """(c < 0, the operands of the term's product chain)."""
-        atoms, exparg = m
+        atoms, exparg = unpack(m)
         try:
             lit = repr(float(abs(c)))
         except OverflowError:  # raised again when the function is called
@@ -910,15 +944,15 @@ def compile_exprs(exprs: Sequence[Expr], params: Sequence):
             for j in range(2, len(ops) + 1):
                 shared[ops[:j]] = shared.get(ops[:j], 0) + 1
     body = "".join(f"{ratio(total(num), den)}, " for num, den in parts)
-    head, unpack = [], []
+    head, unpacked = [], []
     for p in params:
         if isinstance(p, str):
             head.append(names[p])
         else:
             head.append(f"_s{len(head)}")
-            unpack.append(f"    [{', '.join(names[n] for n in p)}] = {head[-1]}\n")
+            unpacked.append(f"    [{', '.join(names[n] for n in p)}] = {head[-1]}\n")
     lines = [f"    {name} = {c}\n" for c, name in hoisted.items()]
-    src = (f"def _compiled({', '.join(head)}):\n" + "".join(unpack)
+    src = (f"def _compiled({', '.join(head)}):\n" + "".join(unpacked)
            + "".join(lines) + f"    return ({body})\n")
     scope = {"_exp": math.exp, "_log": math.log}
     exec(src, scope)
@@ -987,22 +1021,22 @@ def collect(e: Expr, basis: Iterable[str]) -> dict:
         raise NonPolynomialError(
             f"denominator contains basis symbols: {sorted(basis & den_syms)}")
     groups: dict = {}
-    for (atoms, exparg), c in e.num.items():
+    for (packed, eid), c in e.num.items():
         key_parts = []
-        rest_atoms = []
-        for a, k in atoms:
+        rest = packed
+        for a, k in _atoms(packed):
             if a[0] == "s" and a[1] in basis:
                 key_parts.append((a[1], k))
+                rest -= k * _UNITS[a]
             else:
                 inner = a[1].atoms() if a[0] == "ln" else set()
                 if inner & basis:
                     raise NonPolynomialError(
                         f"ln argument contains basis symbols: {sorted(inner & basis)}")
-                rest_atoms.append((a, k))
-        if exparg is not None and exparg.atoms() & basis:
+        if eid and _EXP_ARGS[eid].atoms() & basis:
             raise NonPolynomialError("exp argument contains basis symbols")
         key = tuple(sorted(key_parts))
-        mono = (tuple(rest_atoms), exparg)
+        mono = (rest, eid)
         groups.setdefault(key, {})
         g = groups[key]
         g[mono] = g.get(mono, 0) + c
@@ -1141,7 +1175,7 @@ def _frac_text(c: Fraction) -> str:
 
 
 def _mono_text(mono, coeff: Fraction) -> str:
-    atoms, exparg = mono
+    atoms, exparg = unpack(mono)
     parts = []
     neg = coeff < 0
     c = -coeff if neg else coeff

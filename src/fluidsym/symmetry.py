@@ -285,7 +285,8 @@ def determining_equations(sys: PDESystem, ansatz: Ansatz) -> list:
     for k in range(len(sys.residuals)):
         groups: dict = {}
         for name, cond in conditions:
-            for (atoms, exparg), c in cond[k].num.items():
+            for m, c in cond[k].num.items():
+                atoms, exparg = ex.unpack(m)
                 key = (atoms, exparg.key() if exparg is not None else None)
                 groups.setdefault(key, {})[name] = Fraction(c)
         for key in sorted(groups, key=str):

@@ -11,21 +11,23 @@ from fluidsym import expr as ex, fluid, symmetry as sm  # noqa: E402
 
 
 def _raw(e: ex.Expr):
-    """The (num, den) item lists of e in dict order, nested exp and ln
-    arguments included: two Exprs give equal raws only if they were built
-    term for term in the same order."""
+    """The (num, den) item lists of e in dict order, each monomial read
+    through ``ex.unpack``, nested exp and ln arguments included: two Exprs
+    give equal raws only if they were built term for term in the same
+    order."""
     def poly(p):
         return [([(("s", a[1]) if a[0] == "s" else ("ln", _raw(a[1])), k)
                   for a, k in atoms],
                  None if exparg is None else _raw(exparg), str(c))
-                for (atoms, exparg), c in p.items()]
+                for (atoms, exparg), c in ((ex.unpack(m), c) for m, c in p.items())]
     return poly(e.num), poly(e.den)
 
 
 def _atoms_sorted(e: ex.Expr) -> bool:
     """Whether every monomial of e, nested exp and ln arguments included,
-    lists its atoms strictly increasing by ``_atom_sort_key``."""
-    for atoms, exparg in (*e.num, *e.den):
+    lists its atoms strictly increasing by ``_atom_sort_key`` when read
+    through ``ex.unpack``."""
+    for atoms, exparg in map(ex.unpack, (*e.num, *e.den)):
         keys = [ex._atom_sort_key(a) for a, _ in atoms]
         if any(k1 >= k2 for k1, k2 in zip(keys, keys[1:])):
             return False
@@ -42,7 +44,8 @@ def _term_by_term(e, env):
     factors multiplied left to right, sums taken in dict order."""
     def poly(p):
         total = None
-        for (atoms, exparg), c in p.items():
+        for m, c in p.items():
+            atoms, exparg = ex.unpack(m)
             v = c.numerator if c.denominator == 1 else c.numerator / c.denominator
             for a, k in atoms:
                 base = env[a[1]] if a[0] == "s" else math.log(_term_by_term(a[1], env))
