@@ -106,14 +106,33 @@ def _key_value(keys):
 
 
 def _params_from_file(path: str | None, theory: str) -> fluid.FluidParams:
-    """k and kappa from a parameter file; lambda comes from the theory."""
+    """k and kappa from a parameter file; lambda comes from the theory.  The
+    integrator reads k and kappa as floats, so each must be a positive
+    finite one."""
     kw = {"lam": fluid.THEORY_LAM[theory]}
     for key, val in _entries(path, "--params", _key_value(("k", "kappa"))) if path else ():
         kw[key] = _fraction(val, f"--params ({key})")
+        try:
+            positive = float(kw[key]) > 0  # 0.0 below the float range
+        except OverflowError:
+            positive = False
+        if not positive:
+            raise click.BadParameter(f"{key} = {val} is not a positive finite float",
+                                     param_hint="--params")
+    return fluid.FluidParams(**kw)
+
+
+def _derived(derive, case_no: int, theory: str, a_value: str | None):
+    """derive(case_no, theory, a_value=...) with a refused case or a group
+    parameter out of range a usage error: case 5 raises t to the power a,
+    and the kernel's exponents lie in [-2**30, 2**30)."""
+    a_fr = _fraction(a_value, "-a") if a_value is not None else None
     try:
-        return fluid.FluidParams(**kw)
+        return derive(case_no, theory, a_value=a_fr)
+    except rd.UnsupportedReductionError as err:
+        raise click.UsageError(str(err))
     except ValueError as err:
-        raise click.BadParameter(str(err), param_hint="--params")
+        raise click.BadParameter(f"{a_value}: {err}", param_hint="-a")
 
 
 @click.group(context_settings={"auto_envvar_prefix": "FLUIDSYM"})
@@ -227,15 +246,11 @@ def algebra(theory, table_kind, normalize_coeffs, fmt):
                    "expression text format.")
 def reduce(case_no, theory, check, a_value, dump_expr):
     """Print a reduced system (and optionally its symbolic verification)."""
-    a_fr = _fraction(a_value, "-a") if a_value is not None else None
-    try:
-        if check:
-            rep = rd.symbolic_check_reduction(case_no, theory, a_value=a_fr)
-            rs = rep["system"]
-        else:
-            rs = rd.reduced_system(case_no, theory, a_value=a_fr)
-    except rd.UnsupportedReductionError as err:
-        raise click.UsageError(str(err))
+    if check:
+        rep = _derived(rd.symbolic_check_reduction, case_no, theory, a_value)
+        rs = rep["system"]
+    else:
+        rs = _derived(rd.reduced_system, case_no, theory, a_value)
     if dump_expr:
         with open(dump_expr, "w") as fh:
             for s in rs.states:
@@ -295,11 +310,7 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
             f"steps of at most {_SOLVE_MAX_STEP:g}; it must be at most "
             f"{reach:g}", param_hint="--t-end")
     params = _params_from_file(params_file, theory)
-    a_fr = _fraction(a_value, "-a") if a_value is not None else None
-    try:
-        rs = rd.reduced_system(case_no, theory, a_value=a_fr)
-    except rd.UnsupportedReductionError as err:
-        raise click.UsageError(str(err))
+    rs = _derived(rd.reduced_system, case_no, theory, a_value)
     psi0 = math.atanh(v0)
     u0 = _initial_state(case_no, psi0, n0, rho0, q0)
     rhs = od.compile_rhs(rs, params)

@@ -136,10 +136,13 @@ class _UnitTable(dict):
 _UNITS = _UnitTable()
 
 
+_RANGE_ERROR = f"an exponent leaves [-2**{_W - 2}, 2**{_W - 2})"
+
+
 def _check(packed: int) -> int:
     """packed itself; ValueError if one of its exponents is out of range."""
     if (packed + _OFFSET) & _TOPS != _TOPS:
-        raise ValueError(f"an exponent leaves [-2**{_W - 2}, 2**{_W - 2})")
+        raise ValueError(_RANGE_ERROR)
     return packed
 
 
@@ -490,8 +493,19 @@ class Expr:
             if k == 0:
                 return ONE
             base = self if k > 0 else ONE / self
+            k = abs(k)
+            if k == 1:
+                return base
+            if len(base.num) == 1 and len(base.den) == 1:
+                # one term, over the unit: its power in closed form, the
+                # exponents range-checked before the coefficient is raised
+                ((packed, eid), c), = base.num.items()
+                if any(not -_BOUND <= e * k < _BOUND for _, e in _atoms(packed)):
+                    raise ValueError(_RANGE_ERROR)
+                return Expr({(packed * k, _exp_id(_EXP_ARGS[eid]._times(k)) if eid else 0):
+                             _exact(c ** k)}, {_ONE_MONO: 1})
             out = ONE
-            for _ in range(abs(k)):
+            for _ in range(k):
                 out = out * base
             return out
         # symbolic or non-integer exponent: u^e == exp(e*ln u)

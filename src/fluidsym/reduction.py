@@ -15,7 +15,8 @@ and solves the result, which is affine in the state derivatives, for those
 derivatives.  ``symbolic_check_reduction`` replaces the state derivatives in
 the same symbolic residuals by the derived right-hand sides and normalizes:
 the residuals are zero exactly when the reduction holds for all t.
-``SUPPORTED`` is a fixed table; the check runs in ``verify`` and in the tests.
+Every catalogued case derives for both closures.  ``SUPPORTED`` names the
+pairs that ``verify``, the reductions demo and the benchmark iterate.
 
 Case numbering follows the one-dimensional subalgebra list:
   1  d_x: homogeneous states             (evolution in t)
@@ -56,16 +57,11 @@ class UnsupportedReductionError(ValueError):
     pass
 
 
+# The pairs that the battery, the demos and the benchmark iterate; the
+# catalog alone decides what derives (``_derivation``).
 SUPPORTED = {
     "eckart": (1, 2, 3, 4, 5, 6),
     "israel-stewart": (1, 2),
-}
-
-UNSUPPORTED_REASON = {
-    ("israel-stewart", 3): "no explicit decoupling of the reduced system is catalogued",
-    ("israel-stewart", 4): "the reduced system has no real velocity branch in this catalog",
-    ("israel-stewart", 5): "no explicit decoupling of the reduced system is catalogued",
-    ("israel-stewart", 6): "no explicit decoupling of the reduced system is catalogued",
 }
 
 
@@ -225,11 +221,12 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     ansatz and solve for the state jets.  Returns (ReducedSystem, the four
     substituted residuals with t kept symbolic), which the symbolic check
     reads."""
-    if case not in supported_cases(theory):
-        reason = UNSUPPORTED_REASON.get(
-            (theory, case), "no reduction is catalogued for this combination")
+    if theory not in fluid.THEORY_LAM:
+        raise UnsupportedReductionError(f"unknown theory '{theory}'")
+    if case not in _CATALOG:
         raise UnsupportedReductionError(
-            f"case {case} is not supported for theory '{theory}': {reason}")
+            f"case {case} is not supported for theory '{theory}': "
+            "no reduction is catalogued for this combination")
     entry = _CATALOG[case]
     a = _group_parameter(case, a_value)
     inv = entry.invariants(a)

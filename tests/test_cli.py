@@ -29,10 +29,42 @@ def test_usage_error_unsupported_case(runner):
 
 
 def test_usage_error_unsupported_relaxing_case(runner):
-    res = runner.invoke(main, ["reduce", "--case", "4", "--theory",
-                               "israel-stewart"])
-    assert res.exit_code == 2
-    assert "no real velocity branch" in res.output
+    """Only a case outside the catalog is refused, for either closure."""
+    for command in (["reduce"], ["solve", "--v0", "0.5"]):
+        res = runner.invoke(main, command + ["--case", "7", "--theory", "israel-stewart"])
+        assert res.exit_code == 2
+        assert ("case 7 is not supported for theory 'israel-stewart': no reduction "
+                "is catalogued for this combination") in res.output
+
+
+@pytest.mark.parametrize("case_no", ["3", "4", "5", "6"])
+def test_relaxing_similarity_reductions_check_and_solve(runner, case_no):
+    """The Israel-Stewart similarity reductions derive, pass the symbolic
+    check, and integrate.  At the default --blowup-delta, case 3 creeps
+    toward the light cone y = 1 for its whole step budget before the step
+    failure; at 0.06 the blow-up event ends it first."""
+    args = ["--case", case_no, "--theory", "israel-stewart"]
+    res = runner.invoke(main, ["reduce", *args, "--check"])
+    assert res.exit_code == 0, res.output
+    assert res.output.splitlines()[-1] == "symbolic check: PASS"
+    res = runner.invoke(main, ["solve", *args, "--v0", "0.5", "--q0", "-0.1",
+                               "--t-end", "3", "--blowup-delta", "0.06"])
+    assert res.exit_code == 0, res.output
+    assert res.output.startswith("termination: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["reduce", "--case", "5", "--theory", "eckart"],
+    ["reduce", "--case", "5", "--theory", "israel-stewart", "--check"],
+    ["solve", "--case", "5", "--theory", "eckart", "--v0", "0.5"],
+], ids=["reduce", "reduce-check", "solve"])
+def test_usage_error_group_parameter_beyond_the_exponent_range(runner, args):
+    """Case 5 raises t to the power a, and exponents lie in [-2**30, 2**30)."""
+    for a in ("1e400", "-1073741825"):
+        res = runner.invoke(main, args + ["-a", a])
+        assert res.exit_code == 2, res.output
+        assert isinstance(res.exception, SystemExit), res.exception
+        assert "Invalid value for -a" in res.output
 
 
 def test_usage_error_bad_velocity(runner):
@@ -316,6 +348,12 @@ def _goldens_with_directory(tmp_path, name):
     return goldens
 
 
+def _params(tmp_path, text):
+    p = tmp_path / "params.txt"
+    p.write_text(text)
+    return str(p)
+
+
 def _not_utf8(tmp_path):
     p = tmp_path / "params.txt"
     p.write_bytes(b"k = \xff\n")
@@ -350,6 +388,20 @@ _BAD_INPUT_FILES = {
                               "--params", True),
     "params-not-utf8": (lambda d: _SOLVE + ["--v0", "0.5", "--params", _not_utf8(d)],
                         "--params", True),
+    # the integrator reads k and kappa as floats
+    "solve-params-k-beyond-float-range": (
+        lambda d: _SOLVE + ["--v0", "0.5", "--params", _params(d, "k = 1e400\n")],
+        "k = 1e400 is not a positive finite float", True),
+    "solve-params-kappa-below-float-range": (
+        lambda d: _SOLVE + ["--v0", "0.5", "--params", _params(d, "kappa = 1e-400\n")],
+        "kappa = 1e-400 is not a positive finite float", True),
+    "critical-params-k-beyond-float-range": (
+        lambda d: _IS_CRITICAL + ["--params", _params(d, "k = 1e400\n")],
+        "k = 1e400 is not a positive finite float", True),
+    "critical-params-kappa-below-float-range": (
+        lambda d: ["critical", "--case", "2", "--theory", "eckart",
+                   "--params", _params(d, "kappa = 1e-400\n")],
+        "kappa = 1e-400 is not a positive finite float", True),
     "solve-out-in-missing-directory": (
         lambda d: _SOLVE + ["--v0", "0.5", "--out", str(d / _MISSING)], "--out", True),
     "reduce-dump-expr-in-missing-directory": (

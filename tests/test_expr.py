@@ -4,6 +4,7 @@ collection, row reduction and nullspace, parsing, compilation."""
 import math
 import operator
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -539,6 +540,38 @@ def test_exponents_past_the_field_bound_raise_instead_of_aliasing():
                   lambda: 1 / low, lambda: ex.diff(low, "x"), lambda: low * low * y):
         with pytest.raises(ValueError):
             build()
+
+
+def test_closed_form_powers_match_the_repeated_product(raw_terms):
+    """A one-term expression raised to an integer k is built in closed
+    form: the packed exponents and the exp argument times k, the
+    coefficient to the k.  It is the same build as the product of |k|
+    factors, on seeded one-term expressions with exp factors; a power past
+    the exponent range raises at once."""
+    rng = random.Random(3401)
+    t, x, psi = ex.syms("t x psi")
+    factors = [t, x, psi, ex.ln(1 + t), ex.exp(psi), ex.exp(2 * t - x / 3)]
+    for _ in range(40):
+        e = ex.number(Fraction(rng.choice((-1, 1)) * rng.randint(1, 7), rng.randint(1, 5)))
+        for f in rng.sample(factors, rng.randint(0, 4)):
+            e = e * f ** rng.randint(-3, 3)
+        assert len(e.num) == 1 and e.den == ex._UNIT
+        for k in range(-5, 6):
+            base = e if k >= 0 else ex.ONE / e
+            want = ex.ONE
+            for _ in range(abs(k)):
+                want = want * base
+            _assert_same_build(e ** k, want, raw_terms)
+    start = time.perf_counter()
+    assert ex.unpack(next(iter((t ** 10 ** 7).num))) == (((("s", "t"), 10 ** 7),), None)
+    assert time.perf_counter() - start < 1.0
+    bound = 2 ** (ex._W - 2)
+    assert ex.unpack(next(iter((x ** -bound).num)))[0] == ((("s", "x"), -bound),)
+    # the range is checked before the coefficient 2 is raised to 2**29
+    for base, k in ((t, bound), (t, -bound - 1), (t * x, 10 ** 400),
+                    (2 * x ** 2, bound // 2)):
+        with pytest.raises(ValueError):
+            base ** k
 
 
 def test_products_of_exponentials_add_their_arguments():

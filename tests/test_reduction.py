@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -58,22 +59,83 @@ def test_traveling_invariant_corrected_and_stated():
 
 
 def test_supported_case_lists():
+    """supported_cases names the pairs the battery and the benchmark
+    iterate; only a case outside the catalog or an unknown theory is
+    refused."""
     assert rd.supported_cases("eckart") == (1, 2, 3, 4, 5, 6)
     assert rd.supported_cases("israel-stewart") == (1, 2)
-    with pytest.raises(rd.UnsupportedReductionError):
-        rd.reduced_system(3, "israel-stewart")
-    with pytest.raises(rd.UnsupportedReductionError):
-        rd.reduced_system(7, "eckart")
+    for theory in ("eckart", "israel-stewart"):
+        with pytest.raises(rd.UnsupportedReductionError,
+                           match="no reduction is catalogued for this combination"):
+            rd.reduced_system(7, theory)
+    for call in (lambda: rd.supported_cases("landau"),
+                 lambda: rd.reduced_system(1, "landau")):
+        with pytest.raises(rd.UnsupportedReductionError, match="unknown theory 'landau'"):
+            call()
 
 
-@pytest.mark.parametrize("theory,case_no", [
-    ("eckart", 1), ("eckart", 2), ("eckart", 3), ("eckart", 4),
-    ("eckart", 5), ("eckart", 6),
-    ("israel-stewart", 1), ("israel-stewart", 2),
-])
+_ALL_PAIRS = [(theory, case) for theory in ("eckart", "israel-stewart")
+              for case in sorted(rd._CATALOG)]
+
+# The singular lines that Israel-Stewart cases 4 and 6 add at the default a:
+# q/rho = 2/5 and theta = 2/5.
+_RELAXING_SINGULAR = {4: "-(2/5)*rho*q^-1 + 1", 6: "1 - (2/5)*theta^-1"}
+
+
+def _seeded_group_parameters(theory, case):
+    """None (the default a) and, for a case that takes a, two seeded values."""
+    if rd._CATALOG[case].default_a is None:
+        return [None]
+    rng = random.Random(f"{theory}-{case}")
+    return [None] + [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(2, 9))
+                     for _ in range(2)]
+
+
+@pytest.mark.parametrize("theory, case_no", _ALL_PAIRS)
 def test_symbolic_check_all_supported_reductions(theory, case_no):
-    rep = rd.symbolic_check_reduction(case_no, theory)
-    assert rep["ok"], [ex.to_text(r) for r in rep["residuals"] if not r.is_zero()]
+    """Every catalog entry derives for both closures: the symbolic check is
+    exact zero and every first integral is exact, at the default a and at
+    two seeded values of a."""
+    for a in _seeded_group_parameters(theory, case_no):
+        rep = rd.symbolic_check_reduction(case_no, theory, a_value=a)
+        assert rep["ok"], (a, [ex.to_text(r) for r in rep["residuals"] if not r.is_zero()])
+        defects = rd.first_integral_defects(rep["system"])
+        assert defects and all(v.is_zero() for v in defects.values()), a
+    if theory == "israel-stewart" and case_no in _RELAXING_SINGULAR:
+        rs = rd.reduced_system(case_no, theory)
+        assert [ex.to_text(f) for f in rs.singular] == [_RELAXING_SINGULAR[case_no]]
+
+
+def _sympy_value(sympy, e, point):
+    """e read by sympy from its printed text and evaluated, every atom bound
+    to its value at point (sympy alone would read beta as a function)."""
+    text = ex.to_text(e).replace("^", "**")
+    names = set(re.findall(r"[A-Za-z_]\w*", text)) - {"exp", "ln"}
+    table = {"exp": sympy.exp, "ln": sympy.log, **{n: point[n] for n in names}}
+    return sympy.sympify(text, locals=table)
+
+
+@pytest.mark.parametrize("theory, case_no", _ALL_PAIRS)
+def test_reductions_vanish_at_a_rational_point_under_sympy(theory, case_no):
+    """An oracle outside the kernel: sympy reads the four substituted
+    residuals and the right-hand sides as printed, and evaluates the
+    residuals with each state jet replaced by its right-hand side at a
+    seeded rational point.  psi = ln r makes every exp(k*psi) rational, so
+    the value must be exactly 0."""
+    sympy = pytest.importorskip("sympy")
+    rs, res = rd._derivation(case_no, theory, None)
+    rng = random.Random(f"oracle-{theory}-{case_no}")
+
+    def rational():
+        return sympy.Rational(rng.randint(1, 9), rng.randint(1, 9))
+
+    point = {n: rational() for n in ("t", "x", "y", "k", "kappa", *rs.states[1:])}
+    point["psi"] = sympy.log(rational())
+    space = ex.JetSpace((rs.independent,), rs.states)
+    jets = {space.jet(s, rs.independent): _sympy_value(sympy, rs.rhs[s], point)
+            for s in rs.states}
+    assert all(v.is_Rational for v in jets.values()), jets
+    assert [_sympy_value(sympy, r, {**point, **jets}) for r in res] == [0] * 4
 
 
 @pytest.mark.parametrize("perturb", [
