@@ -150,7 +150,8 @@ def main():
 @click.option("--ansatz-degree", type=click.IntRange(min=0), default=1,
               show_default=True)
 @click.option("--dump-determining", type=_OUT, default=None,
-              help="Write the determining linear forms to a file.")
+              help="Write the determining linear forms to a file, at "
+                   "k = kappa = 1 (the basis is solved at symbolic k, kappa).")
 def symmetries(theory, ansatz_degree, dump_determining):
     """Solve the determining equations and print a generator basis."""
     ansatz = sm.Ansatz(degree=ansatz_degree)
@@ -162,9 +163,7 @@ def symmetries(theory, ansatz_degree, dump_determining):
             for row in rows:
                 fh.write(" + ".join(f"{c}*{u}" for u, c in sorted(row.items())) + " = 0\n")
         click.echo(f"wrote {len(rows)} determining forms to {dump_determining}")
-    basis = sm.solve_determining(lam, ansatz)
-    if ansatz_degree == 1:
-        basis = sm.canonical_presentation(basis)
+    basis = sm.canonical_presentation(sm.solve_determining(lam, ansatz))
     click.echo(_basis_text(theory, basis), nl=False)
 
 
@@ -328,8 +327,10 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
         _write_csv(out, rs, tr)
         click.echo(f"wrote {len(tr.ts)} samples to {out}")
     tfin, ufin = tr.final()
-    click.echo(f"termination: {tr.termination}"
-               + (f" ({tr.event_name})" if tr.event_name else ""))
+    reason = tr.event_name
+    if tr.termination == "step-failure" and tr.n_steps >= cfg.max_steps:
+        reason = f"step budget of {cfg.max_steps} exhausted"
+    click.echo(f"termination: {tr.termination}" + (f" ({reason})" if reason else ""))
     click.echo(f"final {rs.independent} = {tfin:.12g}")
     click.echo("final state: " + ", ".join(
         f"{s}={v:.12g}" for s, v in zip(rs.states, ufin)))

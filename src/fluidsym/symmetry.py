@@ -26,7 +26,9 @@ coefficient and each distinct residual partial once.  Each
 evaluated row is the reduction mod p of a consequence of the determining
 system and rank mod p never exceeds rank over Q, so the mod-p nullity is an
 upper bound on the dimension; the certificates supply as many independent
-symmetries, so the certified vectors span the algebra.  A failed
+symmetries, so the certified vectors span the algebra, and the solve
+returns the span's reduced basis in the ansatz's unknown order
+(``canonical_presentation`` gives the order that is printed).  A failed
 reconstruction or certificate means a retry, never a wrong basis;
 randomness (Schwartz-Zippel) enters only the expected number of retries.
 """
@@ -217,21 +219,6 @@ def _prolongation_table(degree: int) -> tuple:
     return tuple(index), fields
 
 
-# Unknowns put first in the echelon solve's column order.  Each nullspace
-# vector has a one on its own free column, in column order, so this fixes
-# the raw basis and its order: d_t, d_x, field scaling, boost, dilatation at
-# degrees 1 and 2 (the degree-2 basis pin depends on it).  The order that
-# ``symmetries`` prints comes from ``canonical_presentation``.
-_PREFERRED = (("t", ()), ("x", ()), ("t", (("t", 1),)), ("rho", (("rho", 1),)),
-              ("psi", ()), ("n", (("n", 1),)), ("q", (("q", 1),)))
-
-
-def _unknown_priority(ansatz: Ansatz) -> list:
-    first = [ansatz.index[key] for var, mono in _PREFERRED
-             if (key := (BASE_VARS.index(var), mono)) in ansatz.index]
-    return first + [u for u in ansatz.unknowns() if u not in first]
-
-
 # a process works with a few systems: two closures, symbolic or fixed k, kappa
 @functools.lru_cache(maxsize=8)
 def _on_shell(sys: PDESystem) -> tuple:
@@ -318,10 +305,9 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     random integer points mod the attempt's 61-bit prime
     (``_evaluated_rows``), reading the prolongations from the ansatz's one
     ``_prolongation_table``, which every attempt and closure shares.  It
-    takes the nullspace of those rows mod the same prime in
-    ``_unknown_priority`` order, reconstructs its rational entries and
-    certifies every vector exactly with ``_condition`` at symbolic k and
-    kappa.
+    takes the nullspace of those rows mod the same prime in the ansatz's
+    unknown order, reconstructs its rational entries and certifies every
+    vector exactly with ``_condition`` at symbolic k and kappa.
 
     The result is exact.  Every evaluated row is a consequence of the
     determining system, and each mod-p row is the reduction of the rational
@@ -330,8 +316,8 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     over Q, so the mod-p nullity bounds the algebra's dimension from
     above.  The reconstructed vectors are independent (each has a one on its
     own free column), so when all of them certify they span the algebra.
-    The basis returned is the span's unique reduced basis for this column
-    order, the one an exact nullspace of the full system gives.  An attempt
+    The basis returned is the span's reduced basis in the ansatz's unknown
+    order, so it does not depend on the prime that succeeded.  An attempt
     whose vectors do not reconstruct or certify is retried with more points
     and the next prime; after ``len(_PRIMES)`` attempts the solve raises
     RuntimeError rather than return an uncertified basis.  The
@@ -341,27 +327,22 @@ def solve_determining(lam, ansatz: Ansatz = None) -> list:
     if ansatz is None:
         ansatz = Ansatz(degree=1)
     sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None, lam=Fraction(lam)))
-    priority = _unknown_priority(ansatz)
+    unknowns = ansatz.unknowns()
     rng = random.Random(_SEED)
     for attempt, prime in enumerate(_PRIMES):
         count = -(-len(ansatz.table) // 4) + _EXTRA_POINTS * (attempt + 1)
         rows = _evaluated_rows(sys, ansatz, _sample_points(rng, count), prime)
         vectors = []
-        for vec in ex.nullspace(rows, priority, modulus=prime):
+        for vec in ex.nullspace(rows, unknowns, modulus=prime):
             values = {u: ex.rational_reconstruction(v, prime) for u, v in vec.items()}
             if None in values.values() or not all(
                     c.is_zero() for c in _condition(ansatz.assemble(values), sys)):
                 break
             vectors.append(values)
-        else:
-            # Rewrite the certified span in its one reduced basis: the free
-            # columns of the rows' exact RREF are the pivots of the basis
-            # vectors taken in reverse order (dual matroids), so a prime
-            # that moved the pivots cannot change the basis printed.
-            cols = priority[::-1]
-            reduced, _ = ex.rref([[v.get(u, Fraction(0)) for u in cols]
-                                  for v in vectors], len(cols))
-            return [ansatz.assemble(dict(zip(cols, row))) for row in reversed(reduced)]
+        else:  # one reduced basis, whichever prime gave the vectors
+            reduced, _ = ex.rref([[v.get(u, Fraction(0)) for u in unknowns]
+                                  for v in vectors], len(unknowns))
+            return [ansatz.assemble(dict(zip(unknowns, row))) for row in reduced]
     raise RuntimeError(f"no certified symmetry basis after {len(_PRIMES)} attempts")
 
 

@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, CSV schema, golden diffing."""
 
 import csv
+import dataclasses
 import hashlib
 import shutil
 from pathlib import Path
@@ -260,6 +261,32 @@ def test_solve_step_failure_reports_where_the_integrator_stopped(runner, tmp_pat
     y_stop = float(rows[-1][0])
     assert len(rows) == 2 and 0.0 < y_stop < 10.0 / 200
     assert f"final y = {y_stop:.12g}\n" in res.output
+
+
+def test_solve_names_an_exhausted_step_budget(runner, monkeypatch):
+    """A run that takes its whole step budget says so, with the budget of
+    its SolverConfig; a step failure short of the budget keeps the bare
+    reason.  Here the budget is 50 steps."""
+    @dataclasses.dataclass(frozen=True)
+    class FiftySteps(cli.od.SolverConfig):
+        max_steps: int = 50
+
+    integrate, runs = cli.od.integrate, []
+
+    def recorded(*args):
+        runs.append(integrate(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(cli.od, "SolverConfig", FiftySteps)
+    monkeypatch.setattr(cli.od, "integrate", recorded)
+    start = ["solve", "--case", "3", "--theory", "eckart"]
+    budget = runner.invoke(main, start + ["--v0", "0.35", "--q0", "-0.05"])
+    assert budget.exit_code == 0, budget.output
+    assert "termination: step-failure (step budget of 50 exhausted)\n" in budget.output
+    early = runner.invoke(main, start + ["--v0", "0.75", "--q0", "-0.45"])
+    assert early.exit_code == 0, early.output
+    assert "termination: step-failure\n" in early.output
+    assert runs[0].n_steps == 50 and runs[1].n_steps < 50
 
 
 def test_solve_case5_starts_off_its_singular_point(runner, tmp_path):

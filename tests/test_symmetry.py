@@ -6,6 +6,7 @@ import re
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from fluidsym import cli, expr as ex, fluid, symmetry as sm
 from fluidsym.fluid import JET_SPACE
@@ -68,10 +69,15 @@ def test_second_order_terms_cancel_in_reduced_prolongation():
 
 
 def test_degree_zero_ansatz_yields_translations_only():
-    for lam in (Fraction(0), Fraction(1)):
+    for theory, lam in fluid.THEORY_LAM.items():
         basis = sm.solve_determining(lam, sm.Ansatz(degree=0))
         assert len(basis) == 2
         assert sm.span_equal(basis, [sm.v_time(), sm.v_space()])
+        res = CliRunner().invoke(cli.main, ["symmetries", "--theory", theory,
+                                            "--ansatz-degree", "0"])
+        assert res.exit_code == 0, res.output
+        assert res.output == (f"# {theory}: 2-dimensional point-symmetry algebra\n"
+                              "V1 = d_t\nV2 = d_x\n")
 
 
 def test_affine_algebra_contains_reference_generators(eckart_basis,
@@ -259,16 +265,25 @@ def test_solve_returns_the_reduced_basis_whatever_basis_the_prime_gives(
     assert [V.text() for V in basis] == [V.text() for V in eckart_basis]
 
 
-def test_degree_two_ansatz_gives_the_same_five_generators():
-    basis = sm.solve_determining(Fraction(0), sm.Ansatz(degree=2))
-    named = [sm.v_time(), sm.v_space(), sm.v_dilation(), sm.v_scaling(),
-             sm.v_lorentz_boost()]
-    assert len(basis) == 5
-    assert sm.span_equal(basis, named)
-    # the printed basis depends on the unknown order of the degree-2 table
-    text = cli._basis_text("eckart", basis)
-    assert hashlib.sha256(text.encode()).hexdigest() == (
-        "548acef70af58a6e501c2201bea8c4f87c423e49b1b365425f310cad60228780")
+def test_degree_two_ansatz_gives_the_same_five_generators(monkeypatch):
+    """The solve returns the same reduced basis at degrees 1 and 2, and
+    `symmetries` prints the packaged computed basis at both."""
+    solve, solved = sm.solve_determining, {}
+
+    def recorded(lam, ansatz):
+        solved[ansatz.degree] = basis = solve(lam, ansatz)
+        return basis
+
+    monkeypatch.setattr(sm, "solve_determining", recorded)
+    for theory in fluid.THEORY_LAM:
+        stem = theory.replace("-", "_")
+        golden = cli._goldens_dir() / f"generator_basis_computed_{stem}.txt"
+        for degree in (1, 2):
+            res = CliRunner().invoke(cli.main, ["symmetries", "--theory", theory,
+                                                "--ansatz-degree", str(degree)])
+            assert res.exit_code == 0, res.output
+            assert res.output == golden.read_text()
+        assert [V.text() for V in solved[1]] == [V.text() for V in solved[2]]
 
 
 def test_on_shell_substitution_is_built_once_per_system(eckart_system_symbolic):
