@@ -135,14 +135,10 @@ def _derived(derive, case_no: int, theory: str, a_value: str | None):
         raise click.BadParameter(f"{a_value}: {err}", param_hint="-a")
 
 
-@click.group(context_settings={"auto_envvar_prefix": "FLUIDSYM"})
+@click.group()
 def main():
     """Symmetry analysis and group-invariant solutions of the 1+1d
-    relativistic heat-conducting fluid.
-
-    Every option can also be set through an environment variable named
-    FLUIDSYM_<COMMAND>_<OPTION>, e.g. FLUIDSYM_SOLVE_RTOL.
-    """
+    relativistic heat-conducting fluid."""
 
 
 @main.command()

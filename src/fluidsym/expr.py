@@ -1099,7 +1099,7 @@ def rref(matrix: Iterable[Sequence[Fraction]], ncols: int,
                 rest.append(row)
             continue
         pv = row[lead]
-        inv = 1 / pv if modulus is None else pow(pv, -1, modulus)
+        inv = Fraction(1) / pv if modulus is None else pow(pv, -1, modulus)
         row = _reduced([v * inv for v in row], modulus)
         for c in list(pivots):
             prow = pivots[c][0]

@@ -682,9 +682,13 @@ def find_critical(run: Callable[[float], Trajectory], lo: float, hi: float,
     c_lo = classify_trajectory(tr_lo)
     c_hi = classify_trajectory(tr_hi)
     if {c_lo, c_hi} != {"decaying", "blowing-up"}:
+        def verdict(v0, c, tr):
+            if tr.termination == "step-failure":
+                c += f" (step-failure after {tr.n_steps} steps)"
+            return f"v0={v0} -> {c}"
         raise NoBracketError(
             f"endpoints do not bracket a critical velocity: "
-            f"v0={lo} -> {c_lo}, v0={hi} -> {c_hi}")
+            f"{verdict(lo, c_lo, tr_lo)}, {verdict(hi, c_hi, tr_hi)}")
     flip = c_lo == "blowing-up"
     iterations = 0
     while hi - lo > tol:

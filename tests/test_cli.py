@@ -327,6 +327,19 @@ def test_critical_no_bracket_exits_nonzero(runner):
     assert "no-bracket" in res.output
 
 
+def test_critical_no_bracket_names_a_step_failure(runner):
+    """An endpoint run that never integrated is named as a step failure, not
+    only as inconclusive: at this horizon the first step, at least 1e-14 of
+    the span, is rejected and its retry falls below that floor."""
+    res = runner.invoke(main, ["critical", "--case", "1", "--theory",
+                               "israel-stewart", "--horizon", "1e15"])
+    assert res.exit_code == 1, res.output
+    assert res.output == (
+        "no-bracket error: endpoints do not bracket a critical velocity: "
+        "v0=0.5 -> inconclusive (step-failure after 0 steps), "
+        "v0=0.9 -> inconclusive (step-failure after 0 steps)\n")
+
+
 def test_tables_side_by_side_listing(runner):
     for theory, last, families in (
             ("eckart", "9)", ["+-V3 + b*V4", "+-V1 + a*V2 + d*V4 and +-V2 + d*V4",
@@ -692,6 +705,23 @@ def test_reduce_output_is_pinned(runner, tmp_path):
     assert res.exit_code == 0, res.output
     h.update(out.read_bytes())
     assert h.hexdigest() == _PINNED_REDUCE_SHA256
+
+
+def test_environment_variables_do_not_set_options(runner, tmp_path, monkeypatch):
+    """Options are read from the command line only: variables named after a
+    command and an option change no output and no exit code."""
+    commands = [
+        ["solve", "--case", "1", "--theory", "eckart", "--v0", "0.5", "--q0", "-0.1"],
+        ["reduce", "--case", "1", "--theory", "eckart"],
+        ["verify"],
+    ]
+    before = [runner.invoke(main, args) for args in commands]
+    monkeypatch.setenv("FLUIDSYM_SOLVE_RTOL", "1e-3")
+    monkeypatch.setenv("FLUIDSYM_REDUCE_CHECK", "1")
+    monkeypatch.setenv("FLUIDSYM_VERIFY_GOLDENS_DIR", str(tmp_path))
+    for args, res in zip(commands, before):
+        again = runner.invoke(main, args)
+        assert (again.exit_code, again.output) == (res.exit_code, res.output), args
 
 
 @pytest.mark.parametrize("coeffs, rep", [

@@ -628,7 +628,8 @@ def test_nullspace_deterministic_order():
 
 def test_rref_matches_sympy():
     """Differential test against sympy: pivots and reduced rows, including
-    zero rows, rank-deficient and wide matrices, and an augmented part."""
+    zero rows, rank-deficient and wide matrices, and an augmented part.
+    Int entries reduce exactly too: every pivot row holds Fractions."""
     hypothesis = pytest.importorskip("hypothesis")
     sympy = pytest.importorskip("sympy")
     st = hypothesis.strategies
@@ -650,15 +651,19 @@ def test_rref_matches_sympy():
         combos=st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4),
                         max_size=3),
         split=st.integers(0, 7),
+        integral=st.booleans(),
     )
-    def check(width, base, combos, split):
+    def check(width, base, combos, split, integral):
         base = [row[:width] for row in base]
+        if integral:  # the same rows scaled to ints
+            base = [[int(6 * v) for v in row] for row in base]
         # dependent rows (all-zero ones when a combination vanishes)
-        extra = [[sum((c * row[j] for c, row in zip(cs, base)), Fraction(0))
+        extra = [[sum(c * row[j] for c, row in zip(cs, base))
                   for j in range(width)] for cs in combos]
         matrix = base + extra
         rows, pivots = ex.rref(matrix, width)
         assert (rows, pivots) == sympy_rref(matrix)
+        assert all(type(v) is Fraction for row in rows[:len(pivots)] for v in row)
         # pivoting on a left block carries the rest along as an augmented part
         ncols = min(split, width)
         rows, pivots = ex.rref(matrix, ncols)
