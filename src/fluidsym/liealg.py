@@ -80,7 +80,7 @@ class LieAlgebra:
         """Basis positions of the time and space translations and the
         dilatation, None for any the basis lacks; resolved once per algebra."""
         return tuple(self.basis.index(g) if g in self.basis else None
-                     for g in (sm.v_time(), sm.v_space(), sm.v_dilation()))
+                     for g in sm.named_generators()[:3])
 
 
 def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
@@ -327,23 +327,18 @@ def normalize_element(alg: LieAlgebra, w) -> tuple:
 
 
 def table_algebra(theory: str) -> LieAlgebra:
-    """The named generator list used for commutator/adjoint table output.
+    """The algebra of the commutator/adjoint table output.
 
-    Four generators for the lam = 0 theory, three for lam = 1, matching the
-    reference tables cell-for-cell; both are genuine subalgebras of the
-    computed five-dimensional symmetry algebra.
+    The first four named generators for the lam = 0 theory, the first three
+    for lam = 1, matching the reference tables cell-for-cell; both are
+    genuine subalgebras of the computed five-dimensional symmetry algebra.
     """
-    if theory == "eckart":
-        basis = [sm.v_time(), sm.v_space(), sm.v_dilation(), sm.v_scaling()]
-    elif theory == "israel-stewart":
-        basis = [sm.v_time(), sm.v_space(), sm.v_dilation()]
-    else:
+    sizes = {"eckart": 4, "israel-stewart": 3}
+    if theory not in sizes:
         raise ValueError(f"unknown theory '{theory}'")
-    return structure_constants(basis)
+    return structure_constants(sm.named_generators()[:sizes[theory]])
 
 
 def full_algebra() -> LieAlgebra:
     """The five-dimensional point-symmetry algebra shared by both theories."""
-    basis = [sm.v_time(), sm.v_space(), sm.v_dilation(), sm.v_scaling(),
-             sm.v_lorentz_boost()]
-    return structure_constants(basis)
+    return structure_constants(sm.named_generators())

@@ -3,9 +3,10 @@
 Each reduction case is one one-dimensional subalgebra, and its catalog entry
 states everything the derivation reads: the generator, the group invariants,
 the inverse map giving the physical fields in the invariant states, the
-partials (y_t, y_x) of the similarity variable y, the name of the independent
-variable, the value t takes while deriving, and the default orientation,
-start ordinate and group parameter a.  The translations d_t and d_x are
+partials (y_t, y_x) of the similarity variable y, the first integrals, the
+name of the independent variable, the value t takes while deriving, and the
+default orientation, start ordinate and group parameter a.  Every formula is
+an Expr, built from a at derivation time.  The translations d_t and d_x are
 ordinary entries: their invariants are the fields themselves, and t or x is
 the independent variable.
 
@@ -29,7 +30,6 @@ Case numbering follows the one-dimensional subalgebra list:
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,7 +37,7 @@ from typing import Callable
 
 from . import expr as ex
 from . import fluid
-from .expr import Expr, JetSpace
+from .expr import Expr, JetSpace, cosh, sinh
 from .fluid import FIELD_NAMES, FluidParams, PDESystem
 from .symmetry import VectorField
 from . import symmetry as sm
@@ -74,8 +74,7 @@ def supported_cases(theory: str) -> tuple:
 @dataclass(frozen=True)
 class InvariantSet:
     generator: VectorField
-    similarity_variable: Expr | None  # expression in (t, x), None for cases 1-2
-    invariants: dict  # name -> Expr in the base variables
+    invariants: dict  # name -> Expr in the base variables; y is the similarity variable
     inverse: dict  # field name -> Expr in (t, y, state symbols)
     states: tuple
 
@@ -98,13 +97,13 @@ class ReducedSystem:
 
 @dataclass(frozen=True)
 class _Case:
-    """One catalog entry.  The callables take the group parameter a: an
-    Expr, or None for a case that takes no a."""
+    """One catalog entry.  The callables build its formulas from the group
+    parameter a: an Expr, or None for a case that takes no a."""
     invariants: Callable  # a -> InvariantSet
     independent: str  # 't', 'x' or 'y'
     partials: Callable  # a -> (y_t, y_x) in (t, y)
     inst_t: Fraction | None  # value of t while deriving; None keeps t
-    first_integrals: dict  # name -> text in (independent, states, a)
+    first_integrals: Callable  # a -> {name: Expr in (independent, states)}
     default_a: Fraction | None = None  # None: the case takes no a
     direction: int = 1  # default integration orientation
     start: float = 0.0  # default start ordinate, off the singular points
@@ -115,47 +114,52 @@ def _catalog() -> dict:
     alpha, beta, w, sigma, theta = ex.syms("alpha beta w sigma theta")
     fields = {"psi": psi, "n": n, "rho": rho, "q": q}
     # the first integrals are checked exact by first_integral_defects
-    traveling_particle = {"particle": "n*(sinh(psi) + a*cosh(psi))"}
+    def homogeneous(a):
+        sh, ch = sinh(psi), cosh(psi)
+        return {"particle": n * ch,
+                "energy_flux": rho * ch ** 2 + rho * sh ** 2 / 3 + 2 * q * sh * ch,
+                "momentum_flux": 4 * rho * sh * ch / 3 + q * cosh(2 * psi)}
+    def stationary(a):
+        sh, ch = sinh(psi), cosh(psi)
+        return {"particle_flux": n * sh,
+                "momentum": 4 * rho * sh ** 2 / 3 + rho / 3 + 2 * q * sh * ch,
+                "energy": 4 * rho * sh * ch / 3 + q * cosh(2 * psi)}
+    def traveling_particle(a):
+        return {"particle": n * (sinh(psi) + a * cosh(psi))}
     return {
-        1: _Case(lambda a: InvariantSet(sm.v_space(), None, {**fields, "y": t},
+        1: _Case(lambda a: InvariantSet(sm.v_space(), {**fields, "y": t},
                                         dict(fields), FIELD_NAMES),
                  "t", partials=lambda a: (ex.ONE, ex.ZERO), inst_t=None,
-                 first_integrals={
-                     "particle": "n*cosh(psi)",
-                     "energy_flux": "rho*cosh(psi)^2 + (1/3)*rho*sinh(psi)^2 + 2*q*sinh(psi)*cosh(psi)",
-                     "momentum_flux": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
-                 }),
-        2: _Case(lambda a: InvariantSet(sm.v_time(), None, {**fields, "y": x},
+                 first_integrals=homogeneous),
+        2: _Case(lambda a: InvariantSet(sm.v_time(), {**fields, "y": x},
                                         dict(fields), FIELD_NAMES),
                  "x", partials=lambda a: (ex.ZERO, ex.ONE), inst_t=None,
-                 first_integrals={
-                     "particle_flux": "n*sinh(psi)",
-                     "momentum": "(4/3)*rho*sinh(psi)^2 + (1/3)*rho + 2*q*sinh(psi)*cosh(psi)",
-                     "energy": "(4/3)*rho*sinh(psi)*cosh(psi) + q*cosh(2*psi)",
-                 }, direction=-1),
+                 first_integrals=stationary, direction=-1),
         3: _Case(lambda a: InvariantSet(
-                     sm.v_dilation(), x / t,
+                     sm.v_dilation(),
                      {"y": x / t, "psi": psi, "alpha": n * t, "rho": rho, "q": q},
                      {**fields, "n": alpha / t}, ("psi", "alpha", "rho", "q")),
                  "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
-                 first_integrals={"particle": "alpha*(sinh(psi) + y*cosh(psi))"}),
+                 first_integrals=lambda a: {
+                     "particle": alpha * (sinh(psi) + y * cosh(psi))}),
         4: _Case(lambda a: InvariantSet(
-                     sm.v_time() + sm.v_space().scale(a), x - a * t,
+                     sm.v_time() + sm.v_space().scale(a),
                      {"y": x - a * t, **fields}, dict(fields), FIELD_NAMES),
                  "y", partials=lambda a: (-a, ex.ONE), inst_t=None,
                  first_integrals=traveling_particle, default_a=Fraction(-1)),
         5: _Case(lambda a: InvariantSet(
-                     sm.v_dilation() + sm.v_scaling().scale(a), x / t,
+                     sm.v_dilation() + sm.v_scaling().scale(a),
                      {"y": x / t, "psi": psi, "beta": n * x, "w": rho * t ** (-a),
                       "theta": q / rho},
                      {"psi": psi, "n": beta / (y * t), "rho": w * t ** a,
                       "q": theta * w * t ** a},
                      ("psi", "beta", "w", "theta")),
                  "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
-                 first_integrals={"particle": "beta*(sinh(psi) + y*cosh(psi))/y"},
+                 first_integrals=lambda a: {
+                     "particle": beta * (sinh(psi) + y * cosh(psi)) / y},
                  default_a=Fraction(1), start=1.0),
         6: _Case(lambda a: InvariantSet(
-                     sm.v_scaling() + sm.v_time() + sm.v_space().scale(a), x - a * t,
+                     sm.v_scaling() + sm.v_time() + sm.v_space().scale(a),
                      {"y": x - a * t, "psi": psi, "n": n, "sigma": rho * ex.exp(-t),
                       "theta": q / rho},
                      {"psi": psi, "n": n, "rho": sigma * ex.exp(t),
@@ -209,13 +213,6 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
     return [ex.subs(res, bindings) for res in sys.residuals], jets
 
 
-@functools.lru_cache(maxsize=None)
-def _parsed(text: str) -> Expr:
-    """A catalog integral text, parsed once per process (the texts are a
-    fixed set)."""
-    return ex.parse(text)
-
-
 def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     """Derive one reduction: build the system, substitute the invariant
     ansatz and solve for the state jets.  Returns (ReducedSystem, the four
@@ -243,15 +240,11 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     # Cramer's rule divides by det alone, so det = 0 is the whole singular
     # locus; a monomial det is monic 1 and vanishes nowhere
     locus = ex.monic(det)
-    integrals = {}
-    for name, text in entry.first_integrals.items():
-        e = _parsed(text)
-        integrals[name] = e if a is None else ex.subs(e, {"a": a})
     rs = ReducedSystem(case=case, theory=theory, independent=entry.independent,
                        states=tuple(jets), rhs=rhs, determinant=det,
                        singular=() if locus.is_rational() else (locus,),
-                       first_integrals=integrals,
-                       invariant_set=None if inv.similarity_variable is None else inv,
+                       first_integrals=entry.first_integrals(a),
+                       invariant_set=inv if entry.independent == "y" else None,
                        lam=lam, direction=entry.direction,
                        start=entry.start)
     return rs, res

@@ -450,9 +450,8 @@ def canonical_presentation(basis: Sequence[VectorField]) -> list:
     dilatation, field scaling, boost), then any remaining independent
     directions from the raw basis.
     """
-    named = [v_time(), v_space(), v_dilation(), v_scaling(), v_lorentz_boost()]
     out = []
-    for g in named:
+    for g in named_generators():
         if in_span(g, list(basis)) and not in_span(g, out):
             out.append(g)
     for f in basis:
@@ -466,7 +465,11 @@ def _field(**coeffs: Expr) -> VectorField:
     return VectorField(coeffs.get(v, ex.ZERO) for v in BASE_VARS)
 
 
-# Named generators in the commutator-table ordering.
+def named_generators() -> list:
+    """The named generators, in the commutator-table ordering."""
+    return [v_time(), v_space(), v_dilation(), v_scaling(), v_lorentz_boost()]
+
+
 def v_time() -> VectorField:
     return _field(t=ex.ONE)
 

@@ -492,6 +492,36 @@ def test_golden_fault_injection_names_cell(runner, tmp_path):
     assert "FAIL %s: %s\n" % (_CELL_FAULT[0], _CELL_FAULT[2]) in res.output
 
 
+# The golden-tampering table: a golden file, the text taken out of it (None:
+# all of it), and the FAIL lines that verify prints besides the three
+# documented ones.
+_GOLDEN_GAPS = {
+    "table-cell-missing": ("commutator_table_eckart.txt", "V1,V3 = V1\n", [
+        "FAIL commutator table (eckart) cell [V1,V3]: got 'V1', golden missing",
+        "FAIL commutator/adjoint tables match goldens cell-for-cell"]),
+    "reference-basis-empty": ("generator_basis_eckart.txt", None, [
+        "FAIL reference generators are symmetries (eckart)"]),
+}
+
+
+@pytest.mark.parametrize("case", list(_GOLDEN_GAPS))
+def test_golden_lacking_entries_fails_verify(runner, tmp_path, case):
+    """A golden that lacks entries is no pass: a cell missing from its table
+    is a failed result named like a changed cell, and an empty reference
+    basis fails its check.  `verify` exits 1 with exactly these failures
+    besides the documented ones."""
+    name, old, fails = _GOLDEN_GAPS[case]
+    if old is None:
+        old = (Path(cli._goldens_dir()) / name).read_text()
+    res = runner.invoke(main, ["verify", "--goldens-dir",
+                               _goldens_with(tmp_path, name, old, "")])
+    assert res.exit_code == 1, res.output
+    failed = [ln for ln in res.output.splitlines() if ln.startswith("FAIL ")]
+    assert [ln for ln in failed if ln[len("FAIL "):].split(": ", 1)[0]
+            not in _VERIFY_FAILS] == fails, res.output
+    assert len(failed) == len(fails) + len(_VERIFY_FAILS), res.output
+
+
 _VERIFY_FAILS = [
     "reference closed-form profile satisfies the residuals",
     "symmetry recovery (eckart) matches reference span",

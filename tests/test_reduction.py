@@ -108,7 +108,8 @@ def test_symbolic_check_all_supported_reductions(theory, case_no):
 
 def _sympy_value(sympy, e, point):
     """e read by sympy from its printed text and evaluated, every atom bound
-    to its value at point (sympy alone would read beta as a function)."""
+    to its entry in point, a value or a sympy symbol (sympy alone would read
+    beta as a function)."""
     text = ex.to_text(e).replace("^", "**")
     names = set(re.findall(r"[A-Za-z_]\w*", text)) - {"exp", "ln"}
     table = {"exp": sympy.exp, "ln": sympy.log, **{n: point[n] for n in names}}
@@ -118,10 +119,12 @@ def _sympy_value(sympy, e, point):
 @pytest.mark.parametrize("theory, case_no", _ALL_PAIRS)
 def test_reductions_vanish_at_a_rational_point_under_sympy(theory, case_no):
     """An oracle outside the kernel: sympy reads the four substituted
-    residuals and the right-hand sides as printed, and evaluates the
-    residuals with each state jet replaced by its right-hand side at a
-    seeded rational point.  psi = ln r makes every exp(k*psi) rational, so
-    the value must be exactly 0."""
+    residuals, the right-hand sides and the first integrals as printed, and
+    evaluates the residuals with each state jet replaced by its right-hand
+    side at a seeded rational point, and so each integral's derivative
+    along the flow, dI/d(independent) + sum_s dI/ds * rhs_s.  psi = ln r,
+    r != 1, makes every exp(k*psi) rational, so each value must be exactly
+    0."""
     sympy = pytest.importorskip("sympy")
     rs, res = rd._derivation(case_no, theory, None)
     rng = random.Random(f"oracle-{theory}-{case_no}")
@@ -130,12 +133,23 @@ def test_reductions_vanish_at_a_rational_point_under_sympy(theory, case_no):
         return sympy.Rational(rng.randint(1, 9), rng.randint(1, 9))
 
     point = {n: rational() for n in ("t", "x", "y", "k", "kappa", *rs.states[1:])}
-    point["psi"] = sympy.log(rational())
+    r = rational()
+    while r == 1:  # psi = 0 would hide every sinh(psi)^2 term
+        r = rational()
+    point["psi"] = sympy.log(r)
     space = ex.JetSpace((rs.independent,), rs.states)
     jets = {space.jet(s, rs.independent): _sympy_value(sympy, rs.rhs[s], point)
             for s in rs.states}
     assert all(v.is_Rational for v in jets.values()), jets
     assert [_sympy_value(sympy, r, {**point, **jets}) for r in res] == [0] * 4
+    symbols = {n: sympy.Symbol(n) for n in (rs.independent, *rs.states)}
+    at_point = {symbols[n]: point[n] for n in symbols}
+    for name, I in rs.first_integrals.items():
+        e = _sympy_value(sympy, I, symbols)
+        along_flow = sympy.diff(e, symbols[rs.independent]) + sum(
+            sympy.diff(e, symbols[s]) * jets[space.jet(s, rs.independent)]
+            for s in rs.states)
+        assert along_flow.subs(at_point) == 0, name
 
 
 @pytest.mark.parametrize("perturb", [
@@ -431,11 +445,9 @@ def test_shared_system_is_built_once_and_never_changed(raw_terms):
     it: after every shipped reduction, its symbolic check and its integral
     defects, and the symmetry solve of both closures, the residuals of both
     closures, at symbolic and at unit k and kappa, are built term for term
-    as before, in the same dict order.  So are the parsed catalog
-    integrals, which the reductions share too."""
+    as before, in the same dict order."""
     closures = [fluid.FluidParams(k=k, kappa=k, lam=Fraction(lam))
                 for lam in (0, 1) for k in (None, Fraction(1))]
-    texts = [t for entry in rd._CATALOG.values() for t in entry.first_integrals.values()]
 
     def digest():
         h = hashlib.sha256()
@@ -447,8 +459,6 @@ def test_shared_system_is_built_once_and_never_changed(raw_terms):
     for p in closures:
         assert fluid.build_system(p) is fluid.build_system(dataclasses.replace(p))
     assert digest() == _CLOSURES_RAW_SHA256
-    integrals = [raw_terms(rd._parsed(t)) for t in texts]
-    assert integrals == [raw_terms(ex.parse(t)) for t in texts]
     for theory in ("eckart", "israel-stewart"):
         for case in rd.supported_cases(theory):
             rs = rd.reduced_system(case, theory)
@@ -457,7 +467,6 @@ def test_shared_system_is_built_once_and_never_changed(raw_terms):
     for lam in (0, 1):
         assert len(sm.solve_determining(Fraction(lam))) == 5
     assert digest() == _CLOSURES_RAW_SHA256
-    assert [raw_terms(rd._parsed(t)) for t in texts] == integrals
 
 
 _BOUND_RAW_SHA256 = "5186d15a804c322d20eb57e9e8d9c10f6aa973cd821bc12d0215cb6f2cb2335b"
