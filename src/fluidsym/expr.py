@@ -35,10 +35,12 @@ denominator's monomial content (a one-term denominator becomes 1), then makes
 a denominator of more than one term monic on its leading monomial.  It never
 divides one polynomial by another, so the form is not canonical: numerator
 and denominator may share a factor (``p*q/q`` keeps ``q``) and one rational
-function can have several representations.  ``==`` and ``key()`` compare
-structure.  The exact test is ``is_zero()``: a rational function is zero
-iff its numerator polynomial is, so ``(a - b).is_zero()`` tests a == b by
-cross-multiplication.
+function can have several representations.  ``==`` compares structure: two
+expressions are equal, and hash alike, exactly when their ``num`` and
+``den`` dicts are, so no hash depends on the string hash seed.  ``key()`` is
+only an order, for ln atoms, exp arguments and the determining rows.  The
+exact test is ``is_zero()``: a rational function is zero iff its numerator
+polynomial is, so ``(a - b).is_zero()`` tests a == b by cross-multiplication.
 
 ``ClearedSubstitution`` substitutes a jet map ``{jet: N_j/D_j}`` over one
 common denominator ``D``.  It assumes the target expression has degree at
@@ -172,16 +174,15 @@ def _atom_order(packed: int) -> tuple:
 
 
 _EXP_ARGS: list = [None]  # exp id -> its argument; 0 is no exp factor
-_EXP_IDS: dict = {}  # an argument's (num, den) items as frozensets -> its id
+_EXP_IDS: dict = {}  # exp argument -> its id
 
 
 def _exp_id(arg) -> int:
     """The id of the exp argument arg, given to the first argument equal to
     it and never reused."""
-    key = (frozenset(arg.num.items()), frozenset(arg.den.items()))
-    eid = _EXP_IDS.get(key)
+    eid = _EXP_IDS.get(arg)
     if eid is None:
-        eid = _EXP_IDS[key] = len(_EXP_ARGS)
+        eid = _EXP_IDS[arg] = len(_EXP_ARGS)
         _EXP_ARGS.append(arg)
     return eid
 
@@ -388,13 +389,13 @@ class Expr:
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash(self.key())
+            self._hash = hash((frozenset(self.num.items()), frozenset(self.den.items())))
         return self._hash
 
     def __eq__(self, other):
         if not isinstance(other, Expr):
             return NotImplemented
-        return self.key() == other.key()
+        return self.num == other.num and self.den == other.den
 
     # -- predicates --------------------------------------------------------
 
@@ -746,18 +747,16 @@ class ClearedSubstitution:
     def __init__(self, jet_map: Mapping[str, Expr]):
         self.numerators = {jet: numerator(v) for jet, v in jet_map.items()}
         dens = {jet: denominator(v) for jet, v in jet_map.items()}
-        distinct: dict = {}
-        for d in dens.values():
-            distinct.setdefault(d.key(), d)
+        distinct = list(dict.fromkeys(dens.values()))
         if len(distinct) == 1:
-            (self.denominator,) = distinct.values()
+            (self.denominator,) = distinct
         else:
             self.denominator = ONE
-            for d in distinct.values():
+            for d in distinct:
                 self.denominator = self.denominator * d
             for jet, num in self.numerators.items():
-                for k, d in distinct.items():
-                    if k != dens[jet].key():
+                for d in distinct:
+                    if d != dens[jet]:
                         num = num * d
                 self.numerators[jet] = num
         self._factors: dict = {}

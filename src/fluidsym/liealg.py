@@ -75,13 +75,6 @@ class LieAlgebra:
                       tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in m))
                      for m in map(self.ad_matrix, range(self.dim)))
 
-    @cached_property
-    def named_indices(self) -> tuple:
-        """Basis positions of the time and space translations and the
-        dilatation, None for any the basis lacks; resolved once per algebra."""
-        return tuple(self.basis.index(g) if g in self.basis else None
-                     for g in sm.named_generators()[:3])
-
 
 def structure_constants(basis: Sequence[VectorField]) -> LieAlgebra:
     """Exact structure constants; raises if the basis is not closed."""
@@ -284,8 +277,8 @@ def commutator_table_entry(alg: LieAlgebra, i: int, j: int) -> str:
 def normalize_element(alg: LieAlgebra, w) -> tuple:
     """Canonical representative of the one-dimensional subalgebra span{w}.
 
-    Exact rules for the table algebras (V1, V2 translations; V3 dilatation;
-    V4 central field scaling), computed in Fractions:
+    Exact rules for the table algebras and ``full_algebra`` (V1, V2
+    translations; V3 dilatation; V4 central field scaling), in Fractions:
       * with a V3 part, Ad(exp(eps*V_i)), eps = a_i/a3, absorbs each
         translation into V3;
       * without one, Ad(exp(eps*V3)) scales only the translations, by e^eps;
@@ -302,15 +295,14 @@ def normalize_element(alg: LieAlgebra, w) -> tuple:
     if not any(coords):
         raise ValueError("zero element has no one-dimensional subalgebra")
     word = []
-    idx_t, idx_x, idx_dil = alg.named_indices
-    shifts = [i for i in (idx_t, idx_x) if i is not None and coords[i]]
-    if idx_dil is not None and coords[idx_dil]:
+    shifts = [i for i in (0, 1) if coords[i]]
+    if coords[2]:
         for i in shifts:
-            eps = coords[i] / coords[idx_dil]
+            eps = coords[i] / coords[2]
             coords = list(adjoint_action(alg, eps, i, coords).coefficients)
             word.append((f"Ad(exp(eps*V{i + 1}))", float(eps)))
-    elif idx_dil is not None and shifts:
-        rest = [c for k, c in enumerate(coords) if c and k not in (idx_t, idx_x, idx_dil)]
+    elif shifts:
+        rest = [c for c in coords[3:] if c]
         ratio = abs(rest[0] / coords[shifts[0]]) if rest else 1
         if ratio != 1:
             coords = [c * ratio if k in shifts else c for k, c in enumerate(coords)]
@@ -318,7 +310,7 @@ def normalize_element(alg: LieAlgebra, w) -> tuple:
                 eps = math.log(ratio)
             except (OverflowError, ValueError):  # the ratio is beyond float range
                 eps = math.log(ratio.numerator) - math.log(ratio.denominator)
-            word.append((f"Ad(exp(eps*V{idx_dil + 1}))", eps))
+            word.append(("Ad(exp(eps*V3))", eps))
     lead = abs(next(c for c in coords if c))
     if lead != 1:
         coords = [c / lead for c in coords]

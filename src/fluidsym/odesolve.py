@@ -611,9 +611,8 @@ def default_events(rs: ReducedSystem, params: fluid.FluidParams,
         return (1.0 - v * v) - blowup_delta
 
     table = {"v-blowup": blowup}
-    for i, s in enumerate(rs.states):
-        if s in ("n", "rho", "alpha", "beta", "w", "sigma"):
-            table[f"{s}-collapse"] = lambda t, u, i=i: u[i] - 1e-12
+    for i in (1, 2):  # the density-like states, in every catalog entry
+        table[f"{rs.states[i]}-collapse"] = lambda t, u, i=i: u[i] - 1e-12
     for i, den in enumerate(rs.singular):
         fn = ex.compile_exprs([_bind_params(den, params)],
                               [rs.independent, rs.states])

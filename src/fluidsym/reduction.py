@@ -81,8 +81,6 @@ class InvariantSet:
 
 @dataclass(frozen=True)
 class ReducedSystem:
-    case: int
-    theory: str
     independent: str  # 't', 'x' or 'y'
     states: tuple  # state symbol names, order fixed
     rhs: dict  # state -> Expr in (independent, states)
@@ -90,7 +88,6 @@ class ReducedSystem:
     singular: tuple  # the determinant made monic, unless it is constant
     first_integrals: dict  # name -> Expr in (independent, states)
     invariant_set: InvariantSet | None  # None for cases 1-2
-    lam: Fraction
     direction: int = 1  # default integration orientation for studies
     start: float = 0.0  # default start ordinate of the independent variable
 
@@ -227,9 +224,8 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     entry = _CATALOG[case]
     a = _group_parameter(case, a_value)
     inv = entry.invariants(a)
-    lam = fluid.THEORY_LAM[theory]
     # keep k and kappa symbolic: numeric values are bound at compile time
-    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=lam))
+    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=fluid.THEORY_LAM[theory]))
     res, jets = _substituted_residuals(sys, case, a, inv)
     # instantiating t is legitimate for deriving the right-hand sides: the
     # symbolic check re-establishes them for all t from res
@@ -240,13 +236,12 @@ def _derivation(case: int, theory: str, a_value: Fraction | None) -> tuple:
     # Cramer's rule divides by det alone, so det = 0 is the whole singular
     # locus; a monomial det is monic 1 and vanishes nowhere
     locus = ex.monic(det)
-    rs = ReducedSystem(case=case, theory=theory, independent=entry.independent,
+    rs = ReducedSystem(independent=entry.independent,
                        states=tuple(jets), rhs=rhs, determinant=det,
                        singular=() if locus.is_rational() else (locus,),
                        first_integrals=entry.first_integrals(a),
                        invariant_set=inv if entry.independent == "y" else None,
-                       lam=lam, direction=entry.direction,
-                       start=entry.start)
+                       direction=entry.direction, start=entry.start)
     return rs, res
 
 

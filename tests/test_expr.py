@@ -3,9 +3,13 @@ collection, row reduction and nullspace, parsing, compilation."""
 
 import math
 import operator
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -1055,6 +1059,23 @@ def test_parser_roundtrip_randomized():
     for e in fixed + [s * _random_expr(rng) for _ in range(25) for s in (1, -1)]:
         text = ex.to_text(e)
         assert ex.parse(text) == e, text
+        assert hash(ex.parse(text)) == hash(e), text
+
+
+def test_hashes_do_not_depend_on_the_string_hash_seed():
+    """An expression hashes by its num and den dicts, whose monomials and
+    coefficients are numbers, so its hash is the same under every string
+    hash seed."""
+    src = str(Path(ex.__file__).resolve().parent.parent)
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from fluidsym import expr as ex; "
+            "print([hash(ex.parse(text)) for text in sys.argv[2:]])")
+    texts = ["x*exp(2*psi) + 1/3", "ln(rho/n)^2 - (5/7)*q*exp(-psi/2)",
+             "(t - 1/4)/(x + exp(psi))", "ln(1 + exp(psi))*n^-2"]
+    outs = {subprocess.run([sys.executable, "-c", code, src, *texts], capture_output=True,
+                           text=True, check=True,
+                           env={**os.environ, "PYTHONHASHSEED": seed}).stdout
+            for seed in ("0", "1")}
+    assert len(outs) == 1, outs
 
 
 @pytest.mark.parametrize("text", ["1.5", "x.y", "f(x)", "exp", '__import__("os")'])

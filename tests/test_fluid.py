@@ -102,6 +102,37 @@ def test_reflection_parity_pattern(eckart_system_symbolic):
         assert (image - sign * res).is_zero()
 
 
+@pytest.mark.parametrize("theory", ["eckart", "israel-stewart"])
+def test_first_three_residuals_are_divergences_of_the_conserved_currents(theory):
+    """Residual 1 is the particle current's divergence, and residuals 2 and
+    3 are the energy and momentum balances of the stress tensor, rotated by
+    the rapidity.  sympy reads the residuals as printed; the components
+    T^00, T^01 and T^11 are the case-1 and case-2 first integrals, written
+    here."""
+    sympy = pytest.importorskip("sympy")
+    names = (*fluid.FIELD_NAMES, *fluid.JETS, "k", "kappa")
+    sym = {n: sympy.Symbol(n) for n in names}
+    psi, n, rho, q = (sym[u] for u in fluid.FIELD_NAMES)
+    sh, ch = sympy.sinh(psi), sympy.cosh(psi)
+    t00 = rho * ch ** 2 + rho * sh ** 2 / 3 + 2 * q * sh * ch
+    t01 = 4 * rho * sh * ch / 3 + q * sympy.cosh(2 * psi)
+    t11 = 4 * rho * sh ** 2 / 3 + rho / 3 + 2 * q * sh * ch
+
+    def total(f, d):
+        return sum(sympy.diff(f, sym[u]) * sym[f"{u}_{d}"] for u in fluid.FIELD_NAMES)
+
+    energy = total(t00, "t") - total(t01, "x")
+    momentum = total(t01, "t") - total(t11, "x")
+    want = [total(n * sh, "x") - total(n * ch, "t"),
+            ch * energy - sh * momentum,
+            sh * energy - ch * momentum]
+    sys = fluid.build_system(FluidParams(k=None, kappa=None, lam=fluid.THEORY_LAM[theory]))
+    for i, (r, w) in enumerate(zip(sys.residuals, want)):
+        text = ex.to_text(r).replace("^", "**")
+        got = sympy.sympify(text, locals={"exp": sympy.exp, **sym})
+        assert sympy.expand((got - w).rewrite(sympy.exp)) == 0, i + 1
+
+
 def test_quasilinear_time_form_at_rest(eckart_system):
     qf = fluid.quasilinear_time_form(eckart_system)
     nt = ex.subs(qf["n_t"], {"psi": ex.ZERO})

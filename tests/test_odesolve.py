@@ -544,6 +544,31 @@ def test_decaying_classification():
     assert od.classify_trajectory(tr) == "decaying"
 
 
+def test_the_similarity_flow_crosses_the_light_cone():
+    """README Finding 6, in criterion 9's set-up run on to y = 50: the
+    light cone y = 1 is no singular point of Eckart case 3 (the singular
+    factor reads exactly 16 there), the fast starts cross it and reach the
+    end, and the slow starts end in the mirror blow-up v -> -1 before it."""
+    params = fluid.FluidParams(lam=Fraction(0))
+    rs = rd.reduced_system(3, "eckart")
+    assert ex.subs(rs.singular[0], {"y": ex.ONE}) == ex.number(16)
+    rhs = od.compile_rhs(rs, params)
+    ev = od.default_events(rs, params, blowup_delta=6e-2)
+    cfg = od.SolverConfig(span=49.9, rtol=1e-9, atol=1e-11, max_step=1e9,
+                          dense_points=300, max_steps=400_000)
+    ends = {}
+    for v0 in (0.3, 0.5, 0.7, 0.85, 0.9, 0.95):
+        tr = od.integrate(rhs, [math.atanh(v0), 1.0, 1.0, 0.0], cfg, ev, t0=0.1)
+        ends[v0] = (tr.termination, tr.event_name, round(tr.ts[-1], 4),
+                    round(math.tanh(tr.states[-1][0]), 4))
+    assert ends == {0.3: ("event", "v-blowup", 0.9803, -0.9695),
+                    0.5: ("event", "v-blowup", 0.9843, -0.9695),
+                    0.7: ("reached-end", None, 50.0, 0.6048),
+                    0.85: ("reached-end", None, 50.0, 0.8223),
+                    0.9: ("reached-end", None, 50.0, 0.887),
+                    0.95: ("reached-end", None, 50.0, 0.9465)}
+
+
 def test_empty_trajectory_inconclusive():
     tr = od.Trajectory(ts=[0.0], states=[[0.1, 1, 1, 0]],
                        termination="reached-end")

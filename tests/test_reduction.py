@@ -479,7 +479,8 @@ def test_parameter_bound_raw_terms_are_pinned(pinned_systems, raw_terms):
     h = hashlib.sha256()
     for k, kappa in ((1, 1), (Fraction(1, 2), 2), (3, Fraction(3, 7))):
         for theory, case, a, rs in pinned_systems:
-            params = fluid.FluidParams(k=Fraction(k), kappa=Fraction(kappa), lam=rs.lam)
+            params = fluid.FluidParams(k=Fraction(k), kappa=Fraction(kappa),
+                                      lam=fluid.THEORY_LAM[theory])
             items = [raw_terms(od._bind_params(e, params))
                      for e in [rs.rhs[s] for s in rs.states] + list(rs.singular)]
             h.update(repr((k, kappa, theory, case, a, items)).encode())

@@ -68,6 +68,108 @@ def test_second_order_terms_cancel_in_reduced_prolongation():
                 assert (full - pr[JET_SPACE.jet(u, d)]).is_zero()
 
 
+def _sympy_of(sympy, e, table):
+    """e read by sympy from its printed text, every name bound to its entry
+    in table."""
+    text = ex.to_text(e).replace("^", "**")
+    names = set(re.findall(r"[A-Za-z_]\w*", text)) - {"exp", "ln"}
+    return sympy.sympify(text, locals={"exp": sympy.exp, "ln": sympy.log,
+                                       **{n: table[n] for n in names}})
+
+
+def _textbook_oracle(sympy, seed):
+    """The jet symbols up to order two, a seeded rational point with
+    psi = ln r, r != 1, on them and on k and kappa, and the textbook first
+    prolongation (Olver 1986, Thm. 2.36) of a field, written here in sympy
+    alone:
+
+        phi^d_u = D_d(phi_u - tau*u_t - xi*u_x) + tau*u_{dt} + xi*u_{dx},
+
+    with D_d the total derivative over the second-order jets."""
+    rng = random.Random(seed)
+
+    def rational():
+        return sympy.Rational(rng.randint(-9, 9) or 1, rng.randint(1, 9))
+
+    dirs, fields = ("t", "x"), fluid.FIELD_NAMES
+    second = {(u, d, e): f"{u}_{''.join(sorted(d + e))}"
+              for u in fields for d in dirs for e in dirs}
+    names = (*sm.BASE_VARS, *(f"{u}_{d}" for u in fields for d in dirs),
+             *sorted(set(second.values())), "k", "kappa")
+    sym = {n: sympy.Symbol(n) for n in names}
+    point = {sym[n]: rational() for n in names}
+    for n in ("k", "kappa", "n", "rho"):
+        point[sym[n]] = abs(point[sym[n]])
+    r = abs(rational())
+    while r == 1:  # psi = 0 would hide every odd power of sinh(psi)
+        r = abs(rational())
+    point[sym["psi"]] = sympy.log(r)
+
+    def total(f, d):
+        out = sympy.diff(f, sym[d])
+        for u in fields:
+            out += sym[f"{u}_{d}"] * sympy.diff(f, sym[u])
+            for e in dirs:
+                out += sym[second[u, d, e]] * sympy.diff(f, sym[f"{u}_{e}"])
+        return out
+
+    def prolong(V):
+        c = {v: _sympy_of(sympy, e, sym) for v, e in V.coefficients().items()}
+        return {f"{u}_{d}": total(c[u] - c["t"] * sym[f"{u}_t"] - c["x"] * sym[f"{u}_x"], d)
+                + c["t"] * sym[second[u, d, "t"]] + c["x"] * sym[second[u, d, "x"]]
+                for u in fields for d in dirs}, c
+
+    return sym, point, prolong
+
+
+def test_prolongation_matches_the_textbook_formula_under_sympy():
+    """An oracle outside the kernel: at a seeded rational point of the
+    second-order jets, prolong1 equals the textbook formula for every
+    elementary field of the degree-1 ansatz, the named generators and the
+    rapidity shift."""
+    sympy = pytest.importorskip("sympy")
+    sym, point, prolong = _textbook_oracle(sympy, "prolongation")
+    for V in (sm.Ansatz(degree=1).elementary_fields() + sm.named_generators()
+              + [sm.v_rapidity_shift()]):
+        want, _ = prolong(V)
+        got = sm.prolong1(V)
+        assert want.keys() == got.keys()
+        for jet, phi in want.items():
+            diff = (phi - _sympy_of(sympy, got[jet], sym)).subs(point)
+            assert sympy.expand(diff) == 0, (V.text(), jet)
+
+
+@pytest.mark.parametrize("theory", ["eckart", "israel-stewart"])
+def test_named_generators_are_symmetries_on_shell_under_sympy(theory):
+    """An oracle outside the kernel: sympy reads the four residuals as
+    printed, solves them for the time jets at a seeded rational point with
+    rational k and kappa, and applies the textbook prolongation there.  The
+    condition pr V(residual) vanishes exactly for each named generator and
+    not for the rapidity shift."""
+    sympy = pytest.importorskip("sympy")
+    sym, point, prolong = _textbook_oracle(sympy, f"on-shell-{theory}")
+    sys = fluid.build_system(fluid.FluidParams(k=None, kappa=None,
+                                               lam=fluid.THEORY_LAM[theory]))
+    residuals = [_sympy_of(sympy, r, sym) for r in sys.residuals]
+    time_jets = [sym[f"{u}_t"] for u in fluid.FIELD_NAMES]
+    off_shell = {s: v for s, v in point.items() if s not in time_jets}
+    (solved,) = sympy.solve([r.subs(off_shell) for r in residuals], time_jets, dict=True)
+    assert all(v.is_Rational for v in solved.values()), solved
+    at = {**point, **solved}
+    assert [sympy.expand(r.subs(at)) for r in residuals] == [0] * 4
+    variables = [*sm.BASE_VARS, *(f"{u}_{d}" for u in fluid.FIELD_NAMES for d in "tx")]
+    partials = [{v: sympy.diff(r, sym[v]).subs(at) for v in variables} for r in residuals]
+
+    def condition(V):
+        phi, coeffs = prolong(V)
+        values = {v: e.subs(at) for v, e in {**coeffs, **phi}.items()}
+        return [sympy.expand(sum(values[v] * dr[v] for v in variables)) for dr in partials]
+
+    for V in sm.named_generators():
+        assert condition(V) == [0] * 4, V.text()
+    assert any(condition(sm.v_rapidity_shift())), theory
+
+
 def test_degree_zero_ansatz_yields_translations_only():
     for theory, lam in fluid.THEORY_LAM.items():
         basis = sm.solve_determining(lam, sm.Ansatz(degree=0))
