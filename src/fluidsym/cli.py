@@ -270,7 +270,7 @@ def reduce(case_no, theory, check, a_value, dump_expr):
             sys.exit(1)
 
 
-_SOLVE_MAX_STEP = 1e9  # the largest step of a solve run
+_MAX_STEP = 1e9  # the largest step of a solve or critical run
 
 
 @main.command()
@@ -298,11 +298,11 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
           blowup_delta, params_file, out, a_value):
     """Integrate a reduced system and write a trajectory CSV."""
     _inside_threshold(v0, blowup_delta, "--v0")
-    reach = _SOLVE_MAX_STEP * od.SolverConfig.max_steps
+    reach = _MAX_STEP * od.SolverConfig.max_steps
     if t_end > reach:
         raise click.BadParameter(
             f"{t_end:g} cannot be reached in {od.SolverConfig.max_steps} "
-            f"steps of at most {_SOLVE_MAX_STEP:g}; it must be at most "
+            f"steps of at most {_MAX_STEP:g}; it must be at most "
             f"{reach:g}", param_hint="--t-end")
     params = _params_from_file(params_file, theory)
     rs = _derived(rd.reduced_system, case_no, theory, a_value)
@@ -312,7 +312,7 @@ def solve(case_no, theory, v0, n0, rho0, q0, t_end, rtol, direction,
     sgn = rs.direction if direction is None else (1 if direction == "+" else -1)
     try:
         cfg = od.SolverConfig(span=t_end, rtol=rtol, atol=rtol * 1e-2,
-                              max_step=_SOLVE_MAX_STEP, direction=sgn,
+                              max_step=_MAX_STEP, direction=sgn,
                               dense_points=200)
     except ValueError as err:  # atol = rtol / 100 underflows to 0
         raise click.BadParameter(str(err), param_hint="--rtol")
@@ -373,7 +373,7 @@ def critical_run_factory(case_no, theory, params, q0, horizon, blowup_delta):
         psi0 = math.atanh(v0)
         fac = od.scaled_time_factor(params, 1.0, psi0)
         cfg = od.SolverConfig(span=horizon / fac, rtol=1e-8, atol=1e-10,
-                              max_step=1e9, direction=rs.direction)
+                              max_step=_MAX_STEP, direction=rs.direction)
         return od.integrate(rhs, [psi0, 1.0, 1.0, q0], cfg, ev)
 
     run.direction = rs.direction

@@ -96,7 +96,6 @@ class Trajectory:
     states: list
     termination: str  # 'reached-end' | 'event' | 'step-failure'
     event_name: str | None = None
-    event_value: float | None = None
     n_steps: int = 0
     n_rejected: int = 0
 
@@ -512,13 +511,8 @@ def integrate(rhs: Callable, u0: Sequence[float], cfg: SolverConfig,
                 next_sample += sample_dt
             ts.append(te)
             states += dense(r, thetas + [theta_e])
-            ue = states[-1]
             traj.termination = "event"
             traj.event_name = names[hit]
-            try:
-                traj.event_value = guards[hit](te, ue)
-            except _UNDEFINED:
-                traj.event_value = math.nan
             return traj
         if not cfg.dense_points:
             ts.append(t_new)

@@ -1,14 +1,15 @@
 """Similarity reductions: invariants, reduced ODE systems, symbolic checks.
 
 Each reduction case is one one-dimensional subalgebra, and its catalog entry
-states everything the derivation reads: the generator, the group invariants,
-the inverse map giving the physical fields in the invariant states, the
-partials (y_t, y_x) of the similarity variable y, the first integrals, the
-name of the independent variable, the value t takes while deriving, and the
-default orientation, start ordinate and group parameter a.  Every formula is
-an Expr, built from a at derivation time.  The translations d_t and d_x are
-ordinary entries: their invariants are the fields themselves, and t or x is
-the independent variable.
+states the generator, the group invariants, the inverse map of each field
+that is not itself a state, the first integrals, the name of the independent
+variable, the value t takes while deriving, and the default orientation,
+start ordinate and group parameter a.  The rest derives from the invariants:
+the states are their names other than y, in catalog order, and the partials
+(y_t, y_x) are those of the similarity variable y, which is affine in x.
+Every formula is an Expr, built from a at derivation time.  The translations
+d_t and d_x are ordinary entries: their invariants are the fields
+themselves, and t or x is the independent variable.
 
 Every case is derived once.  ``_derivation`` substitutes the invariant
 ansatz into the full PDE residuals by the chain rule, with t kept symbolic,
@@ -74,9 +75,8 @@ def supported_cases(theory: str) -> tuple:
 @dataclass(frozen=True)
 class InvariantSet:
     generator: VectorField
-    invariants: dict  # name -> Expr in the base variables; y is the similarity variable
-    inverse: dict  # field name -> Expr in (t, y, state symbols)
-    states: tuple
+    invariants: dict  # name -> Expr in (t, x, fields): y, and the states in order
+    inverse: dict  # field -> Expr in (t, y, states); absent: the field is a state
 
 
 @dataclass(frozen=True)
@@ -95,10 +95,10 @@ class ReducedSystem:
 @dataclass(frozen=True)
 class _Case:
     """One catalog entry.  The callables build its formulas from the group
-    parameter a: an Expr, or None for a case that takes no a."""
+    parameter a: an Expr, or None for a case that takes no a.  The states
+    and the partials (y_t, y_x) derive from the invariants."""
     invariants: Callable  # a -> InvariantSet
     independent: str  # 't', 'x' or 'y'
-    partials: Callable  # a -> (y_t, y_x) in (t, y)
     inst_t: Fraction | None  # value of t while deriving; None keeps t
     first_integrals: Callable  # a -> {name: Expr in (independent, states)}
     default_a: Fraction | None = None  # None: the case takes no a
@@ -124,46 +124,35 @@ def _catalog() -> dict:
     def traveling_particle(a):
         return {"particle": n * (sinh(psi) + a * cosh(psi))}
     return {
-        1: _Case(lambda a: InvariantSet(sm.v_space(), {**fields, "y": t},
-                                        dict(fields), FIELD_NAMES),
-                 "t", partials=lambda a: (ex.ONE, ex.ZERO), inst_t=None,
-                 first_integrals=homogeneous),
-        2: _Case(lambda a: InvariantSet(sm.v_time(), {**fields, "y": x},
-                                        dict(fields), FIELD_NAMES),
-                 "x", partials=lambda a: (ex.ZERO, ex.ONE), inst_t=None,
-                 first_integrals=stationary, direction=-1),
+        1: _Case(lambda a: InvariantSet(sm.v_space(), {**fields, "y": t}, {}),
+                 "t", inst_t=None, first_integrals=homogeneous),
+        2: _Case(lambda a: InvariantSet(sm.v_time(), {**fields, "y": x}, {}),
+                 "x", inst_t=None, first_integrals=stationary, direction=-1),
         3: _Case(lambda a: InvariantSet(
                      sm.v_dilation(),
                      {"y": x / t, "psi": psi, "alpha": n * t, "rho": rho, "q": q},
-                     {**fields, "n": alpha / t}, ("psi", "alpha", "rho", "q")),
-                 "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
-                 first_integrals=lambda a: {
+                     {"n": alpha / t}),
+                 "y", inst_t=Fraction(1), first_integrals=lambda a: {
                      "particle": alpha * (sinh(psi) + y * cosh(psi))}),
         4: _Case(lambda a: InvariantSet(
-                     sm.v_time() + sm.v_space().scale(a),
-                     {"y": x - a * t, **fields}, dict(fields), FIELD_NAMES),
-                 "y", partials=lambda a: (-a, ex.ONE), inst_t=None,
-                 first_integrals=traveling_particle, default_a=Fraction(-1)),
+                     sm.v_time() + sm.v_space().scale(a), {"y": x - a * t, **fields}, {}),
+                 "y", inst_t=None, first_integrals=traveling_particle,
+                 default_a=Fraction(-1)),
         5: _Case(lambda a: InvariantSet(
                      sm.v_dilation() + sm.v_scaling().scale(a),
                      {"y": x / t, "psi": psi, "beta": n * x, "w": rho * t ** (-a),
                       "theta": q / rho},
-                     {"psi": psi, "n": beta / (y * t), "rho": w * t ** a,
-                      "q": theta * w * t ** a},
-                     ("psi", "beta", "w", "theta")),
-                 "y", partials=lambda a: (-y / t, ex.ONE / t), inst_t=Fraction(1),
-                 first_integrals=lambda a: {
+                     {"n": beta / (y * t), "rho": w * t ** a, "q": theta * w * t ** a}),
+                 "y", inst_t=Fraction(1), first_integrals=lambda a: {
                      "particle": beta * (sinh(psi) + y * cosh(psi)) / y},
                  default_a=Fraction(1), start=1.0),
         6: _Case(lambda a: InvariantSet(
                      sm.v_scaling() + sm.v_time() + sm.v_space().scale(a),
                      {"y": x - a * t, "psi": psi, "n": n, "sigma": rho * ex.exp(-t),
                       "theta": q / rho},
-                     {"psi": psi, "n": n, "rho": sigma * ex.exp(t),
-                      "q": theta * sigma * ex.exp(t)},
-                     ("psi", "n", "sigma", "theta")),
-                 "y", partials=lambda a: (-a, ex.ONE), inst_t=Fraction(0),
-                 first_integrals=traveling_particle, default_a=Fraction(-1)),
+                     {"rho": sigma * ex.exp(t), "q": theta * sigma * ex.exp(t)}),
+                 "y", inst_t=Fraction(0), first_integrals=traveling_particle,
+                 default_a=Fraction(-1)),
     }
 
 
@@ -188,13 +177,17 @@ def _substituted_residuals(sys: PDESystem, case: int, a: Expr | None,
     Returns (list of Exprs in (t, y, states, state jets), {state: jet name}),
     each state jet taken along the entry's independent variable.
     """
-    entry = _CATALOG[case]
-    space = JetSpace((entry.independent,), inv.states)
-    jets = {s: space.jet(s, entry.independent) for s in inv.states}
-    y_t, y_x = entry.partials(a)
+    independent = _CATALOG[case].independent
+    states = tuple(s for s in inv.invariants if s != "y")
+    space = JetSpace((independent,), states)
+    jets = {s: space.jet(s, independent) for s in states}
+    Y = inv.invariants["y"]
+    y_t, y_x = ex.diff(Y, "t"), ex.diff(Y, "x")
+    if not y_x.is_zero():  # y is affine in x: x = (y - Y|x=0)/y_x
+        y_t = ex.subs(y_t, {"x": (ex.sym("y") - ex.subs(Y, {"x": ex.ZERO})) / y_x})
     bindings = {}
     for fname in FIELD_NAMES:
-        U = inv.inverse[fname]
+        U = inv.inverse.get(fname, ex.sym(fname))
         bindings[fname] = U
         dU_dy = ex.diff(U, "y")
         chain_t = ex.diff(U, "t") + dU_dy * y_t

@@ -123,7 +123,8 @@ def field_from_text(text: str) -> VectorField:
     V = VectorField(ex.diff(e, d) for d in names)
     if not (e - sum((c * ex.sym(d) for c, d in zip(V.coeffs, names)), ex.ZERO)).is_zero():
         raise ValueError(f"not a linear combination of {', '.join(names)}")
-    if not _components(V).keys() <= Ansatz().index.keys():
+    # the affine class: each monomial is 1 or one base variable
+    if any(len(key) > 1 or any(k != 1 for _, k in key) for _, key in _components(V)):
         raise ValueError("field has monomials outside the ansatz")
     return V
 
@@ -163,12 +164,7 @@ class Ansatz:
     @property
     def table(self) -> dict:
         """{unknown: (base-variable index, monomial)}."""
-        return _ansatz_tables(self.degree)[0]
-
-    @property
-    def index(self) -> dict:
-        """{(base-variable index, collect key of the monomial): unknown}."""
-        return _ansatz_tables(self.degree)[1]
+        return _ansatz_table(self.degree)
 
     def unknowns(self) -> list:
         return list(self.table)
@@ -188,22 +184,16 @@ class Ansatz:
 
 
 @functools.lru_cache(maxsize=None)
-def _ansatz_tables(degree: int) -> tuple:
-    """The unknown table of the degree-``degree`` ansatz and its inverse,
-    built once per degree; monomials come in graded order."""
+def _ansatz_table(degree: int) -> dict:
+    """The unknown table of the degree-``degree`` ansatz, built once per
+    degree; monomials come in graded order."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     monos = [math.prod((ex.sym(v) for v in vs), start=ex.ONE)
              for d in range(degree + 1)
              for vs in itertools.combinations_with_replacement(BASE_VARS, d)]
-    keys = [next(iter(ex.collect(m, BASE_VARS))) for m in monos]
-    table, index = {}, {}
-    for vi in range(len(BASE_VARS)):
-        for m, key in zip(monos, keys):
-            u = f"c{len(table)}"
-            table[u] = (vi, m)
-            index[(vi, key)] = u
-    return table, index
+    pairs = itertools.product(range(len(BASE_VARS)), monos)
+    return {f"c{i}": pair for i, pair in enumerate(pairs)}
 
 
 @functools.lru_cache(maxsize=None)

@@ -4,12 +4,13 @@ import csv
 import dataclasses
 import hashlib
 import shutil
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from fluidsym import cli
+from fluidsym import cli, reduction as rd
 from fluidsym.cli import main
 
 
@@ -735,6 +736,36 @@ def test_reduce_output_is_pinned(runner, tmp_path):
     assert res.exit_code == 0, res.output
     h.update(out.read_bytes())
     assert h.hexdigest() == _PINNED_REDUCE_SHA256
+
+
+# Israel-Stewart cases 3-6, which supported_cases does not list and so no
+# other pin covers: each at the default a, and cases 4-6 at three more a.
+_ISRAEL_STEWART_REDUCTIONS = [(case, None) for case in (3, 4, 5, 6)] + [
+    (case, a) for case in (4, 5, 6) for a in ("-2/3", "1/2", "3/2")]
+_ISRAEL_STEWART_REDUCE_SHA256 = ("a21d142f7c863259c8f873b2474d8a37"
+                                 "542c49d2cad7a434318df8dde328acda")
+_ISRAEL_STEWART_RAW_SHA256 = ("998611a7173e823640ff795d003628f0"
+                              "04f585e2c30ab0ec67e0f4d629fa558f")
+
+
+def test_israel_stewart_cases_3_to_6_are_pinned(runner, raw_terms):
+    """The printed `reduce --check` text of the 13 Israel-Stewart requests,
+    and the raw terms of their right-hand sides, determinants and singular
+    factors, hash to the recorded values."""
+    printed, raw = hashlib.sha256(), hashlib.sha256()
+    for case, a in _ISRAEL_STEWART_REDUCTIONS:
+        extra = [] if a is None else ["-a", a]
+        res = runner.invoke(main, ["reduce", "--case", str(case), "--theory",
+                                   "israel-stewart", "--check", *extra])
+        assert res.exit_code == 0, res.output
+        printed.update(res.output.encode())
+        rs = rd.reduced_system(case, "israel-stewart",
+                               a_value=None if a is None else Fraction(a))
+        items = ([raw_terms(rs.rhs[s]) for s in rs.states]
+                 + [raw_terms(rs.determinant)] + [raw_terms(f) for f in rs.singular])
+        raw.update(repr((case, a, items)).encode())
+    assert printed.hexdigest() == _ISRAEL_STEWART_REDUCE_SHA256
+    assert raw.hexdigest() == _ISRAEL_STEWART_RAW_SHA256
 
 
 def test_environment_variables_do_not_set_options(runner, tmp_path, monkeypatch):

@@ -356,16 +356,24 @@ def test_translation_cases_match_the_quasilinear_forms(request, theory, fixture)
 
 @pytest.mark.parametrize("case_no", sorted(rd._CATALOG))
 def test_catalog_generator_and_partials_match_the_invariants(case_no):
-    """At its default a, each entry's generator annihilates every invariant,
-    and its partials (y_t, y_x) are those of the similarity invariant y."""
+    """At its default a, each entry's generator annihilates every invariant."""
     entry = rd._CATALOG[case_no]
     a = None if entry.default_a is None else ex.number(entry.default_a)
     inv = entry.invariants(a)
     for name, e in inv.invariants.items():
         assert inv.generator.apply(e).is_zero(), name
-    y = inv.invariants["y"]
-    for partial, var in zip(entry.partials(a), ("t", "x")):
-        assert (ex.subs(partial, {"y": y}) - ex.diff(y, var)).is_zero(), var
+
+
+@pytest.mark.parametrize("case_no", sorted(rd._CATALOG))
+def test_inverse_map_undoes_the_invariants(case_no):
+    """Each field's inverse, with y and every state replaced by its
+    invariant, is exactly that field, at the default a and at two seeded
+    values of a; a field the entry does not list is its own state."""
+    for a in _seeded_group_parameters("inverse", case_no):
+        inv = rd._CATALOG[case_no].invariants(rd._group_parameter(case_no, a))
+        for u in fluid.FIELD_NAMES:
+            back = ex.subs(inv.inverse.get(u, ex.sym(u)), inv.invariants)
+            assert (back - ex.sym(u)).is_zero(), (a, u)
 
 
 # the group parameters a the benchmark draws for cases 4-6

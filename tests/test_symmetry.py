@@ -326,9 +326,11 @@ def test_solve_never_returns_an_uncertified_vector(monkeypatch, eckart_basis,
                                                    attempts):
     """A vector slipped into the reconstruction fails its certificate: the
     solve retries, and raises once every attempt carries it."""
-    index = sm.Ansatz().index
-    rapidity_shift = {index[key]: c
-                      for key, c in sm._components(sm.v_rapidity_shift()).items()}
+    components = sm._components(sm.v_rapidity_shift())
+    rapidity_shift = {u: components[(vi, key)]
+                      for u, (vi, m) in sm.Ansatz().table.items()
+                      for key in ex.collect(m, sm.BASE_VARS) if (vi, key) in components}
+    assert len(rapidity_shift) == len(components)
     nullspace = ex.nullspace
     calls = []
 
